@@ -45,7 +45,6 @@ from .sensitivity import (
     CostFunctional,
     GradientReport,
     adjoint_gradient,
-    adjoint_gradient_pointwise,
     eval_cost,
     finite_difference_gradient,
     forward_sensitivity,

@@ -154,10 +154,14 @@ def build_grad_check_problem(
     policy_seed=0,
     mu=0.23,
     sigma=0.18,
-    nu=0.25,
+    market=None,
     x0=None,
 ):
-    """(system, cost, x0, policy) for a registered gradient-check system."""
+    """(system, cost, x0, policy) for a registered gradient-check system.
+
+    The portfolio problem uses ``market`` (a ``MarketParams``), by default
+    ``MarketParams(nu=0.25)``.
+    """
     if name == "gbm":
         system = controlled_gbm_system(mu=mu, sigma=sigma)
         cost = controlled_gbm_cost()
@@ -167,7 +171,7 @@ def build_grad_check_problem(
     if name == "portfolio":
         from .portfolio import MarketParams, build_cost, build_system
 
-        params = MarketParams(nu=nu)
+        params = MarketParams(nu=0.25) if market is None else market
         system = build_system(params)
         cost = build_cost(params)
         x0 = np.asarray(params.x0, dtype=float) if x0 is None else np.asarray(x0, dtype=float)

@@ -60,7 +60,6 @@ def _build_parser():
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override base_seed")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
 
     p = sub.add_parser("train", help="train portfolio policies and export artifacts")
     common(p)
@@ -92,8 +91,6 @@ def _build_parser():
 def _apply_overrides(cfg, args):
     if args.seed is not None:
         cfg["base_seed"] = args.seed
-    if args.threads is not None:
-        cfg["threads"] = args.threads
     if getattr(args, "nu", None):
         cfg["nu"] = tuple(float(v) for v in args.nu.split(","))
     if getattr(args, "system", None):
@@ -125,7 +122,6 @@ def _train_config(cfg, direction="maximize"):
         direction=direction,
         base_seed=cfg["base_seed"],
         checkpoint_every=cfg["checkpoint_every"],
-        threads=cfg["threads"],
     )
 
 
@@ -159,14 +155,14 @@ def cmd_train(args) -> int:
 
 def cmd_grad_check(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    nu_list = cfg["nu"]
+    nu = cfg["nu"][0] if cfg["nu"] else 0.25
     system, cost, x0, policy = build_grad_check_problem(
         cfg["system"],
         hidden_dims=cfg["grad_check_hidden"],
         policy_seed=cfg["policy_seed"],
         mu=cfg["mu"],
         sigma=cfg["sigma"],
-        nu=nu_list[0] if nu_list else 0.25,
+        market=_market_params(cfg, nu=nu) if cfg["system"] == "portfolio" else None,
     )
     grid = TimeGrid(0.0, cfg["horizon"], cfg["grad_check_steps"])
     path = generate_path(cfg["base_seed"], grid, system.noise_dim)

@@ -15,15 +15,6 @@ from .errors import ConfigurationError
 __all__ = ["CONFIG_SPEC", "default_config", "parse_value", "load_config", "format_config"]
 
 
-def _parse_bool(text):
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_float_list(text):
     return tuple(float(v) for v in text.split(",") if v.strip())
 
@@ -47,8 +38,6 @@ CONFIG_SPEC = {
     "v0": (float, 0.0, "initial bank value"),
     # policy
     "hidden_dims": (_parse_int_list, (32, 32, 32), "hidden layer widths"),
-    "hidden_activation": (str, "tanh", "hidden-layer activation"),
-    "output_activation": (str, "softplus", "output activation (positive rates)"),
     "policy_seed": (int, 0, "seed for the initial policy parameters"),
     # training
     "iterations": (int, 100, "optimizer iterations"),
@@ -58,7 +47,6 @@ CONFIG_SPEC = {
     "estimator": (str, "adjoint", "gradient estimator: adjoint or forward"),
     "base_seed": (int, 0, "base seed for training and evaluation path streams"),
     "checkpoint_every": (int, 0, "save a checkpoint every k iterations (0 = off)"),
-    "log_wall_time": (_parse_bool, False, "include wall_ms column in train logs"),
     # evaluation / experiment
     "eval_paths": (int, 50, "fresh evaluation paths per trained policy"),
     "trajectory_dumps": (int, 3, "evaluation trajectories exported to CSV"),
@@ -82,8 +70,6 @@ CONFIG_SPEC = {
     "reversal_halvings": (int, 4, "step halvings in the reversibility study"),
     # simulation
     "n_paths": (int, 3, "trajectories written by the simulate command"),
-    # execution
-    "threads": (int, 1, "worker threads for per-path estimators"),
 }
 
 
@@ -125,9 +111,7 @@ def format_config(cfg: dict) -> str:
     lines = []
     for key in CONFIG_SPEC:
         val = cfg[key]
-        if isinstance(val, bool):
-            text = "true" if val else "false"
-        elif isinstance(val, float):
+        if isinstance(val, float):
             text = f"{val:.17g}"
         elif isinstance(val, tuple):
             text = ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in val)

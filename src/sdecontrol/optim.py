@@ -10,7 +10,6 @@ hard failure.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -66,6 +65,10 @@ class OptimizerState:
             raise ConfigurationError(f"unknown optimizer kind {self.kind!r}")
         if self.direction not in ("minimize", "maximize"):
             raise ConfigurationError(f"unknown direction {self.direction!r}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError(
+                f"learning_rate must be positive and finite, got {self.learning_rate!r}"
+            )
 
     @property
     def sign(self) -> float:
@@ -123,13 +126,22 @@ class TrainConfig:
     scheme: Optional[str] = None
     checkpoint_every: int = 0
     checkpoint_dir: Optional[str] = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.batch_size < 1 or self.iterations < 1:
             raise ConfigurationError("batch_size and iterations must be >= 1")
+        if self.batch_size > _SEED_STRIDE:
+            raise ConfigurationError(
+                f"batch_size {self.batch_size} exceeds {_SEED_STRIDE}: path seeds "
+                "would collide across iterations"
+            )
         if self.estimator not in ("adjoint", "forward"):
             raise ConfigurationError(f"unknown estimator {self.estimator!r}")
+        # Building the optimizer state checks kind, direction and learning
+        # rate before any training work.
+        OptimizerState(
+            kind=self.optimizer, learning_rate=self.learning_rate, direction=self.direction
+        )
 
 
 @dataclass
@@ -142,12 +154,10 @@ class TrainLog:
     def column(self, name):
         return np.array([r[name] for r in self.records])
 
-    def to_csv(self, fileobj, include_wall=False):
-        """One row per iteration.  Wall time is excluded by default so that
-        reruns with identical seeds produce bit-identical files."""
+    def to_csv(self, fileobj):
+        """One row per iteration.  Wall time is left out so that reruns with
+        identical seeds produce bit-identical files."""
         cols = ["iteration", "mean_cost", "grad_norm", "n_diverged"]
-        if include_wall:
-            cols.append("wall_ms")
         fileobj.write(",".join(cols) + "\n")
         for r in self.records:
             fileobj.write(",".join(f"{r[c]:.17g}" for c in cols) + "\n")
@@ -164,7 +174,6 @@ def batch_gradient(
     grid,
     estimator="adjoint",
     scheme=None,
-    threads=1,
 ):
     """Mean path-wise gradient and cost over a fresh batch of paths.
 
@@ -190,22 +199,13 @@ def batch_gradient(
         grads = np.zeros((n_paths, policy.n_params))
         costs = np.zeros(n_paths)
         valid = np.zeros(n_paths, dtype=bool)
-
-        def one(i):
-            path = generate_path(seeds[i], grid, system.noise_dim)
+        for i, seed in enumerate(seeds):
+            path = generate_path(seed, grid, system.noise_dim)
             try:
                 rep = forward_sensitivity(system, policy, cost, x0, path, scheme=scheme)
             except DivergenceError:
-                return i, None
-            return i, rep
-
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(one, range(n_paths)))
-        else:
-            results = [one(i) for i in range(n_paths)]
-        for i, rep in results:  # fixed order reduction for reproducibility
-            if rep is not None and np.all(np.isfinite(rep.grad)) and np.isfinite(rep.cost_value):
+                continue
+            if np.all(np.isfinite(rep.grad)) and np.isfinite(rep.cost_value):
                 grads[i] = rep.grad
                 costs[i] = rep.cost_value
                 valid[i] = True
@@ -248,7 +248,6 @@ def train(system, policy, cost, x0, config: TrainConfig):
                 config.grid,
                 estimator=config.estimator,
                 scheme=config.scheme,
-                threads=config.threads,
             )
         except BatchFailureError as exc:
             exc.iteration = it

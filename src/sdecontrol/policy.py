@@ -142,14 +142,18 @@ class MlpPolicy:
         acts, _ = self._forward(x)
         return acts[-1]
 
-    def control(self, t, x) -> np.ndarray:
-        """Feedback control at (t, x); time is appended to the input only when
-        the policy was built with with_time=True."""
+    def net_input(self, t, x) -> np.ndarray:
+        """Network input for state x at time t: x, with t appended as a last
+        column only when the policy was built with with_time=True."""
+        x = np.asarray(x, dtype=float)
         if self.with_time:
-            x = np.asarray(x, dtype=float)
             tcol = np.broadcast_to(float(t), x.shape[:-1] + (1,))
-            x = np.concatenate([x, tcol], axis=-1)
-        return self.eval(x)
+            return np.concatenate([x, tcol], axis=-1)
+        return x
+
+    def control(self, t, x) -> np.ndarray:
+        """Feedback control at (t, x)."""
+        return self.eval(self.net_input(t, x))
 
     def _backward(self, acts, pres, cotangent, want_params):
         last = len(self.weights) - 1
@@ -266,17 +270,24 @@ def load_policy(path) -> MlpPolicy:
         layer_dims = [int(d) for d in header["layer_dims"].split(",")]
         n_params = int(header["n_params"])
         seed = int(header["seed"])
+        activations = header["hidden_activation"], header["output_activation"]
+        with_time = bool(int(header["with_time"]))
     except (KeyError, ValueError) as exc:
         raise ConfigurationError(f"malformed checkpoint header in {path}") from exc
-    theta = np.array([float(v) for v in lines[idx : idx + n_params]])
+    try:
+        theta = np.array([float(v) for v in lines[idx : idx + n_params]])
+    except ValueError as exc:
+        raise ConfigurationError(f"malformed parameter in checkpoint {path}") from exc
     if theta.size != n_params:
         raise ConfigurationError(f"checkpoint {path} truncated")
+    if not np.all(np.isfinite(theta)):
+        raise ConfigurationError(f"checkpoint {path} holds non-finite parameters")
     policy = init_params(
         layer_dims,
         seed=max(seed, 0),
-        hidden_activation=header["hidden_activation"],
-        output_activation=header["output_activation"],
-        with_time=bool(int(header["with_time"])),
+        hidden_activation=activations[0],
+        output_activation=activations[1],
+        with_time=with_time,
     )
     policy.seed = None if seed < 0 else seed
     policy.set_params(theta)

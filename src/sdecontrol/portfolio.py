@@ -13,12 +13,12 @@ on its negative part.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DivergenceError
 from .optim import TrainConfig, evaluation_seed, train
 from .policy import MlpPolicy, init_params, save_policy
 from .sdecore import (
@@ -28,7 +28,7 @@ from .sdecore import (
     dump_trajectory_csv,
     integrate,
 )
-from .sensitivity import CostFunctional
+from .sensitivity import CostFunctional, _quadrature
 from .wiener import TimeGrid, generate_path
 
 __all__ = [
@@ -294,42 +294,39 @@ def evaluate_policy(
     """Simulate fresh evaluation paths and report portfolio statistics.
 
     Seeds come from the evaluation stream, disjoint from all training seeds.
-    The stock penalty is the left-endpoint quadrature of sigma S^2 (without
-    the nu weight, so policies trained at different nu are comparable).
+    The objective is the training quadrature of the cost.  The stock penalty
+    is the left-endpoint quadrature of sigma S^2 (without the nu weight, so
+    policies trained at different nu are comparable).  A diverged path raises
+    DivergenceError naming its evaluation seed and step.
     """
     system = build_system(params)
     cost = build_cost(params)
-    dt = grid.dt
-    st, bank, obj, pen, crossed = [], [], [], [], []
-    kept = []
-    sigmas = np.array([_at(params.sigma, t) for t in grid.times()])
+    x0 = np.asarray(params.x0, dtype=float)
+    trajs = []
     for i in range(n_paths):
-        path = generate_path(evaluation_seed(seed_base, i), grid, 1)
-        traj = integrate(system, policy, np.asarray(params.x0, dtype=float), path, MILSTEIN_ITO)
-        s = traj.states[:, 0]
-        v = traj.states[:, 1]
-        st.append(s[-1])
-        bank.append(v[-1])
-        pen.append(float(np.sum(sigmas[:-1] * s[:-1] ** 2) * dt))
-        run = np.array(
-            [
-                cost.running(grid.time(k), traj.states[k], traj.controls[k])
-                for k in range(grid.n_steps)
-            ]
-        )
-        obj.append(float(np.sum(run) * dt + cost.terminal(traj.states[-1], traj.controls[-1])))
-        crossed.append(bool(np.any(solvency_gap(traj.states, params.alpha) < 0)))
-        if i < keep_trajectories:
-            kept.append(traj)
+        seed = evaluation_seed(seed_base, i)
+        try:
+            trajs.append(integrate(system, policy, x0, generate_path(seed, grid, 1), MILSTEIN_ITO))
+        except DivergenceError as exc:
+            raise DivergenceError(
+                f"evaluation path {i} (seed {seed}) diverged at step {exc.step_index}",
+                step_index=exc.step_index,
+            ) from exc
+    states = np.stack([traj.states for traj in trajs])  # (n_paths, n_steps + 1, 2)
+    controls = np.stack([traj.controls for traj in trajs])
+    objective = _quadrature(cost, grid, states.swapaxes(0, 1), controls.swapaxes(0, 1))
+    sigmas = np.array([_at(params.sigma, t) for t in grid.times()])
+    penalty = np.sum(sigmas[:-1] * states[:, :-1, 0] ** 2, axis=-1) * grid.dt
+    crossed = np.any(solvency_gap(states, params.alpha) < 0, axis=-1)
     stats = PolicyStats(
-        mean_terminal_stock=float(np.mean(st)),
-        mean_terminal_bank=float(np.mean(bank)),
-        mean_objective=float(np.mean(obj)),
-        mean_stock_penalty=float(np.mean(pen)),
+        mean_terminal_stock=float(np.mean(states[:, -1, 0])),
+        mean_terminal_bank=float(np.mean(states[:, -1, 1])),
+        mean_objective=float(np.mean(objective)),
+        mean_stock_penalty=float(np.mean(penalty)),
         solvency_crossing_fraction=float(np.mean(crossed)),
         n_paths=n_paths,
     )
-    return stats, kept
+    return stats, trajs[:keep_trajectories]
 
 
 @dataclass
@@ -369,16 +366,7 @@ def run_experiment(
     os.makedirs(out_dir, exist_ok=True)
     results = {}
     for nu in nu_values:
-        p = MarketParams(
-            alpha=params.alpha,
-            r=params.r,
-            mu=params.mu,
-            sigma=params.sigma,
-            nu=float(nu),
-            barrier_weight=params.barrier_weight,
-            horizon=params.horizon,
-            x0=params.x0,
-        )
+        p = replace(params, nu=float(nu))
         system = build_system(p)
         cost = build_cost(p)
         policy = init_params([2, *hidden_dims, 2], seed=policy_seed)

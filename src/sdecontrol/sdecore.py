@@ -47,6 +47,7 @@ __all__ = [
     "convert_calculus",
     "self_check_partials",
     "milstein_terms",
+    "central_difference",
     "dump_trajectory_csv",
 ]
 
@@ -122,35 +123,25 @@ def milstein_terms(system: ControlledSystem, t, x, u) -> np.ndarray:
     return 0.5 * np.einsum("...iab,...bi->...ia", gdx, g)
 
 
-def _fd_milstein_dx(system, t, x, u, h_rel=1e-6):
-    """Central FD of the Milstein term w.r.t. x, shape (..., n_xi, n_x, n_x)."""
-    x = np.asarray(x, dtype=float)
-    n_x = system.state_dim
-    cols = []
-    for b in range(n_x):
-        h = h_rel * np.maximum(1.0, np.abs(x[..., b]))
-        xp = x.copy()
-        xp[..., b] = x[..., b] + h
-        xm = x.copy()
-        xm[..., b] = x[..., b] - h
-        diff = milstein_terms(system, t, xp, u) - milstein_terms(system, t, xm, u)
-        cols.append(diff / (2.0 * h)[..., None, None])
-    return np.stack(cols, axis=-1)
+def central_difference(fun, z, h_rel=1e-6):
+    """Central differences of ``fun`` at ``z`` of shape (..., n), stacked along
+    a new last axis: d fun(z)[..., *out] / d z[..., b] at [..., *out, b].
 
-
-def _fd_milstein_du(system, t, x, u, h_rel=1e-6):
-    u = np.asarray(u, dtype=float)
+    The step of coordinate b is h = h_rel * max(1, |z_b|), per batch element;
+    a zero-width ``z`` gives an empty last axis.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.shape[-1] == 0:
+        return np.zeros(np.shape(fun(z)) + (0,))
     cols = []
-    for b in range(system.control_dim):
-        h = h_rel * np.maximum(1.0, np.abs(u[..., b]))
-        up = u.copy()
-        up[..., b] = u[..., b] + h
-        um = u.copy()
-        um[..., b] = u[..., b] - h
-        diff = milstein_terms(system, t, x, up) - milstein_terms(system, t, x, um)
-        cols.append(diff / (2.0 * h)[..., None, None])
-    if not cols:
-        return np.zeros(np.shape(x)[:-1] + (system.noise_dim, system.state_dim, 0))
+    for b in range(z.shape[-1]):
+        h = h_rel * np.maximum(1.0, np.abs(z[..., b]))
+        zp = z.copy()
+        zp[..., b] = z[..., b] + h
+        zm = z.copy()
+        zm[..., b] = z[..., b] - h
+        diff = np.asarray(fun(zp) - fun(zm))
+        cols.append(diff / (2.0 * h).reshape(h.shape + (1,) * (diff.ndim - h.ndim)))
     return np.stack(cols, axis=-1)
 
 
@@ -159,12 +150,12 @@ def milstein_term_partials(system, t, x, u):
     mdx = (
         system.milstein_dx(t, x, u)
         if system.milstein_dx is not None
-        else _fd_milstein_dx(system, t, x, u)
+        else central_difference(lambda z: milstein_terms(system, t, z, u), x)
     )
     mdu = (
         system.milstein_du(t, x, u)
         if system.milstein_du is not None
-        else _fd_milstein_du(system, t, x, u)
+        else central_difference(lambda z: milstein_terms(system, t, x, z), u)
     )
     return mdx, mdu
 
@@ -450,10 +441,11 @@ def self_check_partials(system, n_points=100, seed=0, tol=1e-5, sampler=None):
     rng = np.random.Generator(np.random.Philox(key=seed))
     worst = 0.0
 
-    def rel_err(analytic, fd):
+    def rel_err(analytic, approx):
         denom = np.maximum(1.0, np.abs(analytic))
-        return float(np.max(np.abs(analytic - fd) / denom)) if analytic.size else 0.0
+        return float(np.max(np.abs(analytic - approx) / denom)) if analytic.size else 0.0
 
+    fd = central_difference
     for _ in range(n_points):
         if sampler is not None:
             t, x, u = sampler(rng)
@@ -462,59 +454,28 @@ def self_check_partials(system, n_points=100, seed=0, tol=1e-5, sampler=None):
             x = rng.standard_normal(system.state_dim)
             u = rng.standard_normal(system.control_dim)
 
-        def fd_jac(fun, z, out_shape):
-            if z.size == 0:
-                return np.zeros(out_shape)
-            cols = []
-            for b in range(z.size):
-                h = 1e-6 * max(1.0, abs(z[b]))
-                zp = z.copy()
-                zp[b] += h
-                zm = z.copy()
-                zm[b] -= h
-                cols.append((fun(zp) - fun(zm)) / (2 * h))
-            return np.stack(cols, axis=-1).reshape(out_shape)
-
-        n_x, n_u, n_xi = system.state_dim, system.control_dim, system.noise_dim
-        worst = max(
-            worst,
-            rel_err(
-                np.asarray(system.drift_dx(t, x, u)),
-                fd_jac(lambda z: system.drift(t, z, u), x, (n_x, n_x)),
+        pairs = [
+            (system.drift_dx(t, x, u), fd(lambda z: system.drift(t, z, u), x)),
+            (system.drift_du(t, x, u), fd(lambda z: system.drift(t, x, z), u)),
+            (
+                system.diffusion_dx(t, x, u),
+                np.moveaxis(fd(lambda z: system.diffusion(t, z, u), x), 1, 0),
             ),
-            rel_err(
-                np.asarray(system.drift_du(t, x, u)),
-                fd_jac(lambda z: system.drift(t, x, z), u, (n_x, n_u)),
+            (
+                system.diffusion_du(t, x, u),
+                np.moveaxis(fd(lambda z: system.diffusion(t, x, z), u), 1, 0),
             ),
-            rel_err(
-                np.asarray(system.diffusion_dx(t, x, u)),
-                np.moveaxis(
-                    fd_jac(lambda z: system.diffusion(t, z, u), x, (n_x, n_xi, n_x)), 1, 0
-                ),
-            ),
-            rel_err(
-                np.asarray(system.diffusion_du(t, x, u)),
-                np.moveaxis(
-                    fd_jac(lambda z: system.diffusion(t, x, z), u, (n_x, n_xi, n_u)), 1, 0
-                ),
-            ),
-        )
+        ]
         if system.milstein_dx is not None:
-            worst = max(
-                worst,
-                rel_err(
-                    np.asarray(system.milstein_dx(t, x, u)),
-                    _fd_milstein_dx(system, t, x, u),
-                ),
+            pairs.append(
+                (system.milstein_dx(t, x, u), fd(lambda z: milstein_terms(system, t, z, u), x))
             )
-        if system.milstein_du is not None and n_u:
-            worst = max(
-                worst,
-                rel_err(
-                    np.asarray(system.milstein_du(t, x, u)),
-                    _fd_milstein_du(system, t, x, u),
-                ),
+        if system.milstein_du is not None:
+            pairs.append(
+                (system.milstein_du(t, x, u), fd(lambda z: milstein_terms(system, t, x, z), u))
             )
+        for analytic, approx in pairs:
+            worst = max(worst, rel_err(np.asarray(analytic), approx))
     if worst > tol:
         raise ConfigurationError(
             f"analytic partials disagree with finite differences: {worst:.3e} > {tol:.1e}"

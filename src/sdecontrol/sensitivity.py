@@ -20,29 +20,31 @@ algebraically identical to Stratonovich-Milstein on the converted system);
 Stratonovich-specified systems are converted to Ito form before
 differentiation.
 
-Quadrature convention: left-endpoint Riemann sums for dt-integrals; the
-terminal cost is evaluated at the last grid point.  With point-wise cost
-times, the running integral is replaced by a plain sum over those times and
-the costate jumps by the running-cost gradient when the backward sweep
-reaches each jump time.
+Quadrature convention: all estimators and the evaluators weight the running
+cost at grid point k by the same ``_quadrature_weights(cost, grid)[k]``: dt on
+steps 0..K-1 (a left-endpoint Riemann sum), or, with point-wise cost times, 1
+for each listed time (counted as often as it is listed).  The terminal cost is
+evaluated at the last grid point.  Points of zero weight are not evaluated.
+In the backward sweep a point-wise time is a jump of the costate by the
+running-cost gradient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, DivergenceError
-from .policy import MlpPolicy
 from .sdecore import (
     Calculus,
     EULER_MARUYAMA,
     MILSTEIN_ITO,
+    central_difference,
     convert_calculus,
     forward_states,
-    milstein_terms,
+    step_control,
     step_partials,
 )
 from .wiener import WienerPath
@@ -53,7 +55,6 @@ __all__ = [
     "eval_cost",
     "forward_sensitivity",
     "adjoint_gradient",
-    "adjoint_gradient_pointwise",
     "finite_difference_gradient",
     "gradient_agreement",
     "write_gradient_check_csv",
@@ -72,7 +73,7 @@ class CostFunctional:
         terminal(x_T, u_T) -> (...)          running_du -> (..., n_u)
     ``terminal_du`` may be None when the terminal cost ignores the control.
     ``pointwise_times`` switches the running integral to a finite sum over
-    those (on-grid) times.
+    those (on-grid) times; a time listed twice counts twice.
     """
 
     running: Callable
@@ -121,43 +122,38 @@ def _require_policy(policy):
         raise ConfigurationError("gradient computation requires a parametric policy")
 
 
-def _net_input(policy, t, x):
-    if policy.with_time:
-        x = np.asarray(x, dtype=float)
-        tcol = np.broadcast_to(float(t), x.shape[:-1] + (1,))
-        return np.concatenate([x, tcol], axis=-1)
-    return np.asarray(x, dtype=float)
-
-
 def _policy_ux(policy, t, x, n_x):
     """Jacobian of u w.r.t. the state (time column dropped), (..., n_u, n_x)."""
-    jac = policy.jacobian_input(_net_input(policy, t, x))
+    jac = policy.jacobian_input(policy.net_input(t, x))
     return jac[..., :n_x]
 
 
 def _policy_vjp_x(policy, t, x, cot, n_x):
-    out = policy.vjp_input(_net_input(policy, t, x), cot)
+    out = policy.vjp_input(policy.net_input(t, x), cot)
     return out[..., :n_x]
 
 
-def _jump_indices(cost, grid):
-    if not cost.pointwise_times:
-        return None
-    return sorted(grid.index_of(t) for t in cost.pointwise_times)
+def _quadrature_weights(cost, grid) -> np.ndarray:
+    """Weight of the running cost at each of the n_steps + 1 grid points.
+
+    dt on steps 0..n_steps-1 for the running integral; with
+    ``cost.pointwise_times``, 1 per listed time (an off-grid time raises
+    ConfigurationError).
+    """
+    weights = np.zeros(grid.n_steps + 1)
+    if cost.pointwise_times:
+        np.add.at(weights, [grid.index_of(t) for t in cost.pointwise_times], 1.0)
+    else:
+        weights[:-1] = grid.dt
+    return weights
 
 
 def _quadrature(cost, grid, states, controls):
     """Discretized cost over stored states/controls; batch axes preserved."""
-    jumps = _jump_indices(cost, grid)
-    if jumps is None:
-        total = 0.0
-        dt = grid.dt
-        for k in range(grid.n_steps):
-            total = total + cost.running(grid.time(k), states[k], controls[k]) * dt
-    else:
-        total = 0.0
-        for k in jumps:
-            total = total + cost.running(grid.time(k), states[k], controls[k])
+    weights = _quadrature_weights(cost, grid)
+    total = 0.0
+    for k in np.flatnonzero(weights).tolist():
+        total = total + cost.running(grid.time(k), states[k], controls[k]) * weights[k]
     return total + cost.terminal(states[-1], controls[-1])
 
 
@@ -171,8 +167,7 @@ def eval_cost(system, policy, cost, x0, path: WienerPath, scheme=None) -> float:
     states, controls = forward_states(
         sys_i, policy, np.asarray(x0, dtype=float), path.increments, path.grid, scheme
     )
-    value = _quadrature(cost, path.grid, states, controls)
-    value = float(value)
+    value = float(_quadrature(cost, path.grid, states, controls))
     if not np.isfinite(value):
         raise DivergenceError("cost evaluation produced a non-finite value")
     return value
@@ -194,8 +189,7 @@ def forward_sensitivity(system, policy, cost, x0, path, scheme=None) -> Gradient
             f"(limit {_SENS_CAPACITY}); use the adjoint estimator"
         )
     grid, dt = path.grid, path.grid.dt
-    jumps = _jump_indices(cost, grid)
-    jump_set = set(jumps or [])
+    weights = _quadrature_weights(cost, grid)
     x = np.asarray(x0, dtype=float)
     S = np.zeros((n_x, n_theta))
     grad = np.zeros(n_theta)
@@ -204,14 +198,12 @@ def forward_sensitivity(system, policy, cost, x0, path, scheme=None) -> Gradient
         t = grid.time(k)
         u = policy.control(t, x)
         ux = _policy_ux(policy, t, x, n_x)
-        utheta = policy.jacobian_params(_net_input(policy, t, x))
+        utheta = policy.jacobian_params(policy.net_input(t, x))
         chain = ux @ S + utheta  # (n_u, n_theta): total du/dtheta
-        if jumps is None:
-            grad += dt * (cost.running_dx(t, x, u) @ S + cost.running_du(t, x, u) @ chain)
-            value += dt * cost.running(t, x, u)
-        elif k in jump_set:
-            grad += cost.running_dx(t, x, u) @ S + cost.running_du(t, x, u) @ chain
-            value += cost.running(t, x, u)
+        w = weights[k]
+        if w:
+            grad += w * (cost.running_dx(t, x, u) @ S + cost.running_du(t, x, u) @ chain)
+            value += w * cost.running(t, x, u)
         x_next, jx, ju = step_partials(sys_i, t, x, u, dt, path.increments[k], scheme)
         if not np.all(np.isfinite(x_next)):
             raise DivergenceError(f"divergence at step {k}", step_index=k)
@@ -221,17 +213,16 @@ def forward_sensitivity(system, policy, cost, x0, path, scheme=None) -> Gradient
     uT = policy.control(tT, x)
     value += cost.terminal(x, uT)
     grad += cost.terminal_dx(x, uT) @ S
-    if cost.terminal_du is not None:
+    cu = 0.0 if cost.terminal_du is None else cost.terminal_du(x, uT)
+    w = weights[grid.n_steps]
+    if w:
+        value += w * cost.running(tT, x, uT)
+        grad += w * cost.running_dx(tT, x, uT) @ S
+        cu = cu + w * cost.running_du(tT, x, uT)
+    if cost.terminal_du is not None or w:
         ux = _policy_ux(policy, tT, x, n_x)
-        utheta = policy.jacobian_params(_net_input(policy, tT, x))
-        grad += cost.terminal_du(x, uT) @ (ux @ S + utheta)
-    if jumps is not None and grid.n_steps in jump_set:
-        ux = _policy_ux(policy, tT, x, n_x)
-        utheta = policy.jacobian_params(_net_input(policy, tT, x))
-        grad += cost.running_dx(tT, x, uT) @ S + cost.running_du(tT, x, uT) @ (
-            ux @ S + utheta
-        )
-        value += cost.running(tT, x, uT)
+        utheta = policy.jacobian_params(policy.net_input(tT, x))
+        grad += cu @ (ux @ S + utheta)
     return GradientReport(
         grad=grad, estimator="forward", path_seed=path.seed, cost_value=float(value)
     )
@@ -259,7 +250,6 @@ def adjoint_core(
     increments,
     grid,
     scheme=None,
-    pointwise=False,
     keep_lambda=False,
     check="raise",
 ):
@@ -275,12 +265,7 @@ def adjoint_core(
     scheme = _resolve_scheme(scheme)
     n_x = sys_i.state_dim
     dt = grid.dt
-    if pointwise:
-        if not cost.pointwise_times:
-            raise ConfigurationError("pointwise adjoint requires cost.pointwise_times")
-        jump_set = set(_jump_indices(cost, grid))
-    else:
-        jump_set = None
+    weights = _quadrature_weights(cost, grid)
     states, controls = forward_states(sys_i, policy, x0, increments, grid, scheme, check)
     with np.errstate(all="ignore"):
         value = _quadrature(cost, grid, states, controls)
@@ -296,30 +281,27 @@ def adjoint_core(
             lambdas[K] = lam_T
         a = lam_T
         acc = None
-        if cost.terminal_du is not None:
-            cu = np.asarray(cost.terminal_du(xT, uT), dtype=float)
-            acc = _accumulate(acc, policy.vjp_params_layers(_net_input(policy, tT, xT), cu))
+        w = weights[K]
+        cu = 0.0 if cost.terminal_du is None else np.asarray(cost.terminal_du(xT, uT), dtype=float)
+        if w:
+            cu = cu + w * np.asarray(cost.running_du(tT, xT, uT), dtype=float)
+            a = a + w * np.asarray(cost.running_dx(tT, xT, uT), dtype=float)
+        if cost.terminal_du is not None or w:
+            acc = _accumulate(acc, policy.vjp_params_layers(policy.net_input(tT, xT), cu))
             a = a + _policy_vjp_x(policy, tT, xT, cu, n_x)
-        if jump_set is not None and K in jump_set:
-            cu = np.asarray(cost.running_du(tT, xT, uT), dtype=float)
-            acc = _accumulate(acc, policy.vjp_params_layers(_net_input(policy, tT, xT), cu))
-            a = a + cost.running_dx(tT, xT, uT) + _policy_vjp_x(policy, tT, xT, cu, n_x)
 
         for k in range(K - 1, -1, -1):
             t = grid.time(k)
             x, u = states[k], controls[k]
+            w = weights[k]
             _, jx, ju = step_partials(sys_i, t, x, u, dt, increments[k], scheme)
             cu = np.einsum("...au,...a->...u", ju, a)
-            if jump_set is None:
-                cu = cu + dt * np.asarray(cost.running_du(t, x, u), dtype=float)
-            acc = _accumulate(acc, policy.vjp_params_layers(_net_input(policy, t, x), cu))
+            if w:
+                cu = cu + w * np.asarray(cost.running_du(t, x, u), dtype=float)
+            acc = _accumulate(acc, policy.vjp_params_layers(policy.net_input(t, x), cu))
             a = np.einsum("...ab,...a->...b", jx, a) + _policy_vjp_x(policy, t, x, cu, n_x)
-            if jump_set is None:
-                a = a + dt * np.asarray(cost.running_dx(t, x, u), dtype=float)
-            elif k in jump_set:
-                cj = np.asarray(cost.running_du(t, x, u), dtype=float)
-                acc = _accumulate(acc, policy.vjp_params_layers(_net_input(policy, t, x), cj))
-                a = a + cost.running_dx(t, x, u) + _policy_vjp_x(policy, t, x, cj, n_x)
+            if w:
+                a = a + w * np.asarray(cost.running_dx(t, x, u), dtype=float)
             if keep_lambda:
                 lambdas[k] = a
 
@@ -329,7 +311,9 @@ def adjoint_core(
 
 
 def adjoint_gradient(system, policy, cost, x0, path, scheme=None, return_adjoint=False):
-    """Gradient via the backward costate sweep on the stored trajectory."""
+    """Gradient via the backward costate sweep on the stored trajectory; with
+    ``cost.pointwise_times`` the costate evolves cost-free between those times
+    and jumps by the running-cost gradient at each of them."""
     grads, value, adjoint = adjoint_core(
         system,
         policy,
@@ -338,30 +322,6 @@ def adjoint_gradient(system, policy, cost, x0, path, scheme=None, return_adjoint
         path.increments,
         path.grid,
         scheme=scheme,
-        pointwise=False,
-        keep_lambda=return_adjoint,
-    )
-    report = GradientReport(
-        grad=grads, estimator="adjoint", path_seed=path.seed, cost_value=float(value)
-    )
-    return (report, adjoint) if return_adjoint else report
-
-
-def adjoint_gradient_pointwise(
-    system, policy, cost, x0, path, scheme=None, return_adjoint=False
-):
-    """Adjoint gradient for point-wise running costs: the costate evolves
-    cost-free between jump times and jumps by the running-cost gradient at
-    each of them."""
-    grads, value, adjoint = adjoint_core(
-        system,
-        policy,
-        cost,
-        np.asarray(x0, dtype=float),
-        path.increments,
-        path.grid,
-        scheme=scheme,
-        pointwise=True,
         keep_lambda=return_adjoint,
     )
     report = GradientReport(
@@ -424,36 +384,21 @@ def _perturbed_eval(policy, plan, a):
 
 def _eval_cost_perturbed(system, policy, cost, x0, increments, grid, idx, h_signed, scheme):
     """Discretized cost for a batch of one-coordinate theta perturbations,
-    all driven by the same stored increments."""
-    B = len(idx)
+    all driven by the same stored increments.  States are streamed, not
+    stored: the batch holds one row per perturbation."""
     plan = _perturbation_plan(policy, idx, h_signed)
-    x = np.tile(np.asarray(x0, dtype=float), (B, 1))
-    dt = grid.dt
-    jumps = _jump_indices(cost, grid)
-    jump_set = set(jumps or [])
-    total = np.zeros(B)
+    x = np.tile(np.asarray(x0, dtype=float), (len(idx), 1))
+    weights = _quadrature_weights(cost, grid)
+    total = np.zeros(len(idx))
     with np.errstate(all="ignore"):
-        for k in range(grid.n_steps):
+        for k in range(grid.n_steps + 1):
             t = grid.time(k)
-            u = _perturbed_eval(policy, plan, _net_input(policy, t, x))
-            if jumps is None:
-                total += dt * cost.running(t, x, u)
-            elif k in jump_set:
-                total += cost.running(t, x, u)
-            f = system.drift(t, x, u)
-            g = system.diffusion(t, x, u)
-            dB = increments[k]
-            x_next = x + f * dt + g @ dB
-            if scheme == MILSTEIN_ITO:
-                m = milstein_terms(system, t, x, u)
-                x_next = x_next + np.tensordot(m, dB**2 - dt, axes=([1], [0]))
-            x = x_next
-        tT = grid.time(grid.n_steps)
-        u = _perturbed_eval(policy, plan, _net_input(policy, tT, x))
-        if jumps is not None and grid.n_steps in jump_set:
-            total += cost.running(tT, x, u)
-        total += cost.terminal(x, u)
-    return total
+            u = _perturbed_eval(policy, plan, policy.net_input(t, x))
+            if weights[k]:
+                total += weights[k] * cost.running(t, x, u)
+            if k == grid.n_steps:
+                return total + cost.terminal(x, u)
+            x = step_control(system, None, t, x, u, grid.dt, increments[k], scheme)
 
 
 def finite_difference_gradient(
@@ -546,30 +491,20 @@ def check_cost_partials(cost, n_x, n_u, n_points=50, seed=0, tol=1e-5, sampler=N
             x = rng.standard_normal(n_x)
             u = rng.standard_normal(n_u)
 
-        def fd_grad(fun, z):
-            out = np.zeros(z.size)
-            for b in range(z.size):
-                hb = 1e-6 * max(1.0, abs(z[b]))
-                zp = z.copy()
-                zp[b] += hb
-                zm = z.copy()
-                zm[b] -= hb
-                out[b] = (fun(zp) - fun(zm)) / (2 * hb)
-            return out
-
+        fd = central_difference
         pairs = [
-            (np.asarray(cost.running_dx(t, x, u)), fd_grad(lambda z: cost.running(t, z, u), x)),
-            (np.asarray(cost.running_du(t, x, u)), fd_grad(lambda z: cost.running(t, x, z), u)),
-            (np.asarray(cost.terminal_dx(x, u)), fd_grad(lambda z: cost.terminal(z, u), x)),
+            (np.asarray(cost.running_dx(t, x, u)), fd(lambda z: cost.running(t, z, u), x)),
+            (np.asarray(cost.running_du(t, x, u)), fd(lambda z: cost.running(t, x, z), u)),
+            (np.asarray(cost.terminal_dx(x, u)), fd(lambda z: cost.terminal(z, u), x)),
         ]
         if cost.terminal_du is not None:
             pairs.append(
-                (np.asarray(cost.terminal_du(x, u)), fd_grad(lambda z: cost.terminal(x, z), u))
+                (np.asarray(cost.terminal_du(x, u)), fd(lambda z: cost.terminal(x, z), u))
             )
-        for analytic, fd in pairs:
+        for analytic, approx in pairs:
             denom = np.maximum(1.0, np.abs(analytic))
             if analytic.size:
-                worst = max(worst, float(np.max(np.abs(analytic - fd) / denom)))
+                worst = max(worst, float(np.max(np.abs(analytic - approx) / denom)))
     if worst > tol:
         raise ConfigurationError(
             f"cost partials disagree with finite differences: {worst:.3e} > {tol:.1e}"

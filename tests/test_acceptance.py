@@ -19,7 +19,6 @@ from sdecontrol.sdecore import EULER_MARUYAMA, MILSTEIN_ITO
 from sdecontrol.sensitivity import (
     CostFunctional,
     adjoint_gradient,
-    adjoint_gradient_pointwise,
     finite_difference_gradient,
     forward_sensitivity,
     gradient_agreement,
@@ -124,7 +123,7 @@ def test_5_dense_pointwise_matches_integral_adjoint():
         terminal_dx=cost.terminal_dx,
         pointwise_times=[grid.time(k) for k in range(grid.n_steps)],
     )
-    a = adjoint_gradient_pointwise(system, policy, dense, x0, path).grad
+    a = adjoint_gradient(system, policy, dense, x0, path).grad
     b = adjoint_gradient(system, policy, cost, x0, path).grad
     _, rel = gradient_agreement(a, b)
     ok = rel <= REL_TOL

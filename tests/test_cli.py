@@ -1,5 +1,7 @@
 """Tests for the config loader and the command-line interface."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -68,9 +70,18 @@ class TestConfig:
     def test_parse_value_types(self):
         assert parse_value("nu", "0,0.5") == (0.0, 0.5)
         assert parse_value("hidden_dims", "8,8") == (8, 8)
-        assert parse_value("log_wall_time", "true") is True
         with pytest.raises(ConfigurationError):
             parse_value("iterations", "many")
+
+
+    @pytest.mark.parametrize(
+        "line", ["log_wall_time = true", "hidden_activation = softplus", "threads = 2"]
+    )
+    def test_removed_key_exits_2(self, tmp_path, capsys, line):
+        path = tmp_path / "old.cfg"
+        path.write_text(line + "\n")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "unknown config key" in capsys.readouterr().err
 
 
 class TestCliContract:
@@ -106,6 +117,39 @@ class TestCliContract:
         code = main(["grad-check", "--config", smoke_cfg, "--out", str(out)])
         assert code == 0
         assert (out / "gradcheck_gbm.csv").exists()
+        capsys.readouterr()
+
+    def test_grad_check_portfolio_uses_config_market(self, smoke_cfg, tmp_path, capsys):
+        from sdecontrol.benchmarks import build_grad_check_problem
+        from sdecontrol.portfolio import MarketParams
+        from sdecontrol.sensitivity import (
+            adjoint_gradient,
+            finite_difference_gradient,
+            forward_sensitivity,
+            write_gradient_check_csv,
+        )
+        from sdecontrol.wiener import TimeGrid, generate_path
+
+        def run(extra):
+            cfg = tmp_path / f"{extra or 'default'}.cfg"
+            cfg.write_text("system = portfolio\ngrad_check_steps = 32\n" + extra)
+            out = tmp_path / f"{extra or 'default'}"
+            main(["grad-check", "--config", str(cfg), "--out", str(out)])
+            return (out / "gradcheck_portfolio.csv").read_text()
+
+        default, volatile = run(""), run("sigma = 0.5\n")
+        assert default != volatile
+        # The default config's market is the builder's default market.
+        system, cost, x0, policy = build_grad_check_problem("portfolio", market=MarketParams(nu=0.0))
+        path = generate_path(0, TimeGrid(0.0, 1.0, 32), 1)
+        buf = io.StringIO()
+        write_gradient_check_csv(
+            finite_difference_gradient(system, policy, cost, x0, path),
+            forward_sensitivity(system, policy, cost, x0, path),
+            adjoint_gradient(system, policy, cost, x0, path),
+            buf,
+        )
+        assert default == buf.getvalue()
         capsys.readouterr()
 
     def test_grad_check_negative_control(self, smoke_cfg, tmp_path, capsys):

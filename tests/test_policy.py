@@ -252,3 +252,22 @@ class TestCheckpoint:
         path.write_text("\n".join(lines[:-3]) + "\n")
         with pytest.raises(ConfigurationError):
             load_policy(path)
+
+    @pytest.mark.parametrize("key", ["hidden_activation", "output_activation", "with_time"])
+    def test_rejects_missing_header_line(self, tmp_path, key):
+        path = tmp_path / "policy.txt"
+        save_policy(init_params([2, 4, 1], seed=0), path)
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith(key + ":")]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError):
+            load_policy(path)
+
+    @pytest.mark.parametrize("weight", ["nan", "-inf", "0.5x"])
+    def test_rejects_bad_weight(self, tmp_path, weight):
+        path = tmp_path / "policy.txt"
+        save_policy(init_params([2, 4, 1], seed=0), path)
+        lines = path.read_text().splitlines()
+        lines[-2] = weight
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError):
+            load_policy(path)

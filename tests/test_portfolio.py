@@ -5,7 +5,7 @@ import pytest
 
 from sdecontrol.benchmarks import gbm_system
 from sdecontrol.errors import ConfigurationError, DivergenceError
-from sdecontrol.optim import TrainConfig
+from sdecontrol.optim import TrainConfig, evaluation_seed
 from sdecontrol.policy import MlpPolicy, init_params
 from sdecontrol.portfolio import (
     MarketParams,
@@ -242,6 +242,16 @@ class TestEvaluatePolicy:
         assert a.mean_terminal_stock == b.mean_terminal_stock
         assert a.mean_stock_penalty == b.mean_stock_penalty
         assert 0.0 <= a.solvency_crossing_fraction <= 1.0
+
+    def test_diverged_path_names_seed_and_step(self):
+        policy = init_params([2, 4, 2], seed=0)
+        theta = policy.get_params()
+        theta[-1] = np.nan  # u_d is NaN everywhere, so the first step diverges
+        policy.set_params(theta)
+        seed = evaluation_seed(7, 0)
+        match = rf"seed {seed}\) diverged at step 0"
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError, match=match):
+            evaluate_policy(MarketParams(nu=0.25), policy, TimeGrid(0.0, 1.0, 10), 3, seed_base=7)
 
 
 class TestRunExperiment:

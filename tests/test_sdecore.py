@@ -18,6 +18,7 @@ from sdecontrol.sdecore import (
     EULER_MARUYAMA,
     MILSTEIN_ITO,
     MILSTEIN_STRATONOVICH,
+    central_difference,
     convert_calculus,
     dump_trajectory_csv,
     euler_maruyama_step,
@@ -281,6 +282,15 @@ class TestSelfCheckPartials:
         with pytest.raises(ConfigurationError):
             self_check_partials(bad, n_points=10)
         del one
+
+
+def test_central_difference_batch_axes_and_zero_width():
+    z = np.array([[1.0, 2.0], [-3.0, 0.5]])
+    fun = lambda v: np.stack([v[..., 0] * v[..., 1], v[..., 0] ** 2], axis=-1)  # noqa: E731
+    want = [[[2.0, 1.0], [2.0, 0.0]], [[0.5, -3.0], [-6.0, 0.0]]]
+    assert np.allclose(central_difference(fun, z), want, atol=1e-8)
+    empty = central_difference(lambda v: np.ones(v.shape[:-1] + (3,)), np.zeros((4, 0)))
+    assert empty.shape == (4, 3, 0)
 
 
 def test_dump_trajectory_csv():

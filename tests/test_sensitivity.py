@@ -1,5 +1,6 @@
 """Tests for cost evaluation and the three gradient estimators."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -16,7 +17,6 @@ from sdecontrol.sdecore import Calculus, ControlledSystem
 from sdecontrol.sensitivity import (
     CostFunctional,
     adjoint_gradient,
-    adjoint_gradient_pointwise,
     check_cost_partials,
     eval_cost,
     finite_difference_gradient,
@@ -273,7 +273,7 @@ class TestAdjointPointwise:
             terminal_dx=lambda x, u: cost.terminal_dx(x, u) + running_dx(grid.t_end, x, u),
             terminal_du=lambda x, u: running_du(grid.t_end, x, u),
         )
-        a = adjoint_gradient_pointwise(system, policy, jump_cost, x0, path)
+        a = adjoint_gradient(system, policy, jump_cost, x0, path)
         b = adjoint_gradient(system, policy, merged, x0, path)
         assert np.allclose(a.grad, b.grad, atol=1e-13)
         assert a.cost_value == pytest.approx(b.cost_value, abs=1e-12)
@@ -295,7 +295,7 @@ class TestAdjointPointwise:
             running_du=lambda t, x, u: np.zeros_like(u),
             terminal_dx=cost.terminal_dx,
         )
-        a = adjoint_gradient_pointwise(system, policy, null_jumps, x0, path)
+        a = adjoint_gradient(system, policy, null_jumps, x0, path)
         b = adjoint_gradient(system, policy, terminal_only, x0, path)
         assert np.allclose(a.grad, b.grad, atol=1e-14)
 
@@ -313,7 +313,7 @@ class TestAdjointPointwise:
             terminal_dx=cost.terminal_dx,
             pointwise_times=[grid.time(k) for k in range(grid.n_steps)],
         )
-        a = adjoint_gradient_pointwise(system, policy, dense, x0, path)
+        a = adjoint_gradient(system, policy, dense, x0, path)
         b = adjoint_gradient(system, policy, cost, x0, path)
         _, rel = gradient_agreement(a.grad, b.grad)
         assert rel <= 1e-3
@@ -330,7 +330,37 @@ class TestAdjointPointwise:
             pointwise_times=[0.123456],
         )
         with pytest.raises(ConfigurationError):
-            adjoint_gradient_pointwise(system, policy, bad, x0, path)
+            adjoint_gradient(system, policy, bad, x0, path)
+
+    def test_all_estimators_agree_on_pointwise_cost(self):
+        system, cost, x0, policy, grid, path = self._setup()
+        jumps = dataclasses.replace(cost, pointwise_times=[grid.time(k) for k in (10, 20, 30)])
+        ad = adjoint_gradient(system, policy, jumps, x0, path)
+        fw = forward_sensitivity(system, policy, jumps, x0, path)
+        fd = finite_difference_gradient(system, policy, jumps, x0, path)
+        assert gradient_agreement(ad.grad, fw.grad)[1] <= 1e-10
+        assert gradient_agreement(ad.grad, fd.grad)[1] <= 1e-6
+        assert ad.cost_value == pytest.approx(eval_cost(system, policy, jumps, x0, path), abs=1e-12)
+
+    def test_repeated_time_counts_twice(self):
+        system, cost, x0, policy, grid, path = self._setup()
+        t = grid.time(10)
+        twice = dataclasses.replace(cost, pointwise_times=[t, t])
+        doubled = dataclasses.replace(
+            cost,
+            running=lambda tt, x, u: 2.0 * cost.running(tt, x, u),
+            running_dx=lambda tt, x, u: 2.0 * cost.running_dx(tt, x, u),
+            running_du=lambda tt, x, u: 2.0 * cost.running_du(tt, x, u),
+            pointwise_times=[t],
+        )
+        value = eval_cost(system, policy, doubled, x0, path)
+        want = adjoint_gradient(system, policy, doubled, x0, path).grad
+        assert eval_cost(system, policy, twice, x0, path) == pytest.approx(value, abs=1e-12)
+        for estimator in (adjoint_gradient, forward_sensitivity, finite_difference_gradient):
+            report = estimator(system, policy, twice, x0, path)
+            assert report.cost_value == pytest.approx(value, abs=1e-12), estimator.__name__
+            tol = 1e-6 if estimator is finite_difference_gradient else 1e-10
+            assert gradient_agreement(report.grad, want)[1] <= tol, estimator.__name__
 
 
 class TestFiniteDifference:
