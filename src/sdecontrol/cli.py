@@ -68,11 +68,6 @@ def _build_parser():
     p = sub.add_parser("grad-check", help="compare gradient estimators on a test system")
     common(p)
     p.add_argument("--system", default=None, choices=GRAD_CHECK_SYSTEMS)
-    p.add_argument(
-        "--corrupt-adjoint",
-        action="store_true",
-        help=argparse.SUPPRESS,  # negative-control test hook
-    )
 
     p = sub.add_parser("convergence", help="strong-order and reversibility studies")
     common(p)
@@ -169,8 +164,6 @@ def cmd_grad_check(args) -> int:
     fw = forward_sensitivity(system, policy, cost, x0, path)
     ad = adjoint_gradient(system, policy, cost, x0, path)
     fd = finite_difference_gradient(system, policy, cost, x0, path, h_rel=cfg["fd_step"])
-    if args.corrupt_adjoint:
-        ad.grad = ad.grad * 1.01 + 0.1
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"gradcheck_{cfg['system']}.csv")
     with open(out_path, "w") as fh:

@@ -135,6 +135,10 @@ class TrainConfig:
                 f"batch_size {self.batch_size} exceeds {_SEED_STRIDE}: path seeds "
                 "would collide across iterations"
             )
+        if self.checkpoint_every < 0:
+            raise ConfigurationError(
+                f"checkpoint_every must be >= 0 (0 = off), got {self.checkpoint_every}"
+            )
         if self.estimator not in ("adjoint", "forward"):
             raise ConfigurationError(f"unknown estimator {self.estimator!r}")
         # Building the optimizer state checks kind, direction and learning

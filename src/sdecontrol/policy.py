@@ -176,33 +176,34 @@ class MlpPolicy:
         return dx
 
     def vjp_params_layers(self, x, cotangent):
-        """Per-layer (dW, db) cotangent products; cheaper than flattening."""
+        """Input cotangent (..., n_in) and per-layer (dW, db) cotangent
+        products, both from one forward and one backward pass."""
         acts, pres = self._forward(x)
-        _, grads = self._backward(acts, pres, cotangent, want_params=True)
-        return grads
+        return self._backward(acts, pres, cotangent, want_params=True)
 
     def vjp_params(self, x, cotangent) -> np.ndarray:
         """cotangent^T @ d eval/d theta in flattened parameter order."""
-        return self.flatten_layer_grads(self.vjp_params_layers(x, cotangent))
+        return self.flatten_layer_grads(self.vjp_params_layers(x, cotangent)[1])
 
-    def _jacobian(self, x, which):
+    def _basis_backward(self, x, want_params):
+        """Backward pass of every unit output cotangent at once; the input
+        Jacobian comes back as (..., n_out, n_in), layer products keep the
+        output basis on a leading axis."""
         x = np.asarray(x, dtype=float)
-        batch_ndim = x.ndim - 1
-        eye = np.eye(self.n_out)
-        cot = eye.reshape((self.n_out,) + (1,) * batch_ndim + (self.n_out,))
+        cot = np.eye(self.n_out).reshape((self.n_out,) + (1,) * (x.ndim - 1) + (self.n_out,))
         acts, pres = self._forward(x)
-        if which == "input":
-            out, _ = self._backward(acts, pres, cot, want_params=False)
-        else:
-            _, grads = self._backward(acts, pres, cot, want_params=True)
-            out = self.flatten_layer_grads(grads)
-        return np.moveaxis(out, 0, -2)  # (..., n_out, n_in|n_theta)
+        dx, grads = self._backward(acts, pres, cot, want_params)
+        return np.moveaxis(dx, 0, -2), grads
 
     def jacobian_input(self, x) -> np.ndarray:
-        return self._jacobian(x, "input")
+        """d eval/d input, shape (..., n_out, n_in)."""
+        return self._basis_backward(x, want_params=False)[0]
 
-    def jacobian_params(self, x) -> np.ndarray:
-        return self._jacobian(x, "params")
+    def jacobian_params(self, x):
+        """(d eval/d input (..., n_out, n_in), d eval/d theta (..., n_out,
+        n_theta)), both from one forward and one backward pass."""
+        jx, grads = self._basis_backward(x, want_params=True)
+        return jx, np.moveaxis(self.flatten_layer_grads(grads), 0, -2)
 
 
 def init_params(

@@ -283,6 +283,15 @@ class PolicyStats:
     n_paths: int
 
 
+def _check_evaluation_sizes(n_paths, keep_trajectories):
+    if n_paths < 1:
+        raise ConfigurationError(f"evaluation needs at least one path, got {n_paths}")
+    if keep_trajectories < 0:
+        raise ConfigurationError(
+            f"number of kept trajectories must be >= 0, got {keep_trajectories}"
+        )
+
+
 def evaluate_policy(
     params: MarketParams,
     policy: Optional[MlpPolicy],
@@ -299,6 +308,7 @@ def evaluate_policy(
     policies trained at different nu are comparable).  A diverged path raises
     DivergenceError naming its evaluation seed and step.
     """
+    _check_evaluation_sizes(n_paths, keep_trajectories)
     system = build_system(params)
     cost = build_cost(params)
     x0 = np.asarray(params.x0, dtype=float)
@@ -361,8 +371,10 @@ def run_experiment(
 
     Per nu the output directory receives trainlog_nu<nu>.csv, checkpoint
     policy_nu<nu>.txt, traj_nu<nu>_seed<k>.csv and policygrid_nu<nu>.csv.
-    Returns {nu: ExperimentResult}.
+    Returns {nu: ExperimentResult}.  Evaluation sizes are checked before
+    any training.
     """
+    _check_evaluation_sizes(eval_paths, trajectory_dumps)
     os.makedirs(out_dir, exist_ok=True)
     results = {}
     for nu in nu_values:

@@ -273,9 +273,7 @@ def milstein_step(system, policy, t, x, dt, dB, calculus=None):
     calculus = calculus or system.calculus
     _require_diagonal_noise(system)
     u = control_value(policy, t, x, system.control_dim)
-    control_fn = None
-    if policy is not None:
-        control_fn = lambda tt, xx: policy.control(tt, xx)  # noqa: E731
+    control_fn = None if policy is None else policy.control
     scheme = MILSTEIN_ITO if calculus is Calculus.ITO else MILSTEIN_STRATONOVICH
     out = step_control(system, control_fn, t, x, u, dt, dB, scheme)
     _raise_if_divergent(out, step_index=None)
@@ -311,9 +309,7 @@ def forward_states(system, policy, x0, increments, grid, scheme, check="raise"):
     """
     x0 = _validate_dims(system, policy, x0)
     n = grid.n_steps
-    control_fn = None
-    if policy is not None:
-        control_fn = lambda tt, xx: policy.control(tt, xx)  # noqa: E731
+    control_fn = None if policy is None else policy.control
     dt = grid.dt
     u0 = control_value(policy, grid.time(0), x0, system.control_dim)
     batch = np.broadcast_shapes(x0.shape[:-1], np.shape(increments)[1:-1])
@@ -371,9 +367,7 @@ def integrate_backward(
         _require_diagonal_noise(system)
     grid = backward_path.grid
     xT = _validate_dims(system, policy, xT)
-    control_fn = None
-    if policy is not None:
-        control_fn = lambda tt, xx: policy.control(tt, xx)  # noqa: E731
+    control_fn = None if policy is None else policy.control
     n = grid.n_steps
     batch = xT.shape[:-1]
     states = np.zeros((n + 1,) + batch + (system.state_dim,))

@@ -6,12 +6,11 @@ Three estimators are provided for the same discretized cost:
   matrix alongside the trajectory, using the exact Jacobians of the discrete
   step map (a Milstein-consistent discretization of the forward sensitivity
   SDE driven by the same increments).
-* ``adjoint_gradient`` runs the transposed recursion backward: a costate
-  vector is pulled through the stored trajectory while parameter cotangents
-  accumulate through the policy's VJPs.  This is the Stratonovich-Milstein
-  backward sweep over the reversed increments, realized as the exact discrete
-  adjoint so that the gradient of the discretized cost and the discretized
-  gradient coincide.
+* ``adjoint_gradient`` runs the transposed recursion backward: the costate
+  is pulled through the transposed Ito step Jacobians (``step_partials``) of
+  the stored trajectory, and parameter cotangents accumulate through one
+  policy VJP per step.  This is the exact discrete adjoint, so the gradient
+  of the discretized cost and the discretized gradient coincide.
 * ``finite_difference_gradient`` central-differences the discretized cost on
   the same Brownian path, one coordinate at a time.
 
@@ -95,10 +94,10 @@ class GradientReport:
 
 @dataclass
 class AdjointState:
-    """Costate at every grid point plus the accumulated parameter gradient."""
+    """Costate at every grid point, pulled back through the transposed Ito
+    step Jacobians of the stored trajectory."""
 
     lambdas: np.ndarray  # (n_steps + 1, ..., n_x)
-    grad_acc: np.ndarray
 
 
 # -- plumbing ---------------------------------------------------------------
@@ -122,15 +121,10 @@ def _require_policy(policy):
         raise ConfigurationError("gradient computation requires a parametric policy")
 
 
-def _policy_ux(policy, t, x, n_x):
-    """Jacobian of u w.r.t. the state (time column dropped), (..., n_u, n_x)."""
-    jac = policy.jacobian_input(policy.net_input(t, x))
-    return jac[..., :n_x]
-
-
-def _policy_vjp_x(policy, t, x, cot, n_x):
-    out = policy.vjp_input(policy.net_input(t, x), cot)
-    return out[..., :n_x]
+def _total_du_dtheta(policy, t, x, S):
+    """du/dx @ S + du/dtheta (time column dropped), from one policy pass."""
+    ux, utheta = policy.jacobian_params(policy.net_input(t, x))
+    return ux[..., : x.shape[-1]] @ S + utheta
 
 
 def _quadrature_weights(cost, grid) -> np.ndarray:
@@ -197,9 +191,7 @@ def forward_sensitivity(system, policy, cost, x0, path, scheme=None) -> Gradient
     for k in range(grid.n_steps):
         t = grid.time(k)
         u = policy.control(t, x)
-        ux = _policy_ux(policy, t, x, n_x)
-        utheta = policy.jacobian_params(policy.net_input(t, x))
-        chain = ux @ S + utheta  # (n_u, n_theta): total du/dtheta
+        chain = _total_du_dtheta(policy, t, x, S)  # (n_u, n_theta)
         w = weights[k]
         if w:
             grad += w * (cost.running_dx(t, x, u) @ S + cost.running_du(t, x, u) @ chain)
@@ -220,9 +212,7 @@ def forward_sensitivity(system, policy, cost, x0, path, scheme=None) -> Gradient
         grad += w * cost.running_dx(tT, x, uT) @ S
         cu = cu + w * cost.running_du(tT, x, uT)
     if cost.terminal_du is not None or w:
-        ux = _policy_ux(policy, tT, x, n_x)
-        utheta = policy.jacobian_params(policy.net_input(tT, x))
-        grad += cu @ (ux @ S + utheta)
+        grad += cu @ _total_du_dtheta(policy, tT, x, S)
     return GradientReport(
         grad=grad, estimator="forward", path_seed=path.seed, cost_value=float(value)
     )
@@ -231,15 +221,17 @@ def forward_sensitivity(system, policy, cost, x0, path, scheme=None) -> Gradient
 # -- adjoint ----------------------------------------------------------------
 
 
-def _accumulate(acc, layers, weight=None):
-    if weight is not None:
-        layers = [(gw * weight, gb * weight) for gw, gb in layers]
-    if acc is None:
-        return [[gw.copy(), gb.copy()] for gw, gb in layers]
-    for slot, (gw, gb) in zip(acc, layers):
-        slot[0] += gw
-        slot[1] += gb
-    return acc
+def _pull_back(policy, t, x, cu, acc):
+    """cu^T du/dx (time column dropped) from one policy VJP, whose per-layer
+    cu^T du/dtheta products are added into ``acc`` (filled on first use)."""
+    cx, layers = policy.vjp_params_layers(policy.net_input(t, x), cu)
+    if acc:
+        for slot, (gw, gb) in zip(acc, layers):
+            slot[0] += gw
+            slot[1] += gb
+    else:
+        acc.extend([gw.copy(), gb.copy()] for gw, gb in layers)
+    return cx[..., : x.shape[-1]]
 
 
 def adjoint_core(
@@ -263,7 +255,6 @@ def adjoint_core(
     _require_policy(policy)
     sys_i = _as_ito(system)
     scheme = _resolve_scheme(scheme)
-    n_x = sys_i.state_dim
     dt = grid.dt
     weights = _quadrature_weights(cost, grid)
     states, controls = forward_states(sys_i, policy, x0, increments, grid, scheme, check)
@@ -280,15 +271,14 @@ def adjoint_core(
         if keep_lambda:
             lambdas[K] = lam_T
         a = lam_T
-        acc = None
+        acc = []
         w = weights[K]
         cu = 0.0 if cost.terminal_du is None else np.asarray(cost.terminal_du(xT, uT), dtype=float)
         if w:
             cu = cu + w * np.asarray(cost.running_du(tT, xT, uT), dtype=float)
             a = a + w * np.asarray(cost.running_dx(tT, xT, uT), dtype=float)
         if cost.terminal_du is not None or w:
-            acc = _accumulate(acc, policy.vjp_params_layers(policy.net_input(tT, xT), cu))
-            a = a + _policy_vjp_x(policy, tT, xT, cu, n_x)
+            a = a + _pull_back(policy, tT, xT, cu, acc)
 
         for k in range(K - 1, -1, -1):
             t = grid.time(k)
@@ -298,15 +288,14 @@ def adjoint_core(
             cu = np.einsum("...au,...a->...u", ju, a)
             if w:
                 cu = cu + w * np.asarray(cost.running_du(t, x, u), dtype=float)
-            acc = _accumulate(acc, policy.vjp_params_layers(policy.net_input(t, x), cu))
-            a = np.einsum("...ab,...a->...b", jx, a) + _policy_vjp_x(policy, t, x, cu, n_x)
+            a = np.einsum("...ab,...a->...b", jx, a) + _pull_back(policy, t, x, cu, acc)
             if w:
                 a = a + w * np.asarray(cost.running_dx(t, x, u), dtype=float)
             if keep_lambda:
                 lambdas[k] = a
 
     grads = policy.flatten_layer_grads(acc)
-    adjoint = AdjointState(lambdas=lambdas, grad_acc=grads) if keep_lambda else None
+    adjoint = AdjointState(lambdas=lambdas) if keep_lambda else None
     return grads, np.asarray(value, dtype=float), adjoint
 
 

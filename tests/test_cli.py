@@ -1,10 +1,12 @@
 """Tests for the config loader and the command-line interface."""
 
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
+from sdecontrol import cli
 from sdecontrol.cli import main
 from sdecontrol.config import default_config, load_config, parse_value
 from sdecontrol.errors import ConfigurationError
@@ -152,12 +154,28 @@ class TestCliContract:
         assert default == buf.getvalue()
         capsys.readouterr()
 
-    def test_grad_check_negative_control(self, smoke_cfg, tmp_path, capsys):
-        code = main(
-            ["grad-check", "--config", smoke_cfg, "--out", str(tmp_path), "--corrupt-adjoint"]
-        )
+    def test_grad_check_negative_control(self, smoke_cfg, tmp_path, capsys, monkeypatch):
+        real_adjoint = cli.adjoint_gradient
+
+        def scaled_adjoint(*args, **kwargs):
+            report = real_adjoint(*args, **kwargs)
+            return dataclasses.replace(report, grad=report.grad * 1.01)
+
+        monkeypatch.setattr(cli, "adjoint_gradient", scaled_adjoint)
+        code = main(["grad-check", "--config", smoke_cfg, "--out", str(tmp_path)])
         assert code == 1
         assert "worst coord" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line", ["eval_paths = 0", "trajectory_dumps = -1", "checkpoint_every = -1"]
+    )
+    def test_bad_experiment_size_exits_2_before_training(self, smoke_cfg, tmp_path, capsys, line):
+        with open(smoke_cfg, "a") as fh:
+            fh.write(line + "\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", smoke_cfg, "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("**/trainlog_*.csv"))
 
     def test_grad_check_zero_tolerance_fails(self, smoke_cfg, tmp_path, capsys):
         with open(smoke_cfg, "a") as fh:

@@ -181,10 +181,21 @@ class TestVjpParams:
         policy = init_params([2, 6, 2], seed=10)
         x = np.array([0.4, -0.9])
         ji = policy.jacobian_input(x)
-        jp = policy.jacobian_params(x)
+        _, jp = policy.jacobian_params(x)
         for cot in np.eye(2):
             assert np.allclose(cot @ ji, policy.vjp_input(x, cot), atol=1e-13)
             assert np.allclose(cot @ jp, policy.vjp_params(x, cot), atol=1e-13)
+        # The fused passes return the single-purpose results bit for bit.
+        policy = init_params([3, 6, 5, 2], seed=11)
+        rng = np.random.Generator(np.random.Philox(key=12))
+        for batch in ((), (4,), (2, 3)):
+            x = rng.standard_normal(batch + (3,))
+            cot = rng.standard_normal(batch + (2,))
+            cx, layers = policy.vjp_params_layers(x, cot)
+            assert np.array_equal(cx, policy.vjp_input(x, cot))
+            jx, jp = policy.jacobian_params(x)
+            assert jx.shape == batch + (2, 3) and jp.shape == batch + (2, policy.n_params)
+            assert np.array_equal(jx, policy.jacobian_input(x))
 
 
 class TestInitParams:

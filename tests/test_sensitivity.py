@@ -245,6 +245,27 @@ class TestAdjointGradient:
         assert report.grad[1] == pytest.approx(np.exp(0.2), rel=1e-3)
 
 
+@pytest.mark.parametrize("estimator", [adjoint_gradient, forward_sensitivity])
+@pytest.mark.parametrize("times, terminal_pass", [(None, 0), ((0.5, 1.0), 1)])
+def test_one_derivative_pass_per_step(monkeypatch, estimator, times, terminal_pass):
+    # K + 1 network passes for the controls, then one fused derivative pass
+    # per step, plus one at T when the cost differentiates the final control.
+    system, cost, x0, policy = build_grad_check_problem("gbm", hidden_dims=(8,))
+    cost = dataclasses.replace(cost, pointwise_times=times)
+    K = 16
+    path = generate_path(3, TimeGrid(0.0, 1.0, K), 1)
+    passes = []
+    real_forward = MlpPolicy._forward
+
+    def counted_forward(self, x):
+        passes.append(x)
+        return real_forward(self, x)
+
+    monkeypatch.setattr(MlpPolicy, "_forward", counted_forward)
+    estimator(system, policy, cost, x0, path)
+    assert len(passes) <= (K + 1) + K + terminal_pass
+
+
 class TestAdjointPointwise:
     def _setup(self, n_steps=64):
         system, cost, x0, policy = build_grad_check_problem("gbm", hidden_dims=(8,))
