@@ -206,7 +206,7 @@ def cmd_convergence(args) -> int:
             order = study[scheme]["order"]
             fh.write(f"{scheme},{order:.17g}\n")
             target, tol = bands[scheme]
-            if abs(order - target) > tol:
+            if not abs(order - target) <= tol:  # a NaN order fails
                 print(
                     f"FAIL {scheme}: fitted order {order:.3f} outside {target} +- {tol}",
                     file=sys.stderr,
@@ -249,6 +249,8 @@ def _load_checkpoint_policy(path, expected_inputs):
 
 def cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
+    if cfg["n_paths"] < 1:
+        raise ConfigurationError(f"n_paths must be >= 1, got {cfg['n_paths']}")
     policy = _load_checkpoint_policy(args.checkpoint, 2)
     params = _market_params(cfg)
     system = build_system(params)

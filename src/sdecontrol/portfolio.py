@@ -245,12 +245,9 @@ def policy_grid(policy: MlpPolicy, s_range, v_range, resolution: int) -> np.ndar
     Points are evaluated one at a time so rows match direct eval calls
     bit-for-bit.
     """
-    if resolution < 2:
-        raise ConfigurationError("resolution must be >= 2")
+    _check_policy_grid(s_range, v_range, resolution)
     s_lo, s_hi = map(float, s_range)
     v_lo, v_hi = map(float, v_range)
-    if not (np.isfinite([s_lo, s_hi, v_lo, v_hi]).all()):
-        raise ConfigurationError("grid ranges must be finite")
     s_vals = np.linspace(s_lo, s_hi, resolution)
     v_vals = np.linspace(v_lo, v_hi, resolution)
     rows = np.zeros((resolution * resolution, 2 + policy.n_out))
@@ -290,6 +287,13 @@ def _check_evaluation_sizes(n_paths, keep_trajectories):
         raise ConfigurationError(
             f"number of kept trajectories must be >= 0, got {keep_trajectories}"
         )
+
+
+def _check_policy_grid(s_range, v_range, resolution):
+    if resolution < 2:
+        raise ConfigurationError("resolution must be >= 2")
+    if not np.isfinite([*map(float, s_range), *map(float, v_range)]).all():
+        raise ConfigurationError("grid ranges must be finite")
 
 
 def evaluate_policy(
@@ -371,10 +375,11 @@ def run_experiment(
 
     Per nu the output directory receives trainlog_nu<nu>.csv, checkpoint
     policy_nu<nu>.txt, traj_nu<nu>_seed<k>.csv and policygrid_nu<nu>.csv.
-    Returns {nu: ExperimentResult}.  Evaluation sizes are checked before
-    any training.
+    Returns {nu: ExperimentResult}.  Evaluation sizes and the policy grid are
+    checked before any training.
     """
     _check_evaluation_sizes(eval_paths, trajectory_dumps)
+    _check_policy_grid(grid_s_range, grid_v_range, grid_resolution)
     os.makedirs(out_dir, exist_ok=True)
     results = {}
     for nu in nu_values:

@@ -225,36 +225,33 @@ def step_control(system, control_fn, t, x, u, dt, dB, scheme):
 
 
 def step_partials(system, t, x, u, dt, dB, scheme):
-    """Step plus exact Jacobians of the discrete update map.
+    """Exact Jacobians (Jx, Ju) of the Ito update that ``step_control`` takes
+    from (x, u): Jx = d x_next / dx at fixed u, shape (..., n_x, n_x), and
+    Ju = d x_next / du, shape (..., n_x, n_u).
 
-    Returns (x_next, Jx, Ju) where Jx = d x_next / dx at fixed u and
-    Ju = d x_next / du.  Supported for the Ito schemes, which is what the
-    gradient estimators integrate (Stratonovich systems are converted first).
+    Supported for the Ito schemes, which is what the gradient estimators
+    integrate (Stratonovich systems are converted first).  The step itself is
+    not taken here: the estimators read x_next from the stored trajectory.
     """
     if scheme not in _ITO_SCHEMES:
         raise UnsupportedSchemeError(
             f"step partials are available for Ito schemes only, not {scheme!r}"
         )
     dB = np.asarray(dB)
-    f = system.drift(t, x, u)
-    g = system.diffusion(t, x, u)
     fdx = system.drift_dx(t, x, u)
     fdu = system.drift_du(t, x, u)
     gdx = system.diffusion_dx(t, x, u)
     gdu = system.diffusion_du(t, x, u)
-    x_next = x + f * dt + np.einsum("...xi,...i->...x", g, dB)
     eye = np.eye(system.state_dim)
     jx = eye + fdx * dt + np.einsum("...i,...iab->...ab", dB, gdx)
     ju = fdu * dt + np.einsum("...i,...iau->...au", dB, gdu)
     if scheme == MILSTEIN_ITO:
         _require_diagonal_noise(system)
-        m = milstein_terms(system, t, x, u)
         mdx, mdu = milstein_term_partials(system, t, x, u)
         w = dB**2 - dt
-        x_next = x_next + np.einsum("...ia,...i->...a", m, w)
         jx = jx + np.einsum("...i,...iab->...ab", w, mdx)
         ju = ju + np.einsum("...i,...iau->...au", w, mdu)
-    return x_next, jx, ju
+    return jx, ju
 
 
 def euler_maruyama_step(system, policy, t, x, dt, dB):

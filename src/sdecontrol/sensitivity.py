@@ -1,16 +1,17 @@
 """Cost evaluation and path-wise gradients d J / d theta.
 
-Three estimators are provided for the same discretized cost:
+Every evaluator sweeps one stored trajectory: ``forward_states`` takes the
+steps (``step_control`` is the only copy of the Euler/Milstein update) and
+``_quadrature`` sums the cost.  Three estimators differentiate that cost:
 
-* ``forward_sensitivity`` propagates the state-vs-parameter sensitivity
-  matrix alongside the trajectory, using the exact Jacobians of the discrete
-  step map (a Milstein-consistent discretization of the forward sensitivity
-  SDE driven by the same increments).
+* ``forward_sensitivity`` pushes the state-vs-parameter sensitivity matrix
+  forward along the stored trajectory through the exact Jacobians of the
+  discrete step map (``step_partials``), driven by the same increments.
 * ``adjoint_gradient`` runs the transposed recursion backward: the costate
-  is pulled through the transposed Ito step Jacobians (``step_partials``) of
-  the stored trajectory, and parameter cotangents accumulate through one
-  policy VJP per step.  This is the exact discrete adjoint, so the gradient
-  of the discretized cost and the discretized gradient coincide.
+  is pulled through the transposed Jacobians of the same steps, and
+  parameter cotangents accumulate through one policy VJP per step.  This is
+  the exact discrete adjoint, so the gradient of the discretized cost and
+  the discretized gradient coincide.
 * ``finite_difference_gradient`` central-differences the discretized cost on
   the same Brownian path, one coordinate at a time.
 
@@ -95,7 +96,7 @@ class GradientReport:
 @dataclass
 class AdjointState:
     """Costate at every grid point, pulled back through the transposed Ito
-    step Jacobians of the stored trajectory."""
+    step Jacobians of the stored trajectory from lambdas[K] = d(cost at T)/dx_T."""
 
     lambdas: np.ndarray  # (n_steps + 1, ..., n_x)
 
@@ -103,17 +104,14 @@ class AdjointState:
 # -- plumbing ---------------------------------------------------------------
 
 
-def _as_ito(system):
-    return system if system.calculus is Calculus.ITO else convert_calculus(system)
-
-
-def _resolve_scheme(scheme):
+def _ito_form(system, scheme):
+    """(system in Ito form, Ito scheme), the pair every estimator integrates."""
     scheme = scheme or MILSTEIN_ITO
     if scheme not in (MILSTEIN_ITO, EULER_MARUYAMA):
         raise ConfigurationError(
             f"gradient estimators integrate with Ito schemes, got {scheme!r}"
         )
-    return scheme
+    return (system if system.calculus is Calculus.ITO else convert_calculus(system)), scheme
 
 
 def _require_policy(policy):
@@ -151,17 +149,38 @@ def _quadrature(cost, grid, states, controls):
     return total + cost.terminal(states[-1], controls[-1])
 
 
+def _forward_pass(system, policy, cost, x0, increments, grid, scheme, check="raise"):
+    """(Ito system, scheme, quadrature weights, states, controls, cost) of the
+    stored trajectory; batch axes are kept, NaN lanes too with check="none"."""
+    sys_i, scheme = _ito_form(system, scheme)
+    weights = _quadrature_weights(cost, grid)
+    states, controls = forward_states(sys_i, policy, x0, increments, grid, scheme, check)
+    with np.errstate(all="ignore"):
+        value = _quadrature(cost, grid, states, controls)
+    return sys_i, scheme, weights, states, controls, value
+
+
+def _terminal_partials(cost, grid, weights, states, controls):
+    """Partials of the cost at T in (x_T, u_T): the terminal cost plus w_K
+    times the running cost at T.  The u_T partial is None when the cost does
+    not depend on u_T, so no policy pass is needed at T."""
+    xT, uT, tT = states[-1], controls[-1], grid.time(grid.n_steps)
+    w = weights[grid.n_steps]
+    cx = np.asarray(cost.terminal_dx(xT, uT), dtype=float)
+    cu = None if cost.terminal_du is None else np.asarray(cost.terminal_du(xT, uT), dtype=float)
+    if w:
+        cx = cx + w * np.asarray(cost.running_dx(tT, xT, uT), dtype=float)
+        cu = (0.0 if cu is None else cu) + w * np.asarray(cost.running_du(tT, xT, uT), dtype=float)
+    return cx, cu
+
+
 # -- public cost evaluation -------------------------------------------------
 
 
 def eval_cost(system, policy, cost, x0, path: WienerPath, scheme=None) -> float:
     """Discretized cost along the trajectory driven by `path`."""
-    sys_i = _as_ito(system)
-    scheme = _resolve_scheme(scheme)
-    states, controls = forward_states(
-        sys_i, policy, np.asarray(x0, dtype=float), path.increments, path.grid, scheme
-    )
-    value = float(_quadrature(cost, path.grid, states, controls))
+    *_, value = _forward_pass(system, policy, cost, x0, path.increments, path.grid, scheme)
+    value = float(value)
     if not np.isfinite(value):
         raise DivergenceError("cost evaluation produced a non-finite value")
     return value
@@ -171,48 +190,33 @@ def eval_cost(system, policy, cost, x0, path: WienerPath, scheme=None) -> float:
 
 
 def forward_sensitivity(system, policy, cost, x0, path, scheme=None) -> GradientReport:
-    """Gradient via joint integration of the state and its parameter
-    sensitivity matrix."""
+    """Gradient via the parameter sensitivity S_k = dx_k/dtheta, pushed
+    forward through the step Jacobians of the stored trajectory."""
     _require_policy(policy)
-    sys_i = _as_ito(system)
-    scheme = _resolve_scheme(scheme)
-    n_x, n_theta = sys_i.state_dim, policy.n_params
+    n_x, n_theta = system.state_dim, policy.n_params
     if n_x * n_theta > _SENS_CAPACITY:
         raise CapacityError(
             f"sensitivity matrix would hold {n_x * n_theta} entries "
             f"(limit {_SENS_CAPACITY}); use the adjoint estimator"
         )
-    grid, dt = path.grid, path.grid.dt
-    weights = _quadrature_weights(cost, grid)
-    x = np.asarray(x0, dtype=float)
+    grid = path.grid
+    sys_i, scheme, weights, states, controls, value = _forward_pass(
+        system, policy, cost, x0, path.increments, grid, scheme
+    )
     S = np.zeros((n_x, n_theta))
     grad = np.zeros(n_theta)
-    value = 0.0
     for k in range(grid.n_steps):
-        t = grid.time(k)
-        u = policy.control(t, x)
+        t, x, u = grid.time(k), states[k], controls[k]
         chain = _total_du_dtheta(policy, t, x, S)  # (n_u, n_theta)
         w = weights[k]
         if w:
             grad += w * (cost.running_dx(t, x, u) @ S + cost.running_du(t, x, u) @ chain)
-            value += w * cost.running(t, x, u)
-        x_next, jx, ju = step_partials(sys_i, t, x, u, dt, path.increments[k], scheme)
-        if not np.all(np.isfinite(x_next)):
-            raise DivergenceError(f"divergence at step {k}", step_index=k)
+        jx, ju = step_partials(sys_i, t, x, u, grid.dt, path.increments[k], scheme)
         S = jx @ S + ju @ chain
-        x = x_next
-    tT = grid.time(grid.n_steps)
-    uT = policy.control(tT, x)
-    value += cost.terminal(x, uT)
-    grad += cost.terminal_dx(x, uT) @ S
-    cu = 0.0 if cost.terminal_du is None else cost.terminal_du(x, uT)
-    w = weights[grid.n_steps]
-    if w:
-        value += w * cost.running(tT, x, uT)
-        grad += w * cost.running_dx(tT, x, uT) @ S
-        cu = cu + w * cost.running_du(tT, x, uT)
-    if cost.terminal_du is not None or w:
-        grad += cu @ _total_du_dtheta(policy, tT, x, S)
+    cx, cu = _terminal_partials(cost, grid, weights, states, controls)
+    grad += cx @ S
+    if cu is not None:
+        grad += cu @ _total_du_dtheta(policy, grid.time(grid.n_steps), states[-1], S)
     return GradientReport(
         grad=grad, estimator="forward", path_seed=path.seed, cost_value=float(value)
     )
@@ -253,38 +257,24 @@ def adjoint_core(
     NaNs and must be masked by the caller.
     """
     _require_policy(policy)
-    sys_i = _as_ito(system)
-    scheme = _resolve_scheme(scheme)
-    dt = grid.dt
-    weights = _quadrature_weights(cost, grid)
-    states, controls = forward_states(sys_i, policy, x0, increments, grid, scheme, check)
+    sys_i, scheme, weights, states, controls, value = _forward_pass(
+        system, policy, cost, x0, increments, grid, scheme, check
+    )
+    K = grid.n_steps
     with np.errstate(all="ignore"):
-        value = _quadrature(cost, grid, states, controls)
-
-        K = grid.n_steps
-        tT = grid.time(K)
-        xT, uT = states[K], controls[K]
-        lam_T = np.broadcast_to(
-            np.asarray(cost.terminal_dx(xT, uT), dtype=float), xT.shape
-        ).copy()
+        cx, cu = _terminal_partials(cost, grid, weights, states, controls)
+        a = np.broadcast_to(cx, states[K].shape)
         lambdas = np.zeros_like(states) if keep_lambda else None
         if keep_lambda:
-            lambdas[K] = lam_T
-        a = lam_T
+            lambdas[K] = a
         acc = []
-        w = weights[K]
-        cu = 0.0 if cost.terminal_du is None else np.asarray(cost.terminal_du(xT, uT), dtype=float)
-        if w:
-            cu = cu + w * np.asarray(cost.running_du(tT, xT, uT), dtype=float)
-            a = a + w * np.asarray(cost.running_dx(tT, xT, uT), dtype=float)
-        if cost.terminal_du is not None or w:
-            a = a + _pull_back(policy, tT, xT, cu, acc)
+        if cu is not None:
+            a = a + _pull_back(policy, grid.time(K), states[K], cu, acc)
 
         for k in range(K - 1, -1, -1):
-            t = grid.time(k)
-            x, u = states[k], controls[k]
+            t, x, u = grid.time(k), states[k], controls[k]
             w = weights[k]
-            _, jx, ju = step_partials(sys_i, t, x, u, dt, increments[k], scheme)
+            jx, ju = step_partials(sys_i, t, x, u, grid.dt, increments[k], scheme)
             cu = np.einsum("...au,...a->...u", ju, a)
             if w:
                 cu = cu + w * np.asarray(cost.running_du(t, x, u), dtype=float)
@@ -401,8 +391,7 @@ def finite_difference_gradient(
     _require_policy(policy)
     if h_rel <= 0:
         raise ConfigurationError(f"h_rel must be positive, got {h_rel}")
-    sys_i = _as_ito(system)
-    scheme = _resolve_scheme(scheme)
+    sys_i, scheme = _ito_form(system, scheme)
     theta0 = policy.get_params()
     n_theta = theta0.size
     h = h_rel * np.maximum(1.0, np.abs(theta0))

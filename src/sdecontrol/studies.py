@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .benchmarks import gbm_exact_path, gbm_system
+from .errors import ConfigurationError
 from .sdecore import (
     EULER_MARUYAMA,
     MILSTEIN_ITO,
@@ -39,8 +40,12 @@ def fit_order(n_steps_list, errors) -> float:
     return float(slope)
 
 
-def _fine_grid(t_end, max_exp):
-    return TimeGrid(0.0, t_end, 2**max_exp)
+def _fine_paths(seed, n_paths, t_end, max_exp):
+    """One fine Brownian path per seed; at least one, as a median of none is NaN."""
+    if n_paths < 1:
+        raise ConfigurationError(f"a study needs at least one path, got {n_paths}")
+    fine = TimeGrid(0.0, t_end, 2**max_exp)
+    return [generate_path(seed + p, fine, 1) for p in range(n_paths)]
 
 
 def strong_convergence_study(
@@ -59,12 +64,11 @@ def strong_convergence_study(
     Returns {scheme: {"n_steps": [...], "median_error": [...], "order": p}}.
     """
     system = gbm_system(mu=mu, sigma=sigma)
-    fine = _fine_grid(t_end, max_exp)
+    fine_paths = _fine_paths(seed, n_paths, t_end, max_exp)
     levels = list(range(min_exp, max_exp + 1))
     errors = {s: np.zeros((len(levels), n_paths)) for s in schemes}
     x0v = np.array([float(x0)])
-    for p in range(n_paths):
-        fine_path = generate_path(seed + p, fine, 1)
+    for p, fine_path in enumerate(fine_paths):
         b_total = float(fine_path.increments.sum())
         exact_end = gbm_exact_path(x0, mu, sigma, [0.0, t_end], [0.0, b_total])[-1]
         for li, exp in enumerate(levels):
@@ -101,12 +105,11 @@ def calculus_equivalence_study(
     ito = gbm_system(mu=mu, sigma=sigma)
     strat = convert_calculus(ito)
     max_exp = min_exp + n_halvings
-    fine = _fine_grid(t_end, max_exp)
+    fine_paths = _fine_paths(seed, n_paths, t_end, max_exp)
     levels = list(range(min_exp, max_exp + 1))
     gaps = np.zeros((len(levels), n_paths))
     x0v = np.array([float(x0)])
-    for p in range(n_paths):
-        fine_path = generate_path(seed + p, fine, 1)
+    for p, fine_path in enumerate(fine_paths):
         for li, exp in enumerate(levels):
             path = coarsen_path(fine_path, 2 ** (max_exp - exp))
             end_i = integrate(ito, None, x0v, path, MILSTEIN_ITO).states[-1, 0]
@@ -130,12 +133,11 @@ def reversibility_study(
     the initial state.  Returns (n_steps_list, median_errors)."""
     system = gbm_system(mu=mu, sigma=sigma)
     max_exp = min_exp + n_halvings
-    fine = _fine_grid(t_end, max_exp)
+    fine_paths = _fine_paths(seed, n_paths, t_end, max_exp)
     levels = list(range(min_exp, max_exp + 1))
     errs = np.zeros((len(levels), n_paths))
     x0v = np.array([float(x0)])
-    for p in range(n_paths):
-        fine_path = generate_path(seed + p, fine, 1)
+    for p, fine_path in enumerate(fine_paths):
         for li, exp in enumerate(levels):
             path = coarsen_path(fine_path, 2 ** (max_exp - exp))
             fwd = integrate(system, None, x0v, path, MILSTEIN_ITO)

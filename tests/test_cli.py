@@ -167,7 +167,14 @@ class TestCliContract:
         assert "worst coord" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line", ["eval_paths = 0", "trajectory_dumps = -1", "checkpoint_every = -1"]
+        "line",
+        [
+            "eval_paths = 0",
+            "trajectory_dumps = -1",
+            "checkpoint_every = -1",
+            "grid_resolution = 1",
+            "grid_s_max = inf",
+        ],
     )
     def test_bad_experiment_size_exits_2_before_training(self, smoke_cfg, tmp_path, capsys, line):
         with open(smoke_cfg, "a") as fh:
@@ -193,6 +200,25 @@ class TestCliContract:
         assert (out / "reversibility.csv").exists()
         capsys.readouterr()
 
+    def test_convergence_without_paths_exits_2(self, smoke_cfg, tmp_path, capsys):
+        with open(smoke_cfg, "a") as fh:
+            fh.write("conv_paths = 0\n")
+        code = main(["convergence", "--config", smoke_cfg, "--out", str(tmp_path / "conv")])
+        assert code == 2
+        assert "ok" not in capsys.readouterr().out
+
+    def test_convergence_gate_fails_on_nan_order(self, smoke_cfg, tmp_path, capsys, monkeypatch):
+        def nan_study(**kwargs):
+            nan = {"n_steps": [16, 32], "median_error": [np.nan, np.nan], "order": np.nan}
+            return {"euler_maruyama": nan, "milstein_ito": nan}
+
+        monkeypatch.setattr(cli, "strong_convergence_study", nan_study)
+        code = main(["convergence", "--config", smoke_cfg, "--out", str(tmp_path / "conv")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "fitted order" not in captured.out
+        assert captured.err.count("FAIL") == 2
+
     def test_simulate_counts_and_determinism(self, smoke_cfg, tmp_path, capsys):
         out = tmp_path / "train"
         assert main(["train", "--config", smoke_cfg, "--out", str(out)]) == 0
@@ -209,6 +235,19 @@ class TestCliContract:
         row = (sim_a / "traj_seed0.csv").read_text().splitlines()[1].split(",")
         assert float(row[1]) == 1.0 and float(row[2]) == 0.0
         capsys.readouterr()
+
+    def test_simulate_negative_path_count_exit_2(self, smoke_cfg, tmp_path, capsys):
+        from sdecontrol.policy import init_params, save_policy
+
+        ckpt = tmp_path / "policy.txt"
+        save_policy(init_params([2, 4, 2], seed=0), ckpt)
+        with open(smoke_cfg, "a") as fh:
+            fh.write("n_paths = -1\n")
+        code = main(
+            ["simulate", "--config", smoke_cfg, "--out", str(tmp_path / "sim"), "--checkpoint", str(ckpt)]
+        )
+        assert code == 2
+        assert "wrote" not in capsys.readouterr().out
 
     def test_simulate_missing_checkpoint_exit_2(self, smoke_cfg, tmp_path, capsys):
         code = main(

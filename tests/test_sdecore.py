@@ -27,6 +27,14 @@ from sdecontrol.sdecore import (
     milstein_step,
     milstein_terms,
     self_check_partials,
+    step_control,
+    step_partials,
+)
+from sdecontrol.portfolio import MarketParams, build_system
+from sdecontrol.studies import (
+    calculus_equivalence_study,
+    reversibility_study,
+    strong_convergence_study,
 )
 from sdecontrol.wiener import TimeGrid, WienerPath, generate_path, reverse_path
 
@@ -291,6 +299,37 @@ def test_central_difference_batch_axes_and_zero_width():
     assert np.allclose(central_difference(fun, z), want, atol=1e-8)
     empty = central_difference(lambda v: np.ones(v.shape[:-1] + (3,)), np.zeros((4, 0)))
     assert empty.shape == (4, 3, 0)
+
+
+@pytest.mark.parametrize("scheme", [EULER_MARUYAMA, MILSTEIN_ITO])
+@pytest.mark.parametrize(
+    "build", [controlled_gbm_system, lambda: build_system(MarketParams())], ids=["gbm", "portfolio"]
+)
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_step_partials_differentiate_step_control(scheme, build, batch):
+    system = build()
+    rng = np.random.Generator(np.random.Philox(key=5))
+    x = rng.uniform(0.5, 1.5, batch + (system.state_dim,))
+    u = rng.standard_normal(batch + (system.control_dim,))
+    dB = 0.3 * rng.standard_normal(batch + (system.noise_dim,))
+    t, dt = 0.2, 0.01
+    jx, ju = step_partials(system, t, x, u, dt, dB, scheme)
+
+    def step(z, v):
+        return step_control(system, None, t, z, v, dt, dB, scheme)
+
+    assert jx.shape == batch + (system.state_dim, system.state_dim)
+    assert ju.shape == batch + (system.state_dim, system.control_dim)
+    assert np.allclose(jx, central_difference(lambda z: step(z, u), x), rtol=0, atol=1e-6)
+    assert np.allclose(ju, central_difference(lambda v: step(x, v), u), rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "study", [strong_convergence_study, calculus_equivalence_study, reversibility_study]
+)
+def test_studies_reject_empty_path_count(study):
+    with pytest.raises(ConfigurationError):
+        study(n_paths=0)
 
 
 def test_dump_trajectory_csv():

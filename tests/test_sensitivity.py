@@ -13,7 +13,7 @@ from sdecontrol.benchmarks import (
 )
 from sdecontrol.errors import CapacityError, ConfigurationError, DivergenceError
 from sdecontrol.policy import MlpPolicy, init_params
-from sdecontrol.sdecore import Calculus, ControlledSystem
+from sdecontrol.sdecore import Calculus, ControlledSystem, integrate
 from sdecontrol.sensitivity import (
     CostFunctional,
     adjoint_gradient,
@@ -135,6 +135,25 @@ class TestEvalCost:
         path = generate_path(0, TimeGrid(0.0, 1.0, 4), 1)
         with pytest.raises(DivergenceError):
             eval_cost(system, policy, cost, np.array([1.0]), path)
+
+
+def test_divergence_reported_alike_by_every_entry_point():
+    # x_{k+1} = (1 + u dt) x_k with u = 1e40 overflows after a few steps
+    system = bilinear_system()
+    cost = terminal_only_cost(lambda x, u: x[..., 0], lambda x, u: np.ones_like(x))
+    policy = scalar_policy(weight=0.0, bias=1e40)
+    x0 = np.array([1.0])
+    path = generate_path(0, TimeGrid(0.0, 1.0, 32), 1)
+    steps = []
+    for run in (
+        lambda: integrate(system, policy, x0, path),
+        lambda: forward_sensitivity(system, policy, cost, x0, path),
+        lambda: adjoint_gradient(system, policy, cost, x0, path),
+    ):
+        with pytest.raises(DivergenceError) as info:
+            run()
+        steps.append(info.value.step_index)
+    assert steps == [7, 7, 7]
 
 
 class TestForwardSensitivity:
