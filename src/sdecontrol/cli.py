@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -161,9 +162,15 @@ def cmd_grad_check(args) -> int:
     )
     grid = TimeGrid(0.0, cfg["horizon"], cfg["grad_check_steps"])
     path = generate_path(cfg["base_seed"], grid, system.noise_dim)
+    clock = [time.perf_counter()]
     fw = forward_sensitivity(system, policy, cost, x0, path)
+    clock.append(time.perf_counter())
     ad = adjoint_gradient(system, policy, cost, x0, path)
+    clock.append(time.perf_counter())
     fd = finite_difference_gradient(system, policy, cost, x0, path, h_rel=cfg["fd_step"])
+    clock.append(time.perf_counter())
+    fw_s, ad_s, fd_s = np.diff(clock)
+    print(f"wall time: forward {fw_s:.3f}s, adjoint {ad_s:.3f}s, fd {fd_s:.3f}s")
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"gradcheck_{cfg['system']}.csv")
     with open(out_path, "w") as fh:

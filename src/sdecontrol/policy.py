@@ -25,13 +25,27 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
 
 
+def _identity(x, out=None):
+    if out is None:
+        return np.asarray(x, dtype=float)
+    np.copyto(out, x)
+    return out
+
+
 class Activation:
-    """Scalar nonlinearity identified by tag, with value and derivative."""
+    """Scalar nonlinearity identified by tag, with value and derivative.
+
+    ``value(x, out=None)`` writes into ``out`` when given (``out`` may be
+    ``x`` itself) and returns it; without ``out`` it returns a new array.
+    """
 
     _TABLE = {
-        "softplus": (lambda x: np.logaddexp(0.0, x), lambda x: _sigmoid(np.asarray(x, dtype=float))),
+        "softplus": (
+            lambda x, out=None: np.logaddexp(0.0, x, out=out),
+            lambda x: _sigmoid(np.asarray(x, dtype=float)),
+        ),
         "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
-        "identity": (lambda x: np.asarray(x, dtype=float), lambda x: np.ones_like(np.asarray(x, dtype=float))),
+        "identity": (_identity, lambda x: np.ones_like(np.asarray(x, dtype=float))),
     }
 
     def __init__(self, tag: str):

@@ -345,34 +345,42 @@ def _perturbation_plan(policy, idx, h_signed):
     return plan
 
 
-def _perturbed_eval(policy, plan, a):
-    """Forward pass for the whole perturbation batch: one shared gemm per
-    layer, then in-place corrections on the rows owning that layer."""
+def _perturbed_eval(policy, plan, a, bufs):
+    """Forward pass for the whole perturbation batch, evaluated in place in
+    the per-layer ``(rows, width)`` buffers ``bufs``: one shared gemm per
+    layer, then corrections on the rows owning that layer, then the
+    activation.  Returns the output-layer buffer, which the next call
+    overwrites."""
     last = len(policy.weights) - 1
-    for k, (w, b) in enumerate(zip(policy.weights, policy.biases)):
-        z = a @ w.T + b
+    for k, (w, b, z) in enumerate(zip(policy.weights, policy.biases, bufs)):
+        np.matmul(a, w.T, out=z)
+        z += b
         rows_w, out_w, in_w, h_w, rows_b, out_b, h_b = plan[k]
         if rows_w.size:
             z[rows_w, out_w] += h_w * a[rows_w, in_w]
         if rows_b.size:
             z[rows_b, out_b] += h_b
         phi = policy.output if k == last else policy.hidden
-        a = phi.value(z)
+        a = phi.value(z, out=z)
     return a
 
 
 def _eval_cost_perturbed(system, policy, cost, x0, increments, grid, idx, h_signed, scheme):
     """Discretized cost for a batch of one-coordinate theta perturbations,
     all driven by the same stored increments.  States are streamed, not
-    stored: the batch holds one row per perturbation."""
+    stored: the batch holds one row per perturbation, and the network runs
+    through layer buffers allocated once per call."""
     plan = _perturbation_plan(policy, idx, h_signed)
+    bufs = [np.empty((len(idx), w.shape[0])) for w in policy.weights]
     x = np.tile(np.asarray(x0, dtype=float), (len(idx), 1))
     weights = _quadrature_weights(cost, grid)
     total = np.zeros(len(idx))
     with np.errstate(all="ignore"):
         for k in range(grid.n_steps + 1):
             t = grid.time(k)
-            u = _perturbed_eval(policy, plan, policy.net_input(t, x))
+            # u is the output buffer: the cost and the step are done with it
+            # before the next pass overwrites it.
+            u = _perturbed_eval(policy, plan, policy.net_input(t, x), bufs)
             if weights[k]:
                 total += weights[k] * cost.running(t, x, u)
             if k == grid.n_steps:
@@ -386,7 +394,10 @@ def finite_difference_gradient(
     """Central finite differences of the discretized cost over all parameter
     coordinates, every evaluation on the same Wiener path.
 
-    Step per coordinate: h_j = h_rel * max(1, |theta_j|).
+    Step per coordinate: h_j = h_rel * max(1, |theta_j|).  The +-h
+    perturbations are evaluated as one batch, one row each, through per-layer
+    buffers preallocated once per block, so the network layers allocate
+    nothing per step.
     """
     _require_policy(policy)
     if h_rel <= 0:

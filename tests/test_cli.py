@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
@@ -119,7 +120,8 @@ class TestCliContract:
         code = main(["grad-check", "--config", smoke_cfg, "--out", str(out)])
         assert code == 0
         assert (out / "gradcheck_gbm.csv").exists()
-        capsys.readouterr()
+        stdout = capsys.readouterr().out
+        assert re.search(r"^wall time: forward \S+s, adjoint \S+s, fd \S+s$", stdout, re.M)
 
     def test_grad_check_portfolio_uses_config_market(self, smoke_cfg, tmp_path, capsys):
         from sdecontrol.benchmarks import build_grad_check_problem

@@ -54,6 +54,17 @@ class TestActivation:
         assert act.value(-1000.0) == 0.0
         assert act.deriv(1000.0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("tag", ["softplus", "tanh", "identity"])
+    def test_value_into_out_matches_fresh_value(self, tag):
+        act = Activation(tag)
+        z = np.array([[-1000.0, -30.0, -1e-3, 0.0], [1e-3, 30.0, 1000.0, 2.5]])
+        buf = np.full_like(z, np.nan)
+        assert act.value(z, out=buf) is buf
+        assert np.array_equal(buf, act.value(z))
+        inplace = z.copy()
+        assert act.value(inplace, out=inplace) is inplace
+        assert np.array_equal(inplace, act.value(z))
+
 
 class TestEval:
     def test_zero_network_softplus_ln2(self):

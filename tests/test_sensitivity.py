@@ -13,9 +13,10 @@ from sdecontrol.benchmarks import (
 )
 from sdecontrol.errors import CapacityError, ConfigurationError, DivergenceError
 from sdecontrol.policy import MlpPolicy, init_params
-from sdecontrol.sdecore import Calculus, ControlledSystem, integrate
+from sdecontrol.sdecore import MILSTEIN_ITO, Calculus, ControlledSystem, integrate
 from sdecontrol.sensitivity import (
     CostFunctional,
+    _eval_cost_perturbed,
     adjoint_gradient,
     check_cost_partials,
     eval_cost,
@@ -436,6 +437,43 @@ class TestFiniteDifference:
         path = generate_path(0, TimeGrid(0.0, 1.0, 4), 1)
         with pytest.raises(ConfigurationError):
             finite_difference_gradient(system, policy, cost, x0, path, h_rel=0.0)
+
+    def test_perturbed_batch_rows_match_explicit_perturbations(self):
+        # Each row of the batch must be the cost at theta +- h e_j, so a
+        # stale or aliased layer buffer or a wrong scatter plan shows here.
+        system, cost, x0, policy = build_grad_check_problem("portfolio", hidden_dims=(4, 3))
+        path = generate_path(5, TimeGrid(0.0, 1.0, 12), 1)
+        theta = policy.get_params()
+        idx, off = [], 0
+        for w, b in zip(policy.weights, policy.biases):
+            idx += [off, off + w.size // 2, off + w.size - 1, off + w.size, off + w.size + b.size - 1]
+            off += w.size + b.size
+        idx = np.repeat(idx, 2)
+        h = np.tile([0.05, -0.03], idx.size // 2)
+        rows = _eval_cost_perturbed(
+            system, policy, cost, x0, path.increments, path.grid, idx, h, MILSTEIN_ITO
+        )
+        want = []
+        for j, hj in zip(idx, h):
+            policy.set_params(theta + hj * np.eye(theta.size)[j])
+            want.append(eval_cost(system, policy, cost, x0, path))
+        policy.set_params(theta)
+        want = np.array(want)
+        assert np.unique(want).size == want.size
+        np.testing.assert_allclose(rows, want, rtol=1e-12, atol=0.0)
+
+    def test_time_input_identity_output_three_way_agreement(self):
+        system, cost, x0, _ = build_grad_check_problem("gbm")
+        policy = init_params([2, 8, 1], seed=0, with_time=True, output_activation="identity")
+        path = generate_path(3, TimeGrid(0.0, 1.0, 32), 1)
+        fw = forward_sensitivity(system, policy, cost, x0, path).grad
+        ad = adjoint_gradient(system, policy, cost, x0, path).grad
+        fd = finite_difference_gradient(system, policy, cost, x0, path).grad
+        # weights on the time column (every second entry of the first layer)
+        assert np.all(fd[1:16:2] != 0.0)
+        assert gradient_agreement(fw, ad)[1] <= 1e-10
+        assert gradient_agreement(ad, fd)[1] <= 1e-5
+        assert gradient_agreement(fw, fd)[1] <= 1e-5
 
     def test_spot_check_brackets_adjoint_on_portfolio(self):
         system, cost, x0, policy = build_grad_check_problem("portfolio", hidden_dims=(8, 8))
