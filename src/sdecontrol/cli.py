@@ -114,7 +114,6 @@ def _train_config(cfg, direction="maximize"):
         iterations=cfg["iterations"],
         learning_rate=cfg["learning_rate"],
         optimizer=cfg["optimizer"],
-        estimator=cfg["estimator"],
         direction=direction,
         base_seed=cfg["base_seed"],
         checkpoint_every=cfg["checkpoint_every"],

@@ -44,7 +44,6 @@ CONFIG_SPEC = {
     "batch_size": (int, 50, "Monte Carlo paths per iteration"),
     "learning_rate": (float, 0.03, "optimizer learning rate"),
     "optimizer": (str, "adam", "optimizer kind: adam or sgd"),
-    "estimator": (str, "adjoint", "gradient estimator: adjoint or forward"),
     "base_seed": (int, 0, "base seed for training and evaluation path streams"),
     "checkpoint_every": (int, 0, "save a checkpoint every k iterations (0 = off)"),
     # evaluation / experiment

@@ -2,9 +2,9 @@
 
 Each iteration draws a fresh batch of Wiener paths with seeds derived
 deterministically from (base_seed, iteration, path index), averages the
-per-path gradients, and applies an SGD or Adam update.  Diverged paths are
-dropped and counted; a batch where more than half of the paths diverge is a
-hard failure.
+path-wise adjoint gradients, and applies an SGD or Adam update.  Diverged
+paths are dropped and counted; a batch where more than half of the paths
+diverge is a hard failure.
 """
 
 from __future__ import annotations
@@ -15,9 +15,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import BatchFailureError, ConfigurationError, DivergenceError
+from .errors import BatchFailureError, ConfigurationError
 from .policy import MlpPolicy, save_policy
-from .sensitivity import adjoint_core, forward_sensitivity
+# forward_sensitivity is not called here; it stays a name of this module
+# because perf/spans.py wraps it wherever callers may look it up.
+from .sensitivity import adjoint_core, forward_sensitivity  # noqa: F401
 from .wiener import TimeGrid, generate_path
 
 __all__ = [
@@ -120,7 +122,6 @@ class TrainConfig:
     iterations: int = 100
     learning_rate: float = 0.03
     optimizer: str = "adam"
-    estimator: str = "adjoint"
     direction: str = "minimize"
     base_seed: int = 0
     scheme: Optional[str] = None
@@ -139,8 +140,6 @@ class TrainConfig:
             raise ConfigurationError(
                 f"checkpoint_every must be >= 0 (0 = off), got {self.checkpoint_every}"
             )
-        if self.estimator not in ("adjoint", "forward"):
-            raise ConfigurationError(f"unknown estimator {self.estimator!r}")
         # Building the optimizer state checks kind, direction and learning
         # rate before any training work.
         OptimizerState(
@@ -167,62 +166,41 @@ class TrainLog:
             fileobj.write(",".join(f"{r[c]:.17g}" for c in cols) + "\n")
 
 
-def batch_gradient(
-    system,
-    policy,
-    cost,
-    x0,
-    base_seed,
-    iteration,
-    n_paths,
-    grid,
-    estimator="adjoint",
-    scheme=None,
-):
-    """Mean path-wise gradient and cost over a fresh batch of paths.
+def batch_gradient(system, policy, cost, x0, base_seed, iteration, n_paths, grid, scheme=None):
+    """Mean path-wise adjoint gradient and cost over a fresh batch of paths.
 
-    Returns (mean_grad, mean_cost, n_diverged).  Paths that diverge (or whose
-    cost/gradient comes out non-finite, e.g. a crossed log barrier) are
-    dropped; more than 50% drops raise BatchFailureError.
+    All paths share one batched forward/backward sweep, ``adjoint_core``,
+    whose layer products are summed over the valid paths inside one gemm per
+    layer per step; the sum is divided by the number of valid paths.  Paths
+    that diverge, or whose cost or costate comes out non-finite (e.g. a
+    crossed log barrier), are dropped and counted; more than 50% drops raise
+    BatchFailureError, which names the seeds of the dropped paths.
+
+    Returns (mean_grad, mean_cost, n_diverged).
     """
     if n_paths < 1:
         raise ConfigurationError("n_paths must be >= 1")
     seeds = [path_seed(base_seed, iteration, i) for i in range(n_paths)]
-    if estimator == "adjoint":
-        # All paths share one batched forward/backward sweep; diverged lanes
-        # turn into NaN rows and are masked out of the reduction.
-        increments = np.stack(
-            [generate_path(s, grid, system.noise_dim).increments for s in seeds], axis=1
-        )  # (n_steps, N, n_xi)
-        x0b = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
-        grads, costs, _ = adjoint_core(
-            system, policy, cost, x0b, increments, grid, scheme=scheme, check="none"
-        )
-        valid = np.isfinite(costs) & np.all(np.isfinite(grads), axis=-1)
-    else:
-        grads = np.zeros((n_paths, policy.n_params))
-        costs = np.zeros(n_paths)
-        valid = np.zeros(n_paths, dtype=bool)
-        for i, seed in enumerate(seeds):
-            path = generate_path(seed, grid, system.noise_dim)
-            try:
-                rep = forward_sensitivity(system, policy, cost, x0, path, scheme=scheme)
-            except DivergenceError:
-                continue
-            if np.all(np.isfinite(rep.grad)) and np.isfinite(rep.cost_value):
-                grads[i] = rep.grad
-                costs[i] = rep.cost_value
-                valid[i] = True
+    increments = np.stack(
+        [generate_path(s, grid, system.noise_dim).increments for s in seeds], axis=1
+    )  # (n_steps, N, n_xi)
+    x0b = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
+    grad_sum, costs, valid, _ = adjoint_core(
+        system, policy, cost, x0b, increments, grid, scheme=scheme, check="none"
+    )
     n_valid = int(valid.sum())
     n_diverged = n_paths - n_valid
     if n_valid * 2 < n_paths:
+        dropped = [s for s, ok in zip(seeds, valid) if not ok]
+        named = ", ".join(map(str, dropped[:5]))
+        if len(dropped) > 5:
+            named += f" and {len(dropped) - 5} more"
         raise BatchFailureError(
-            f"{n_diverged}/{n_paths} paths diverged in iteration {iteration}",
+            f"{n_diverged}/{n_paths} paths diverged in iteration {iteration} "
+            f"(dropped seeds {named})",
             iteration=iteration,
         )
-    mean_grad = grads[valid].mean(axis=0)
-    mean_cost = float(costs[valid].mean())
-    return mean_grad, mean_cost, n_diverged
+    return grad_sum / n_valid, float(costs[valid].mean()), n_diverged
 
 
 def train(system, policy, cost, x0, config: TrainConfig):
@@ -240,22 +218,10 @@ def train(system, policy, cost, x0, config: TrainConfig):
     theta = policy.get_params()
     for it in range(config.iterations):
         tic = time.perf_counter()
-        try:
-            grad, mean_cost, n_div = batch_gradient(
-                system,
-                policy,
-                cost,
-                x0,
-                config.base_seed,
-                it,
-                config.batch_size,
-                config.grid,
-                estimator=config.estimator,
-                scheme=config.scheme,
-            )
-        except BatchFailureError as exc:
-            exc.iteration = it
-            raise
+        grad, mean_cost, n_div = batch_gradient(
+            system, policy, cost, x0, config.base_seed, it, config.batch_size, config.grid,
+            scheme=config.scheme,
+        )
         theta = apply_update(state, theta, grad)
         policy.set_params(theta)
         log.append(

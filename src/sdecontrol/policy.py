@@ -32,6 +32,21 @@ def _identity(x, out=None):
     return out
 
 
+def _row_products(delta, act):
+    """Per-row layer products: (..., out, in) and (..., out)."""
+    return np.einsum("...o,...i->...oi", delta, act), delta
+
+
+def _summed_products(delta, act):
+    """Layer products summed over the batch axes: one gemm, (out, in), and
+    the bias sum, (out,).  ``np.dot``, not ``@``: on one row, as in the
+    batch-of-one adjoint, it gives the same bits about 3x faster (32 x 32)."""
+    d = delta.reshape(-1, delta.shape[-1])
+    if act.shape[:-1] != delta.shape[:-1]:
+        act = np.broadcast_to(act, delta.shape[:-1] + act.shape[-1:])
+    return np.dot(d.T, act.reshape(-1, act.shape[-1])), d.sum(axis=0)
+
+
 class Activation:
     """Scalar nonlinearity identified by tag, with value and derivative.
 
@@ -169,14 +184,15 @@ class MlpPolicy:
         """Feedback control at (t, x)."""
         return self.eval(self.net_input(t, x))
 
-    def _backward(self, acts, pres, cotangent, want_params):
+    def _backward(self, acts, pres, cotangent, products=None):
+        """Input cotangent and, when ``products`` is given, each layer's
+        ``products(delta, act)`` pair of (dW, db) cotangent products."""
         last = len(self.weights) - 1
         delta = np.asarray(cotangent, dtype=float) * self.output.deriv(pres[last])
         grads = [None] * len(self.weights)
         for k in range(last, -1, -1):
-            if want_params:
-                gw = np.einsum("...o,...i->...oi", delta, acts[k])
-                grads[k] = (gw, delta)
+            if products is not None:
+                grads[k] = products(delta, acts[k])
             if k:
                 delta = (delta @ self.weights[k]) * self.hidden.deriv(pres[k - 1])
             else:
@@ -186,37 +202,40 @@ class MlpPolicy:
     def vjp_input(self, x, cotangent) -> np.ndarray:
         """cotangent^T @ d eval/d input, shape (..., n_in)."""
         acts, pres = self._forward(x)
-        dx, _ = self._backward(acts, pres, cotangent, want_params=False)
+        dx, _ = self._backward(acts, pres, cotangent)
         return dx
 
     def vjp_params_layers(self, x, cotangent):
         """Input cotangent (..., n_in) and per-layer (dW, db) cotangent
-        products, both from one forward and one backward pass."""
+        products summed over the batch axes, shapes (out, in) and (out,),
+        both from one forward and one backward pass.  Each layer's sum over
+        rows is one gemm, ``delta^T @ act``; no per-row product is formed."""
         acts, pres = self._forward(x)
-        return self._backward(acts, pres, cotangent, want_params=True)
+        return self._backward(acts, pres, cotangent, _summed_products)
 
     def vjp_params(self, x, cotangent) -> np.ndarray:
-        """cotangent^T @ d eval/d theta in flattened parameter order."""
+        """cotangent^T @ d eval/d theta in flattened parameter order, summed
+        over the batch axes."""
         return self.flatten_layer_grads(self.vjp_params_layers(x, cotangent)[1])
 
-    def _basis_backward(self, x, want_params):
+    def _basis_backward(self, x, products=None):
         """Backward pass of every unit output cotangent at once; the input
-        Jacobian comes back as (..., n_out, n_in), layer products keep the
-        output basis on a leading axis."""
+        Jacobian comes back as (..., n_out, n_in), per-row layer products
+        keep the output basis on a leading axis."""
         x = np.asarray(x, dtype=float)
         cot = np.eye(self.n_out).reshape((self.n_out,) + (1,) * (x.ndim - 1) + (self.n_out,))
         acts, pres = self._forward(x)
-        dx, grads = self._backward(acts, pres, cot, want_params)
+        dx, grads = self._backward(acts, pres, cot, products)
         return np.moveaxis(dx, 0, -2), grads
 
     def jacobian_input(self, x) -> np.ndarray:
         """d eval/d input, shape (..., n_out, n_in)."""
-        return self._basis_backward(x, want_params=False)[0]
+        return self._basis_backward(x)[0]
 
     def jacobian_params(self, x):
         """(d eval/d input (..., n_out, n_in), d eval/d theta (..., n_out,
         n_theta)), both from one forward and one backward pass."""
-        jx, grads = self._basis_backward(x, want_params=True)
+        jx, grads = self._basis_backward(x, _row_products)
         return jx, np.moveaxis(self.flatten_layer_grads(grads), 0, -2)
 
 

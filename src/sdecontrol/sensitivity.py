@@ -98,7 +98,7 @@ class AdjointState:
     """Costate at every grid point, pulled back through the transposed Ito
     step Jacobians of the stored trajectory from lambdas[K] = d(cost at T)/dx_T."""
 
-    lambdas: np.ndarray  # (n_steps + 1, ..., n_x)
+    lambdas: np.ndarray  # (n_steps + 1, n_x)
 
 
 # -- plumbing ---------------------------------------------------------------
@@ -227,86 +227,92 @@ def forward_sensitivity(system, policy, cost, x0, path, scheme=None) -> Gradient
 
 def _pull_back(policy, t, x, cu, acc):
     """cu^T du/dx (time column dropped) from one policy VJP, whose per-layer
-    cu^T du/dtheta products are added into ``acc`` (filled on first use)."""
+    cu^T du/dtheta products, summed over the lanes, are added into ``acc``."""
     cx, layers = policy.vjp_params_layers(policy.net_input(t, x), cu)
-    if acc:
-        for slot, (gw, gb) in zip(acc, layers):
-            slot[0] += gw
-            slot[1] += gb
-    else:
-        acc.extend([gw.copy(), gb.copy()] for gw, gb in layers)
+    for slot, (gw, gb) in zip(acc, layers):
+        slot[0] += gw
+        slot[1] += gb
     return cx[..., : x.shape[-1]]
 
 
 def adjoint_core(
-    system,
-    policy,
-    cost,
-    x0,
-    increments,
-    grid,
-    scheme=None,
-    keep_lambda=False,
-    check="raise",
+    system, policy, cost, x0, increments, grid, scheme=None, keep_lambda=False, check="raise"
 ):
-    """Batched backward-adjoint gradient over stored forward states.
+    """Backward-adjoint gradient over stored forward states, summed over the
+    valid lanes: ``x0`` is (N, n_x) and ``increments`` (n_steps, N, n_xi), or
+    (n_x,) and (n_steps, n_xi) for one path without a lane axis.
 
-    ``increments`` has shape (n_steps, ..., n_xi); x0 must carry matching
-    batch axes.  Returns (per-sample grads (..., n_theta), costs (...),
-    AdjointState or None).  With check="none", diverged batch lanes carry
-    NaNs and must be masked by the caller.
+    Lanes with a non-finite state or cost are dropped before the backward
+    sweep.  A NaN that enters a costate only in the sweep reaches k = 0; the
+    sweep is then rerun without those lanes, which would poison the sums.
+    At every step each layer's parameter cotangent products are summed over
+    the lanes in one gemm (``MlpPolicy.vjp_params_layers``) and added into
+    one (out, in) accumulator per layer.
+
+    Returns (gradient summed over the valid lanes (n_theta,), costs (N,),
+    valid-lane mask (N,), costates of the valid lanes or None); without a
+    lane axis the costs and the mask are 0-d.
     """
     _require_policy(policy)
     sys_i, scheme, weights, states, controls, value = _forward_pass(
         system, policy, cost, x0, increments, grid, scheme, check
     )
+    costs = np.asarray(value, dtype=float)
+    valid = np.asarray(np.isfinite(costs) & np.all(np.isfinite(states), axis=(0, -1)))
     K = grid.n_steps
-    with np.errstate(all="ignore"):
-        cx, cu = _terminal_partials(cost, grid, weights, states, controls)
-        a = np.broadcast_to(cx, states[K].shape)
-        lambdas = np.zeros_like(states) if keep_lambda else None
-        if keep_lambda:
-            lambdas[K] = a
-        acc = []
-        if cu is not None:
-            a = a + _pull_back(policy, grid.time(K), states[K], cu, acc)
 
-        for k in range(K - 1, -1, -1):
-            t, x, u = grid.time(k), states[k], controls[k]
-            w = weights[k]
-            jx, ju = step_partials(sys_i, t, x, u, grid.dt, increments[k], scheme)
-            cu = np.einsum("...au,...a->...u", ju, a)
-            if w:
-                cu = cu + w * np.asarray(cost.running_du(t, x, u), dtype=float)
-            a = np.einsum("...ab,...a->...b", jx, a) + _pull_back(policy, t, x, cu, acc)
-            if w:
-                a = a + w * np.asarray(cost.running_dx(t, x, u), dtype=float)
+    def sweep(keep):
+        # With every lane kept the stored arrays are swept as they are.
+        sel = (slice(None),) if keep.all() else (slice(None), keep)
+        xs, us, dbs = states[sel], controls[sel], increments[sel]
+        acc = [[np.zeros_like(w), np.zeros_like(b)] for w, b in zip(policy.weights, policy.biases)]
+        lambdas = np.zeros_like(xs) if keep_lambda else None
+        with np.errstate(all="ignore"):
+            cx, cu = _terminal_partials(cost, grid, weights, xs, us)
+            a = np.broadcast_to(cx, xs[K].shape)
             if keep_lambda:
-                lambdas[k] = a
+                lambdas[K] = a
+            if cu is not None:
+                a = a + _pull_back(policy, grid.time(K), xs[K], cu, acc)
 
-    grads = policy.flatten_layer_grads(acc)
-    adjoint = AdjointState(lambdas=lambdas) if keep_lambda else None
-    return grads, np.asarray(value, dtype=float), adjoint
+            for k in range(K - 1, -1, -1):
+                t, x, u = grid.time(k), xs[k], us[k]
+                w = weights[k]
+                jx, ju = step_partials(sys_i, t, x, u, grid.dt, dbs[k], scheme)
+                cu = np.einsum("...au,...a->...u", ju, a)
+                if w:
+                    cu = cu + w * np.asarray(cost.running_du(t, x, u), dtype=float)
+                a = np.einsum("...ab,...a->...b", jx, a) + _pull_back(policy, t, x, cu, acc)
+                if w:
+                    a = a + w * np.asarray(cost.running_dx(t, x, u), dtype=float)
+                if keep_lambda:
+                    lambdas[k] = a
+        return acc, a, lambdas
+
+    acc, a, lambdas = sweep(valid)
+    late = ~np.all(np.isfinite(a), axis=-1)
+    if late.any():
+        valid[valid] = ~late
+        acc, _, lambdas = sweep(valid)
+    return policy.flatten_layer_grads(acc), costs, valid, lambdas
 
 
 def adjoint_gradient(system, policy, cost, x0, path, scheme=None, return_adjoint=False):
     """Gradient via the backward costate sweep on the stored trajectory; with
     ``cost.pointwise_times`` the costate evolves cost-free between those times
-    and jumps by the running-cost gradient at each of them."""
-    grads, value, adjoint = adjoint_core(
-        system,
-        policy,
-        cost,
-        np.asarray(x0, dtype=float),
-        path.increments,
-        path.grid,
-        scheme=scheme,
-        keep_lambda=return_adjoint,
+    and jumps by the running-cost gradient at each of them.  The path is one
+    lane of ``adjoint_core``, passed without a lane axis; a non-finite cost
+    or costate raises DivergenceError."""
+    x0 = np.asarray(x0, dtype=float)
+    grad, value, valid, lambdas = adjoint_core(
+        system, policy, cost, x0, path.increments, path.grid, scheme, return_adjoint
     )
+    if not valid:
+        raise DivergenceError("adjoint sweep produced a non-finite cost or costate")
     report = GradientReport(
-        grad=grads, estimator="adjoint", path_seed=path.seed, cost_value=float(value)
+        grad=grad, estimator="adjoint", path_seed=path.seed, cost_value=float(value)
     )
-    return (report, adjoint) if return_adjoint else report
+    return (report, AdjointState(lambdas=lambdas)) if return_adjoint else report
 
 
 # -- finite differences -----------------------------------------------------

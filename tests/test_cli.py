@@ -78,7 +78,8 @@ class TestConfig:
 
 
     @pytest.mark.parametrize(
-        "line", ["log_wall_time = true", "hidden_activation = softplus", "threads = 2"]
+        "line",
+        ["log_wall_time = true", "hidden_activation = softplus", "threads = 2", "estimator = forward"],
     )
     def test_removed_key_exits_2(self, tmp_path, capsys, line):
         path = tmp_path / "old.cfg"

@@ -20,10 +20,25 @@ from sdecontrol.optim import (
     train,
 )
 from sdecontrol.policy import MlpPolicy, init_params
-from sdecontrol.sensitivity import CostFunctional, adjoint_gradient
+from sdecontrol.sensitivity import (
+    CostFunctional,
+    adjoint_gradient,
+    eval_cost,
+    forward_sensitivity,
+)
 from sdecontrol.wiener import TimeGrid, generate_path
 
 from test_sensitivity import frozen_system, scalar_policy, terminal_only_cost
+
+
+def _mean_forward_sensitivity(system, policy, cost, x0, grid, n_paths):
+    """Mean gradient and cost of per-path forward sensitivities over the
+    paths of batch 0 of seed 0."""
+    reports = [
+        forward_sensitivity(system, policy, cost, x0, generate_path(path_seed(0, 0, i), grid, 1))
+        for i in range(n_paths)
+    ]
+    return np.mean([r.grad for r in reports], axis=0), np.mean([r.cost_value for r in reports])
 
 
 class TestSeedStreams:
@@ -104,41 +119,75 @@ class TestAdamUpdate:
 
 class TestBatchGradient:
     def test_single_path_equals_adjoint(self):
-        system, cost, x0, policy = build_grad_check_problem("gbm", hidden_dims=(8,))
+        # One lane of the batched core gives the per-path adjoint bit for bit.
         grid = TimeGrid(0.0, 1.0, 64)
-        grad, mean_cost, n_div = batch_gradient(
-            system, policy, cost, x0, base_seed=0, iteration=0, n_paths=1, grid=grid
-        )
-        path = generate_path(path_seed(0, 0, 0), grid, 1)
-        single = adjoint_gradient(system, policy, cost, x0, path)
-        assert np.allclose(grad, single.grad, atol=1e-12)
-        assert mean_cost == pytest.approx(single.cost_value, abs=1e-12)
-        assert n_div == 0
+        for name, hidden in (("gbm", (8,)), ("portfolio", (8, 8))):
+            system, cost, x0, policy = build_grad_check_problem(name, hidden_dims=hidden)
+            grad, mean_cost, n_div = batch_gradient(
+                system, policy, cost, x0, base_seed=0, iteration=0, n_paths=1, grid=grid
+            )
+            path = generate_path(path_seed(0, 0, 0), grid, system.noise_dim)
+            single = adjoint_gradient(system, policy, cost, x0, path)
+            assert np.array_equal(grad, single.grad), name
+            assert mean_cost == single.cost_value, name
+            assert n_div == 0
 
-    def test_forward_estimator_agrees_with_adjoint_batch(self):
+    def test_agrees_with_mean_forward_sensitivity(self):
         system, cost, x0, policy = build_grad_check_problem("gbm", hidden_dims=(8,))
         grid = TimeGrid(0.0, 1.0, 64)
-        g_adj, c_adj, _ = batch_gradient(
-            system, policy, cost, x0, 0, 0, 4, grid, estimator="adjoint"
-        )
-        g_fwd, c_fwd, _ = batch_gradient(
-            system, policy, cost, x0, 0, 0, 4, grid, estimator="forward"
-        )
+        g_adj, c_adj, _ = batch_gradient(system, policy, cost, x0, 0, 0, 4, grid)
+        g_fwd, c_fwd = _mean_forward_sensitivity(system, policy, cost, x0, grid, 4)
         assert np.allclose(g_adj, g_fwd, atol=1e-10)
         assert c_adj == pytest.approx(c_fwd, abs=1e-10)
 
-    def test_forward_estimator_agrees_with_adjoint_on_pointwise_cost(self):
+    def test_agrees_with_mean_forward_sensitivity_on_pointwise_cost(self):
         system, cost, x0, policy = build_grad_check_problem("gbm", hidden_dims=(8,))
         grid = TimeGrid(0.0, 1.0, 64)
         jumps = dataclasses.replace(cost, pointwise_times=[grid.time(k) for k in (10, 20, 30)])
-        g_adj, c_adj, _ = batch_gradient(
-            system, policy, jumps, x0, 0, 0, 4, grid, estimator="adjoint"
-        )
-        g_fwd, c_fwd, _ = batch_gradient(
-            system, policy, jumps, x0, 0, 0, 4, grid, estimator="forward"
-        )
+        g_adj, c_adj, _ = batch_gradient(system, policy, jumps, x0, 0, 0, 4, grid)
+        g_fwd, c_fwd = _mean_forward_sensitivity(system, policy, jumps, x0, grid, 4)
         assert np.allclose(g_adj, g_fwd, atol=1e-10)
         assert c_adj == pytest.approx(c_fwd, abs=1e-10)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lane_with_non_finite_costate_is_dropped(self):
+        # Every cost is finite, but the lowest lane's terminal partial is NaN:
+        # the lane turns non-finite only in the backward sweep.
+        system, x0, policy, grid, low, kept = self._spread_lanes()
+        cost = terminal_only_cost(
+            lambda x, u: x[..., 0], lambda x, u: np.where(x < low, np.nan, 1.0)
+        )
+        self._check_dropped_lane(system, cost, x0, policy, grid, kept)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lane_with_non_finite_cost_is_dropped(self):
+        # log(x_T - c) is NaN on the lowest lane only; its partial stays finite.
+        system, x0, policy, grid, low, kept = self._spread_lanes()
+        cost = terminal_only_cost(
+            lambda x, u: np.log(x[..., 0] - low), lambda x, u: 1.0 / (x - low)
+        )
+        self._check_dropped_lane(system, cost, x0, policy, grid, kept)
+
+    @staticmethod
+    def _spread_lanes():
+        """Controlled GBM over the 4 paths of batch 0, a level between the two
+        lowest terminal states, and the 3 paths that end above it."""
+        system, _, x0, policy = build_grad_check_problem("gbm", hidden_dims=(8,))
+        grid = TimeGrid(0.0, 1.0, 32)
+        ident = terminal_only_cost(lambda x, u: x[..., 0], lambda x, u: np.ones_like(x))
+        paths = [generate_path(path_seed(0, 0, i), grid, 1) for i in range(4)]
+        finals = [eval_cost(system, policy, ident, x0, path) for path in paths]
+        low = 0.5 * sum(sorted(finals)[:2])
+        kept = [path for path, final in zip(paths, finals) if final > low]
+        return system, x0, policy, grid, low, kept
+
+    @staticmethod
+    def _check_dropped_lane(system, cost, x0, policy, grid, kept):
+        grad, mean_cost, n_div = batch_gradient(system, policy, cost, x0, 0, 0, 4, grid)
+        reports = [adjoint_gradient(system, policy, cost, x0, path) for path in kept]
+        assert len(reports) == 3 and n_div == 1
+        assert np.allclose(grad, np.mean([r.grad for r in reports], axis=0), rtol=1e-12, atol=0)
+        assert mean_cost == pytest.approx(np.mean([r.cost_value for r in reports]), rel=1e-12)
 
     def test_monte_carlo_consistency(self):
         # disjoint 1000-path batches agree within 3 standard errors
@@ -162,8 +211,17 @@ class TestBatchGradient:
         )
         policy = init_params([1, 4, 1], seed=0)
         grid = TimeGrid(0.0, 1.0, 4)
-        with pytest.raises(BatchFailureError):
+        with pytest.raises(BatchFailureError) as info:
             batch_gradient(system, policy, cost, np.array([1.0]), 0, 0, 4, grid)
+        message = str(info.value)
+        assert "4/4 paths diverged in iteration 0" in message
+        assert all(str(path_seed(0, 0, i)) in message for i in range(4))
+        # The first five dropped seeds are named, the rest counted.
+        with pytest.raises(BatchFailureError) as info:
+            batch_gradient(system, policy, cost, np.array([1.0]), 7, 3, 8, grid)
+        message = str(info.value)
+        assert all(str(path_seed(7, 3, i)) in message for i in range(5))
+        assert str(path_seed(7, 3, 5)) not in message and "and 3 more" in message
 
     def test_invalid_path_count(self):
         system, cost, x0, policy = build_grad_check_problem("gbm")
@@ -252,8 +310,6 @@ class TestTrain:
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(grid=TimeGrid(0.0, 1.0, 4), batch_size=0)
-        with pytest.raises(ConfigurationError):
-            TrainConfig(grid=TimeGrid(0.0, 1.0, 4), estimator="magic")
 
     def test_batch_size_beyond_seed_stride_rejected(self):
         TrainConfig(grid=TimeGrid(0.0, 1.0, 4), batch_size=2**20)

@@ -208,6 +208,22 @@ class TestVjpParams:
             assert jx.shape == batch + (2, 3) and jp.shape == batch + (2, policy.n_params)
             assert np.array_equal(jx, policy.jacobian_input(x))
 
+    def test_layer_products_summed_over_batch(self):
+        # One gemm per layer gives the sum over rows of the per-row products.
+        policy = init_params([3, 6, 5, 2], seed=13)
+        rng = np.random.Generator(np.random.Philox(key=14))
+        for batch in ((), (4,), (2, 3)):
+            x = rng.standard_normal(batch + (3,))
+            cot = rng.standard_normal(batch + (2,))
+            _, layers = policy.vjp_params_layers(x, cot)
+            assert [(gw.shape, gb.shape) for gw, gb in layers] == [
+                (w.shape, b.shape) for w, b in zip(policy.weights, policy.biases)
+            ]
+            _, jp = policy.jacobian_params(x)
+            rows = np.einsum("...o,...op->...p", cot, jp).reshape(-1, policy.n_params)
+            summed = policy.vjp_params(x, cot)
+            assert np.allclose(summed, rows.sum(axis=0), rtol=1e-12, atol=1e-14)
+
 
 class TestInitParams:
     def test_deterministic(self):

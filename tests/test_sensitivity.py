@@ -214,6 +214,24 @@ class TestAdjointGradient:
         # terminal reward r V + mu S differentiates to (mu, r) = (0.23, 0.04)
         assert np.array_equal(adjoint.lambdas[-1], np.array([0.23, 0.04]))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "terminal, terminal_dx",
+        [
+            # the cost is NaN, its partial finite
+            (lambda x, u: np.log(x[..., 0] - 10.0), lambda x, u: 1.0 / (x - 10.0)),
+            # the cost is finite, its partial NaN
+            (lambda x, u: x[..., 0], lambda x, u: np.full_like(x, np.nan)),
+        ],
+        ids=["nan_cost", "nan_costate"],
+    )
+    def test_non_finite_cost_or_costate_raises(self, terminal, terminal_dx):
+        cost = terminal_only_cost(terminal, terminal_dx)
+        policy = init_params([1, 4, 1], seed=0)
+        path = generate_path(0, TimeGrid(0.0, 1.0, 4), 1)
+        with pytest.raises(DivergenceError):
+            adjoint_gradient(frozen_system(), policy, cost, np.array([1.0]), path)
+
     def test_matches_forward_and_fd(self):
         for name in ("gbm", "portfolio"):
             system, cost, x0, policy = build_grad_check_problem(name, hidden_dims=(8,))
