@@ -192,6 +192,7 @@ def cmd_grad_check(args) -> int:
 
 def cmd_convergence(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
+    tic = time.perf_counter()
     study = strong_convergence_study(
         mu=cfg["mu"],
         sigma=cfg["sigma"],
@@ -201,6 +202,7 @@ def cmd_convergence(args) -> int:
         n_paths=cfg["conv_paths"],
         seed=cfg["base_seed"],
     )
+    conv_s = time.perf_counter() - tic
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "convergence.csv"), "w") as fh:
         write_convergence_csv(study, fh)
@@ -220,6 +222,7 @@ def cmd_convergence(args) -> int:
                 ok = False
             else:
                 print(f"ok {scheme}: fitted order {order:.3f}")
+    tic = time.perf_counter()
     n_list, errs = reversibility_study(
         mu=cfg["mu"],
         sigma=cfg["sigma"],
@@ -229,6 +232,8 @@ def cmd_convergence(args) -> int:
         n_paths=cfg["reversal_paths"],
         seed=cfg["base_seed"],
     )
+    rev_s = time.perf_counter() - tic
+    print(f"wall time: convergence {conv_s:.3f}s, reversibility {rev_s:.3f}s")
     with open(os.path.join(args.out, "reversibility.csv"), "w") as fh:
         fh.write("n_steps,median_error\n")
         for n, e in zip(n_list, errs):

@@ -52,15 +52,18 @@ class Activation:
 
     ``value(x, out=None)`` writes into ``out`` when given (``out`` may be
     ``x`` itself) and returns it; without ``out`` it returns a new array.
+    ``deriv(x, a=None)`` is the derivative at ``x``; ``tanh`` reads it from
+    ``a = value(x)`` when given (``1 - a**2``, the same bits), the others
+    ignore ``a``.
     """
 
     _TABLE = {
         "softplus": (
             lambda x, out=None: np.logaddexp(0.0, x, out=out),
-            lambda x: _sigmoid(np.asarray(x, dtype=float)),
+            lambda x, a=None: _sigmoid(np.asarray(x, dtype=float)),
         ),
-        "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
-        "identity": (_identity, lambda x: np.ones_like(np.asarray(x, dtype=float))),
+        "tanh": (np.tanh, lambda x, a=None: 1.0 - (np.tanh(x) if a is None else a) ** 2),
+        "identity": (_identity, lambda x, a=None: np.ones_like(np.asarray(x, dtype=float))),
     }
 
     def __init__(self, tag: str):
@@ -188,13 +191,15 @@ class MlpPolicy:
         """Input cotangent and, when ``products`` is given, each layer's
         ``products(delta, act)`` pair of (dW, db) cotangent products."""
         last = len(self.weights) - 1
-        delta = np.asarray(cotangent, dtype=float) * self.output.deriv(pres[last])
+        delta = np.asarray(cotangent, dtype=float) * self.output.deriv(
+            pres[last], acts[last + 1]
+        )
         grads = [None] * len(self.weights)
         for k in range(last, -1, -1):
             if products is not None:
                 grads[k] = products(delta, acts[k])
             if k:
-                delta = (delta @ self.weights[k]) * self.hidden.deriv(pres[k - 1])
+                delta = (delta @ self.weights[k]) * self.hidden.deriv(pres[k - 1], acts[k])
             else:
                 delta = delta @ self.weights[0]
         return delta, grads

@@ -90,13 +90,10 @@ def build_system(params: MarketParams) -> ControlledSystem:
     def drift(t, x, u):
         s, v = x[..., 0], x[..., 1]
         ui, ud = u[..., 0], u[..., 1]
-        return np.stack(
-            [
-                _at(p.mu, t) * s + ui - ud,
-                _at(p.r, t) * v - ui + (1.0 - alpha) * ud,
-            ],
-            axis=-1,
-        )
+        out = np.empty(np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (2,))
+        out[..., 0] = _at(p.mu, t) * s + ui - ud
+        out[..., 1] = _at(p.r, t) * v - ui + (1.0 - alpha) * ud
+        return out
 
     def diffusion(t, x, u):
         g = np.zeros(x.shape[:-1] + (2, 1))

@@ -116,11 +116,15 @@ def control_value(policy, t, x, control_dim: int) -> np.ndarray:
     return policy.control(t, x)
 
 
-def milstein_terms(system: ControlledSystem, t, x, u) -> np.ndarray:
-    """Per-channel Milstein term m_i = (1/2)(dg_i/dx) g_i, shape (..., n_xi, n_x)."""
-    g = system.diffusion(t, x, u)
+def _milstein_product(system, t, x, u, g) -> np.ndarray:
+    """m_i = (1/2)(dg_i/dx) g_i from the diffusion value g already at (t, x, u)."""
     gdx = system.diffusion_dx(t, x, u)
     return 0.5 * np.einsum("...iab,...bi->...ia", gdx, g)
+
+
+def milstein_terms(system: ControlledSystem, t, x, u) -> np.ndarray:
+    """Per-channel Milstein term m_i = (1/2)(dg_i/dx) g_i, shape (..., n_xi, n_x)."""
+    return _milstein_product(system, t, x, u, system.diffusion(t, x, u))
 
 
 def central_difference(fun, z, h_rel=1e-6):
@@ -193,7 +197,7 @@ def step_control(system, control_fn, t, x, u, dt, dB, scheme):
     if scheme == EULER_MARUYAMA:
         return euler
     if scheme == MILSTEIN_ITO:
-        m = milstein_terms(system, t, x, u)
+        m = _milstein_product(system, t, x, u, g)
         w = np.asarray(dB) ** 2 - dt
         return euler + np.einsum("...ia,...i->...a", m, w)
     if scheme == MILSTEIN_STRATONOVICH:
@@ -301,8 +305,12 @@ def forward_states(system, policy, x0, increments, grid, scheme, check="raise"):
     """Integrate and return (states, controls) arrays over the whole grid.
 
     ``increments`` has shape (n_steps, ..., n_xi); batch axes broadcast against
-    x0.  With check="raise" a non-finite state aborts with the step index;
-    with check="none" NaNs propagate (batched callers mask afterwards).
+    x0.  The loop itself never stops early: NaNs propagate to the end of the
+    grid.  With check="raise", one scan of the stepped states after the loop
+    raises DivergenceError at the first step k whose result states[k + 1] is
+    non-finite in any batch lane (a non-finite x0 reports step 0); with
+    check="none" the arrays are returned as they are (batched callers mask
+    afterwards).
     """
     x0 = _validate_dims(system, policy, x0)
     n = grid.n_steps
@@ -320,11 +328,13 @@ def forward_states(system, policy, x0, increments, grid, scheme, check="raise"):
         for k in range(n):
             t = grid.time(k)
             x = step_control(system, control_fn, t, x, u, dt, increments[k], scheme)
-            if check == "raise":
-                _raise_if_divergent(x, step_index=k)
             states[k + 1] = x
             u = control_value(policy, grid.time(k + 1), x, system.control_dim)
             controls[k + 1] = u
+    if check == "raise":
+        finite = np.isfinite(states[1:]).reshape(n, -1).all(axis=1)
+        k = int(np.argmin(finite))  # the first non-finite step; 0 when all are finite
+        _raise_if_divergent(states[k + 1], step_index=k)
     return states, controls
 
 

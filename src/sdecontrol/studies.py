@@ -4,7 +4,10 @@ inverse-flow reversibility.  Shared by the CLI and the test suite.
 
 All studies reuse one fine Brownian path per seed, coarsened by summing
 adjacent increments, so errors at every resolution are driven by the same
-noise realization.
+noise realization.  The strong-convergence and calculus-equivalence studies
+integrate all their paths at one level in one batched ``forward_states``
+call per scheme; the systems have no policy, so every step is elementwise
+and each lane gets the bits a one-path integration would.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from .sdecore import (
     EULER_MARUYAMA,
     MILSTEIN_ITO,
     MILSTEIN_STRATONOVICH,
+    _check_scheme,
     convert_calculus,
+    forward_states,
     integrate,
     integrate_backward,
 )
@@ -48,6 +53,20 @@ def _fine_paths(seed, n_paths, t_end, max_exp):
     return [generate_path(seed + p, fine, 1) for p in range(n_paths)]
 
 
+def _level_increments(fine_paths, factor):
+    """The coarse grid and every path's coarsened increments, stacked over
+    paths as (n_steps, n_paths, 1)."""
+    coarse = [coarsen_path(fine_path, factor) for fine_path in fine_paths]
+    return coarse[0].grid, np.stack([c.increments for c in coarse], axis=1)
+
+
+def _end_states(system, x0, grid, increments, scheme):
+    """Scalar terminal state of every path, shape (n_paths,)."""
+    _check_scheme(system, scheme)
+    states, _ = forward_states(system, None, x0, increments, grid, scheme)
+    return states[-1, :, 0]
+
+
 def strong_convergence_study(
     mu=0.23,
     sigma=0.18,
@@ -68,14 +87,15 @@ def strong_convergence_study(
     levels = list(range(min_exp, max_exp + 1))
     errors = {s: np.zeros((len(levels), n_paths)) for s in schemes}
     x0v = np.array([float(x0)])
-    for p, fine_path in enumerate(fine_paths):
-        b_total = float(fine_path.increments.sum())
-        exact_end = gbm_exact_path(x0, mu, sigma, [0.0, t_end], [0.0, b_total])[-1]
-        for li, exp in enumerate(levels):
-            path = coarsen_path(fine_path, 2 ** (max_exp - exp))
-            for scheme in schemes:
-                traj = integrate(system, None, x0v, path, scheme)
-                errors[scheme][li, p] = abs(float(traj.states[-1, 0]) - exact_end)
+    b_totals = [float(fine_path.increments.sum()) for fine_path in fine_paths]
+    exact_ends = np.array(
+        [gbm_exact_path(x0, mu, sigma, [0.0, t_end], [0.0, b])[-1] for b in b_totals]
+    )
+    for li, exp in enumerate(levels):
+        grid, increments = _level_increments(fine_paths, 2 ** (max_exp - exp))
+        for scheme in schemes:
+            ends = _end_states(system, x0v, grid, increments, scheme)
+            errors[scheme][li] = np.abs(ends - exact_ends)
     out = {}
     for scheme in schemes:
         med = np.median(errors[scheme], axis=1)
@@ -109,12 +129,11 @@ def calculus_equivalence_study(
     levels = list(range(min_exp, max_exp + 1))
     gaps = np.zeros((len(levels), n_paths))
     x0v = np.array([float(x0)])
-    for p, fine_path in enumerate(fine_paths):
-        for li, exp in enumerate(levels):
-            path = coarsen_path(fine_path, 2 ** (max_exp - exp))
-            end_i = integrate(ito, None, x0v, path, MILSTEIN_ITO).states[-1, 0]
-            end_s = integrate(strat, None, x0v, path, MILSTEIN_STRATONOVICH).states[-1, 0]
-            gaps[li, p] = abs(float(end_i) - float(end_s))
+    for li, exp in enumerate(levels):
+        grid, increments = _level_increments(fine_paths, 2 ** (max_exp - exp))
+        end_i = _end_states(ito, x0v, grid, increments, MILSTEIN_ITO)
+        end_s = _end_states(strat, x0v, grid, increments, MILSTEIN_STRATONOVICH)
+        gaps[li] = np.abs(end_i - end_s)
     return [2**e for e in levels], np.median(gaps, axis=1).tolist()
 
 

@@ -201,7 +201,10 @@ class TestCliContract:
         assert (out / "convergence.csv").exists()
         assert (out / "convergence_orders.csv").exists()
         assert (out / "reversibility.csv").exists()
-        capsys.readouterr()
+        stdout = capsys.readouterr().out
+        lines = re.findall(r"^wall time: .*$", stdout, re.M)
+        assert len(lines) == 1
+        assert re.fullmatch(r"wall time: convergence \S+s, reversibility \S+s", lines[0])
 
     def test_convergence_without_paths_exits_2(self, smoke_cfg, tmp_path, capsys):
         with open(smoke_cfg, "a") as fh:

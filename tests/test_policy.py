@@ -224,6 +224,27 @@ class TestVjpParams:
             summed = policy.vjp_params(x, cot)
             assert np.allclose(summed, rows.sum(axis=0), rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("output", ["softplus", "tanh"])
+    def test_tanh_derivative_from_stored_activation_is_bitwise(self, output):
+        # The backward pass reads tanh' as 1 - a**2 from the stored activation;
+        # the reference recomputes 1 - tanh(z)**2 from the pre-activation.
+        policy = init_params([3, 6, 5, 2], seed=21, output_activation=output)
+        reference = init_params([3, 6, 5, 2], seed=21, output_activation=output)
+        for act in (reference.hidden, reference.output):
+            if act.tag == "tanh":
+                act.deriv = lambda z, a=None: 1.0 - np.tanh(z) ** 2
+        rng = np.random.Generator(np.random.Philox(key=22))
+        for batch in ((), (4,), (2, 3)):
+            x = 3.0 * rng.standard_normal(batch + (3,))
+            cot = rng.standard_normal(batch + (2,))
+            cx, layers = policy.vjp_params_layers(x, cot)
+            ref_cx, ref_layers = reference.vjp_params_layers(x, cot)
+            assert np.array_equal(cx, ref_cx)
+            for (gw, gb), (rw, rb) in zip(layers, ref_layers):
+                assert np.array_equal(gw, rw) and np.array_equal(gb, rb)
+            for got, want in zip(policy.jacobian_params(x), reference.jacobian_params(x)):
+                assert np.array_equal(got, want)
+
 
 class TestInitParams:
     def test_deterministic(self):

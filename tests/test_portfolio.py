@@ -111,6 +111,20 @@ class TestBuildSystem:
         assert traj.states[-1, 1] == pytest.approx(0.95, abs=1e-3)
         assert traj.states[-1, 0] == pytest.approx(s_exact, abs=1e-3)
 
+    @pytest.mark.parametrize("x_shape, u_shape", [((4, 2), (2,)), ((2,), (4, 2)), ((2,), (2,))])
+    def test_drift_equals_stacked_columns(self, x_shape, u_shape):
+        params = MarketParams(r=lambda t: 0.04 + t, mu=0.23)
+        rng = np.random.Generator(np.random.Philox(key=31))
+        x = rng.standard_normal(x_shape)
+        u = rng.standard_normal(u_shape)
+        t = 0.3
+        s, v, ui, ud = x[..., 0], x[..., 1], u[..., 0], u[..., 1]
+        want = np.stack(
+            [0.23 * s + ui - ud, (0.04 + t) * v - ui + (1.0 - params.alpha) * ud], axis=-1
+        )
+        got = build_system(params).drift(t, x, u)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
     def test_zero_control_stock_matches_gbm(self):
         # with u = 0 the stock decouples and follows plain GBM
         system = build_system(MarketParams())

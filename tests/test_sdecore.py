@@ -1,6 +1,7 @@
 """Tests for controlled systems, integration schemes, and calculus conversion."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from sdecontrol.sdecore import (
     convert_calculus,
     dump_trajectory_csv,
     euler_maruyama_step,
+    forward_states,
     integrate,
     integrate_backward,
     milstein_step,
@@ -36,7 +38,7 @@ from sdecontrol.studies import (
     reversibility_study,
     strong_convergence_study,
 )
-from sdecontrol.wiener import TimeGrid, WienerPath, generate_path, reverse_path
+from sdecontrol.wiener import TimeGrid, WienerPath, coarsen_path, generate_path, reverse_path
 
 
 def scalar_system(f, g, fdx, fdu, gdx, gdu, calculus=Calculus.ITO):
@@ -148,6 +150,72 @@ class TestMilsteinStep:
         system = gbm_system(mu=0.0, sigma=0.3)
         m = milstein_terms(system, 0.0, np.array([2.0]), np.zeros(0))
         assert np.allclose(m, 0.5 * 0.3**2 * 2.0)
+
+
+def test_milstein_step_calls_diffusion_once():
+    # The Milstein term is formed from the diffusion value the Euler part
+    # already holds; the result equals the Euler step plus the term that
+    # milstein_terms computes on its own.
+    base = build_system(MarketParams())
+    calls = []
+
+    def diffusion(t, x, u):
+        calls.append(1)
+        return base.diffusion(t, x, u)
+
+    system = replace(base, diffusion=diffusion)
+    x, u = np.array([1.2, -0.1]), np.array([0.3, 0.4])
+    dt, dB = 0.01, np.array([0.07])
+    out = step_control(system, None, 0.2, x, u, dt, dB, MILSTEIN_ITO)
+    assert len(calls) == 1
+    euler = step_control(base, None, 0.2, x, u, dt, dB, EULER_MARUYAMA)
+    m = milstein_terms(base, 0.2, x, u)
+    assert np.array_equal(out, euler + np.einsum("...ia,...i->...a", m, dB**2 - dt))
+
+
+def per_step_divergence(system, x0, increments, grid, scheme):
+    """Step index and message of the first non-finite step, checked after
+    every step as a loop that stops at once would report them."""
+    x = np.array(x0, dtype=float)
+    u = np.zeros(x.shape[:-1] + (system.control_dim,))
+    with np.errstate(all="ignore"):
+        for k in range(grid.n_steps):
+            x = step_control(system, None, grid.time(k), x, u, grid.dt, increments[k], scheme)
+            if not np.all(np.isfinite(x)):
+                return k, f"non-finite state encountered at step {k}"
+    return None, None
+
+
+class TestForwardStatesDivergence:
+    # dx = 1e10 x dt: a lane at 1e250 overflows after 7 steps of 1/8, lanes
+    # at 1 and 2 stay finite over the 16-step grid.
+    system = scalar_system(
+        lambda t, x, u: 1e10 * x,
+        lambda t, x, u: 0.0 * x,
+        lambda t, x, u: np.full_like(x, 1e10),
+        lambda t, x, u: 0.0 * x,
+        lambda t, x, u: 0.0 * x,
+        lambda t, x, u: 0.0 * x,
+    )
+    grid = TimeGrid(0.0, 2.0, 16)
+
+    @pytest.mark.parametrize(
+        "x0, step",
+        [([[1.0], [1e250], [2.0]], 6), ([[1.0], [np.nan], [2.0]], 0), ([np.inf], 0)],
+        ids=["lane-1-mid-path", "nan-x0", "inf-x0"],
+    )
+    def test_post_loop_scan_reports_first_step(self, x0, step):
+        x0 = np.array(x0)
+        increments = 0.1 * np.ones((16,) + x0.shape[:-1] + (1,))
+        want = per_step_divergence(self.system, x0, increments, self.grid, EULER_MARUYAMA)
+        assert want[0] == step
+        with pytest.raises(DivergenceError) as err:
+            forward_states(self.system, None, x0, increments, self.grid, EULER_MARUYAMA)
+        assert (err.value.step_index, str(err.value)) == want
+        states, _ = forward_states(
+            self.system, None, x0, increments, self.grid, EULER_MARUYAMA, check="none"
+        )
+        assert not np.isfinite(states[step + 1]).all() and np.isfinite(states[1 : step + 1]).all()
 
 
 class TestIntegrate:
@@ -330,6 +398,44 @@ def test_step_partials_differentiate_step_control(scheme, build, batch):
 def test_studies_reject_empty_path_count(study):
     with pytest.raises(ConfigurationError):
         study(n_paths=0)
+
+
+def test_batched_studies_equal_path_by_path_integration():
+    # One integration per path and level, as the studies ran before they
+    # were batched over paths: the same bits at every level.
+    n_paths, min_exp, max_exp = 5, 2, 5
+    system, strat = gbm_system(), convert_calculus(gbm_system())
+    fine = [generate_path(p, TimeGrid(0.0, 1.0, 2**max_exp), 1) for p in range(n_paths)]
+    x0 = np.array([1.0])
+    errors = {s: [] for s in (EULER_MARUYAMA, MILSTEIN_ITO)}
+    gaps = []
+    for exp in range(min_exp, max_exp + 1):
+        paths = [coarsen_path(f, 2 ** (max_exp - exp)) for f in fine]
+        for scheme in errors:
+            errs = []
+            for f, path in zip(fine, paths):
+                end = integrate(system, None, x0, path, scheme).states[-1, 0]
+                exact = gbm_exact_path(1.0, 0.23, 0.18, [0.0, 1.0], [0.0, float(f.increments.sum())])
+                errs.append(abs(float(end) - exact[-1]))
+            errors[scheme].append(np.median(errs))
+        gaps.append(
+            np.median(
+                [
+                    abs(
+                        float(integrate(system, None, x0, path, MILSTEIN_ITO).states[-1, 0])
+                        - float(integrate(strat, None, x0, path, MILSTEIN_STRATONOVICH).states[-1, 0])
+                    )
+                    for path in paths
+                ]
+            )
+        )
+    study = strong_convergence_study(min_exp=min_exp, max_exp=max_exp, n_paths=n_paths)
+    for scheme, med in errors.items():
+        assert np.array_equal(study[scheme]["median_error"], med)
+    _, got = calculus_equivalence_study(
+        min_exp=min_exp, n_halvings=max_exp - min_exp, n_paths=n_paths
+    )
+    assert np.array_equal(got, gaps)
 
 
 def test_dump_trajectory_csv():
