@@ -36,7 +36,6 @@ from .sensitivity import (
     write_gradient_check_csv,
 )
 from .studies import (
-    fit_order,
     reversibility_study,
     strong_convergence_study,
     write_convergence_csv,
@@ -203,6 +202,17 @@ def cmd_convergence(args) -> int:
         seed=cfg["base_seed"],
     )
     conv_s = time.perf_counter() - tic
+    tic = time.perf_counter()
+    n_list, errs = reversibility_study(
+        mu=cfg["mu"],
+        sigma=cfg["sigma"],
+        t_end=cfg["horizon"],
+        min_exp=cfg["conv_min_exp"],
+        n_halvings=cfg["reversal_halvings"],
+        n_paths=cfg["reversal_paths"],
+        seed=cfg["base_seed"],
+    )
+    rev_s = time.perf_counter() - tic
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "convergence.csv"), "w") as fh:
         write_convergence_csv(study, fh)
@@ -222,17 +232,6 @@ def cmd_convergence(args) -> int:
                 ok = False
             else:
                 print(f"ok {scheme}: fitted order {order:.3f}")
-    tic = time.perf_counter()
-    n_list, errs = reversibility_study(
-        mu=cfg["mu"],
-        sigma=cfg["sigma"],
-        t_end=cfg["horizon"],
-        min_exp=cfg["conv_min_exp"],
-        n_halvings=cfg["reversal_halvings"],
-        n_paths=cfg["reversal_paths"],
-        seed=cfg["base_seed"],
-    )
-    rev_s = time.perf_counter() - tic
     print(f"wall time: convergence {conv_s:.3f}s, reversibility {rev_s:.3f}s")
     with open(os.path.join(args.out, "reversibility.csv"), "w") as fh:
         fh.write("n_steps,median_error\n")

@@ -16,7 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import BatchFailureError, ConfigurationError
-from .policy import MlpPolicy, save_policy
+from .policy import save_policy
 # forward_sensitivity is not called here; it stays a name of this module
 # because perf/spans.py wraps it wherever callers may look it up.
 from .sensitivity import adjoint_core, forward_sensitivity  # noqa: F401

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -268,15 +269,14 @@ def euler_maruyama_step(system, policy, t, x, dt, dB):
     return out
 
 
-def milstein_step(system, policy, t, x, dt, dB, calculus=None):
-    """Milstein step; the Ito variant weights the correction by (dB^2 - dt),
-    the Stratonovich variant by dB^2 (realized derivative-free)."""
-    calculus = calculus or system.calculus
+def milstein_step(system, policy, t, x, dt, dB):
+    """Milstein step in the system's calculus; the Ito variant weights the
+    correction by (dB^2 - dt), the Stratonovich variant by dB^2 (realized
+    derivative-free)."""
     _require_diagonal_noise(system)
     u = control_value(policy, t, x, system.control_dim)
     control_fn = None if policy is None else policy.control
-    scheme = MILSTEIN_ITO if calculus is Calculus.ITO else MILSTEIN_STRATONOVICH
-    out = step_control(system, control_fn, t, x, u, dt, dB, scheme)
+    out = step_control(system, control_fn, t, x, u, dt, dB, default_scheme(system.calculus))
     _raise_if_divergent(out, step_index=None)
     return out
 
@@ -288,12 +288,15 @@ def _raise_if_divergent(x, step_index):
         )
 
 
-def _validate_dims(system, policy, x0):
+def _validate_dims(system, policy, x0, increments):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape[-1] != system.state_dim:
         raise ConfigurationError(
             f"initial state dimension {x0.shape[-1]} != state_dim {system.state_dim}"
         )
+    n_xi = np.shape(increments)[-1]
+    if n_xi != system.noise_dim:
+        raise ConfigurationError(f"path has {n_xi} noise dims, system expects {system.noise_dim}")
     if policy is not None and getattr(policy, "n_out", system.control_dim) != system.control_dim:
         raise ConfigurationError(
             f"policy output dim {policy.n_out} != control_dim {system.control_dim}"
@@ -312,7 +315,7 @@ def forward_states(system, policy, x0, increments, grid, scheme, check="raise"):
     check="none" the arrays are returned as they are (batched callers mask
     afterwards).
     """
-    x0 = _validate_dims(system, policy, x0)
+    x0 = _validate_dims(system, policy, x0, increments)
     n = grid.n_steps
     control_fn = None if policy is None else policy.control
     dt = grid.dt
@@ -343,14 +346,20 @@ def integrate(system, policy, x0, path: WienerPath, scheme=None) -> Trajectory:
     every grid point."""
     scheme = scheme or default_scheme(system.calculus)
     _check_scheme(system, scheme)
-    if path.dims != system.noise_dim:
-        raise ConfigurationError(
-            f"path has {path.dims} noise dims, system expects {system.noise_dim}"
-        )
     states, controls = forward_states(
         system, policy, x0, path.increments, path.grid, scheme
     )
     return Trajectory(grid=path.grid, states=states, controls=controls)
+
+
+def _reverse_walk(grid, increments):
+    """The (grid, increments) on which ``forward_states`` integrates the
+    inverse flow from t_end: point k of the walk is point n - k of ``grid``,
+    the step is -dt and the increments are negated in reverse order.  States
+    and controls come out in reverse time order."""
+    n = grid.n_steps
+    walk = SimpleNamespace(n_steps=n, dt=-grid.dt, time=lambda k: grid.time(n - k))
+    return walk, -np.asarray(increments)[::-1]
 
 
 def integrate_backward(
@@ -358,42 +367,24 @@ def integrate_backward(
 ) -> Trajectory:
     """Integrate the inverse flow from xT back to t_start.
 
-    Ito systems are converted to Stratonovich form first; each reverse step
-    applies the Stratonovich scheme with negated (dt, dB), consuming the stored
-    forward increments in reverse order.  Returned states are in forward time
-    order (states[-1] == xT).
+    Ito systems are converted to Stratonovich form first; the Stratonovich
+    scheme then runs over the reversed walk of the stored forward increments.
+    Returned states are in forward time order (states[-1] == xT), and a
+    DivergenceError names the forward step k, from grid point k to k + 1,
+    whose reverse step left a non-finite state.
     """
     if system.calculus is Calculus.ITO:
         system = convert_calculus(system)
     scheme = scheme or MILSTEIN_STRATONOVICH
-    if scheme not in _STRAT_SCHEMES:
-        raise ConfigurationError(
-            f"integrate_backward requires a Stratonovich scheme, got {scheme!r}"
-        )
-    if scheme == MILSTEIN_STRATONOVICH:
-        _require_diagonal_noise(system)
+    _check_scheme(system, scheme)
     grid = backward_path.grid
-    xT = _validate_dims(system, policy, xT)
-    control_fn = None if policy is None else policy.control
-    n = grid.n_steps
-    batch = xT.shape[:-1]
-    states = np.zeros((n + 1,) + batch + (system.state_dim,))
-    controls = np.zeros((n + 1,) + batch + (system.control_dim,))
-    x = xT.copy()
-    states[n] = x
-    u = control_value(policy, grid.time(n), x, system.control_dim)
-    controls[n] = u
-    dt = grid.dt
-    with np.errstate(all="ignore"):
-        for k in range(n, 0, -1):
-            t = grid.time(k)
-            dB = backward_path.increments[k - 1]
-            x = step_control(system, control_fn, t, x, u, -dt, -np.asarray(dB), scheme)
-            _raise_if_divergent(x, step_index=k - 1)
-            states[k - 1] = x
-            u = control_value(policy, grid.time(k - 1), x, system.control_dim)
-            controls[k - 1] = u
-    return Trajectory(grid=grid, states=states, controls=controls)
+    walk, increments = _reverse_walk(grid, backward_path.increments)
+    try:
+        states, controls = forward_states(system, policy, xT, increments, walk, scheme)
+    except DivergenceError as exc:
+        k = grid.n_steps - 1 - exc.step_index
+        raise DivergenceError(f"non-finite state encountered at step {k}", step_index=k) from None
+    return Trajectory(grid=grid, states=states[::-1], controls=controls[::-1])
 
 
 def convert_calculus(system: ControlledSystem) -> ControlledSystem:

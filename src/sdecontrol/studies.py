@@ -4,10 +4,11 @@ inverse-flow reversibility.  Shared by the CLI and the test suite.
 
 All studies reuse one fine Brownian path per seed, coarsened by summing
 adjacent increments, so errors at every resolution are driven by the same
-noise realization.  The strong-convergence and calculus-equivalence studies
-integrate all their paths at one level in one batched ``forward_states``
-call per scheme; the systems have no policy, so every step is elementwise
-and each lane gets the bits a one-path integration would.
+noise realization.  All three studies are batched over paths: at each level
+they integrate every path in one ``forward_states`` call per scheme (the
+inverse flow runs it over the reversed walk).  The systems have no policy,
+so every step is elementwise and each lane gets the bits a one-path
+integration would.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from .sdecore import (
     MILSTEIN_ITO,
     MILSTEIN_STRATONOVICH,
     _check_scheme,
+    _reverse_walk,
     convert_calculus,
     forward_states,
-    integrate,
-    integrate_backward,
 )
-from .wiener import TimeGrid, coarsen_path, generate_path, reverse_path
+from .wiener import TimeGrid, coarsen_path, generate_path
 
 __all__ = [
     "fit_order",
@@ -45,12 +45,19 @@ def fit_order(n_steps_list, errors) -> float:
     return float(slope)
 
 
-def _fine_paths(seed, n_paths, t_end, max_exp):
-    """One fine Brownian path per seed; at least one, as a median of none is NaN."""
+def _fine_paths(seed, n_paths, t_end, min_exp, max_exp):
+    """The levels min_exp..max_exp and one fine Brownian path per seed.
+
+    A study needs at least one path, as a median of none is NaN, and at
+    least two levels, as neither a trend nor an order has fewer points.
+    """
     if n_paths < 1:
         raise ConfigurationError(f"a study needs at least one path, got {n_paths}")
+    if max_exp <= min_exp:
+        raise ConfigurationError(f"a study needs at least two levels, got 2^{min_exp}..2^{max_exp}")
     fine = TimeGrid(0.0, t_end, 2**max_exp)
-    return [generate_path(seed + p, fine, 1) for p in range(n_paths)]
+    paths = [generate_path(seed + p, fine, 1) for p in range(n_paths)]
+    return list(range(min_exp, max_exp + 1)), paths
 
 
 def _level_increments(fine_paths, factor):
@@ -83,8 +90,7 @@ def strong_convergence_study(
     Returns {scheme: {"n_steps": [...], "median_error": [...], "order": p}}.
     """
     system = gbm_system(mu=mu, sigma=sigma)
-    fine_paths = _fine_paths(seed, n_paths, t_end, max_exp)
-    levels = list(range(min_exp, max_exp + 1))
+    levels, fine_paths = _fine_paths(seed, n_paths, t_end, min_exp, max_exp)
     errors = {s: np.zeros((len(levels), n_paths)) for s in schemes}
     x0v = np.array([float(x0)])
     b_totals = [float(fine_path.increments.sum()) for fine_path in fine_paths]
@@ -125,8 +131,7 @@ def calculus_equivalence_study(
     ito = gbm_system(mu=mu, sigma=sigma)
     strat = convert_calculus(ito)
     max_exp = min_exp + n_halvings
-    fine_paths = _fine_paths(seed, n_paths, t_end, max_exp)
-    levels = list(range(min_exp, max_exp + 1))
+    levels, fine_paths = _fine_paths(seed, n_paths, t_end, min_exp, max_exp)
     gaps = np.zeros((len(levels), n_paths))
     x0v = np.array([float(x0)])
     for li, exp in enumerate(levels):
@@ -147,21 +152,22 @@ def reversibility_study(
     n_paths=100,
     seed=0,
 ):
-    """Median round-trip error of the inverse flow: integrate forward, then
-    integrate the backward system over the reversed increments, compare with
-    the initial state.  Returns (n_steps_list, median_errors)."""
+    """Median round-trip error of the inverse flow: integrate forward
+    (Ito-Milstein), then the Stratonovich conversion backward over the
+    reversed increments (Stratonovich-Milstein, as ``integrate_backward``),
+    and compare with the initial state.  Returns (n_steps_list, median_errors)."""
     system = gbm_system(mu=mu, sigma=sigma)
+    strat = convert_calculus(system)
     max_exp = min_exp + n_halvings
-    fine_paths = _fine_paths(seed, n_paths, t_end, max_exp)
-    levels = list(range(min_exp, max_exp + 1))
+    levels, fine_paths = _fine_paths(seed, n_paths, t_end, min_exp, max_exp)
     errs = np.zeros((len(levels), n_paths))
     x0v = np.array([float(x0)])
-    for p, fine_path in enumerate(fine_paths):
-        for li, exp in enumerate(levels):
-            path = coarsen_path(fine_path, 2 ** (max_exp - exp))
-            fwd = integrate(system, None, x0v, path, MILSTEIN_ITO)
-            back = integrate_backward(system, None, fwd.states[-1], reverse_path(path))
-            errs[li, p] = float(np.linalg.norm(back.states[0] - x0v))
+    for li, exp in enumerate(levels):
+        grid, increments = _level_increments(fine_paths, 2 ** (max_exp - exp))
+        ends = _end_states(system, x0v, grid, increments, MILSTEIN_ITO)
+        walk = _reverse_walk(grid, increments)
+        starts = _end_states(strat, ends[:, None], *walk, MILSTEIN_STRATONOVICH)
+        errs[li] = np.abs(starts - x0v[0])
     return [2**e for e in levels], np.median(errs, axis=1).tolist()
 
 

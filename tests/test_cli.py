@@ -213,6 +213,20 @@ class TestCliContract:
         assert code == 2
         assert "ok" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "line",
+        ["reversal_halvings = -1", "reversal_halvings = 0", "conv_min_exp = 9", "conv_max_exp = 4"],
+    )
+    def test_convergence_with_fewer_than_two_levels_exits_2(self, smoke_cfg, tmp_path, capsys, line):
+        with open(smoke_cfg, "a") as fh:
+            fh.write(line + "\n")
+        out = tmp_path / "conv"
+        assert main(["convergence", "--config", smoke_cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "two levels" in captured.err
+        assert "ok" not in captured.out
+        assert not out.exists()
+
     def test_convergence_gate_fails_on_nan_order(self, smoke_cfg, tmp_path, capsys, monkeypatch):
         def nan_study(**kwargs):
             nan = {"n_steps": [16, 32], "median_error": [np.nan, np.nan], "order": np.nan}

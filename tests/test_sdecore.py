@@ -20,6 +20,7 @@ from sdecontrol.sdecore import (
     MILSTEIN_ITO,
     MILSTEIN_STRATONOVICH,
     central_difference,
+    control_value,
     convert_calculus,
     dump_trajectory_csv,
     euler_maruyama_step,
@@ -32,6 +33,7 @@ from sdecontrol.sdecore import (
     step_control,
     step_partials,
 )
+from sdecontrol.policy import init_params
 from sdecontrol.portfolio import MarketParams, build_system
 from sdecontrol.studies import (
     calculus_equivalence_study,
@@ -332,6 +334,70 @@ class TestIntegrateBackward:
         back = integrate_backward(system, None, fwd.states[-1], reverse_path(path))
         assert np.array_equal(back.states[-1], fwd.states[-1])
 
+    def test_path_noise_dims_checked(self):
+        # gbm_system has one noise channel; a size-1 channel axis would
+        # broadcast against two increments without the check.
+        path = generate_path(5, TimeGrid(0.0, 1.0, 8), 2)
+        with pytest.raises(ConfigurationError, match="noise dims"):
+            integrate(gbm_system(), None, np.array([1.0]), path)
+        with pytest.raises(ConfigurationError, match="noise dims"):
+            integrate_backward(gbm_system(), None, np.array([1.0]), reverse_path(path))
+
+    @pytest.mark.parametrize("scheme", [MILSTEIN_STRATONOVICH, EULER_HEUN])
+    def test_time_input_policy_matches_reverse_step_loop(self, scheme):
+        system = controlled_gbm_system()
+        policy = init_params([2, 8, 1], seed=3, with_time=True)
+        path = generate_path(7, TimeGrid(0.0, 1.0, 64), 1)
+        fwd = integrate(system, policy, np.array([1.0]), path, MILSTEIN_ITO)
+        back = integrate_backward(system, policy, fwd.states[-1], reverse_path(path), scheme)
+        states, controls, step = reverse_step_loop(system, policy, fwd.states[-1], path, scheme)
+        assert step is None
+        assert np.array_equal(back.states, states)
+        assert np.array_equal(back.controls, controls)
+
+    @pytest.mark.parametrize("scheme", [MILSTEIN_STRATONOVICH, EULER_HEUN])
+    def test_overflow_reports_step_of_reverse_step_loop(self, scheme):
+        # dx = -x^2 dt run backwards from x = 1 blows up before t = 0.
+        system = scalar_system(
+            lambda t, x, u: -(x**2),
+            lambda t, x, u: 0.1 * x,
+            lambda t, x, u: -2.0 * x,
+            lambda t, x, u: 0.0 * x,
+            lambda t, x, u: 0.0 * x + 0.1,
+            lambda t, x, u: 0.0 * x,
+            Calculus.STRATONOVICH,
+        )
+        path = generate_path(2, TimeGrid(0.0, 5.0, 50), 1)
+        *_, step = reverse_step_loop(system, None, np.array([1.0]), path, scheme)
+        assert 0 < step < 49
+        with pytest.raises(DivergenceError) as err:
+            integrate_backward(system, None, np.array([1.0]), reverse_path(path), scheme)
+        assert err.value.step_index == step
+        assert str(err.value) == f"non-finite state encountered at step {step}"
+
+
+def reverse_step_loop(system, policy, xT, path, scheme):
+    """The inverse flow stepped one grid point at a time from t_end, checked
+    after every step: (states, controls, first non-finite step or None)."""
+    if system.calculus is Calculus.ITO:
+        system = convert_calculus(system)
+    grid, n = path.grid, path.grid.n_steps
+    control_fn = None if policy is None else policy.control
+    states = np.zeros((n + 1, system.state_dim))
+    controls = np.zeros((n + 1, system.control_dim))
+    x = np.array(xT, dtype=float)
+    u = control_value(policy, grid.time(n), x, system.control_dim)
+    states[n], controls[n] = x, u
+    with np.errstate(all="ignore"):
+        for k in range(n, 0, -1):
+            dB = -path.increments[k - 1]
+            x = step_control(system, control_fn, grid.time(k), x, u, -grid.dt, dB, scheme)
+            if not np.all(np.isfinite(x)):
+                return states, controls, k - 1
+            u = control_value(policy, grid.time(k - 1), x, system.control_dim)
+            states[k - 1], controls[k - 1] = x, u
+    return states, controls, None
+
 
 class TestEulerHeun:
     def test_matches_strat_milstein_on_smooth_system(self):
@@ -393,11 +459,34 @@ def test_step_partials_differentiate_step_control(scheme, build, batch):
 
 
 @pytest.mark.parametrize(
-    "study", [strong_convergence_study, calculus_equivalence_study, reversibility_study]
+    "study, kwargs",
+    [
+        (strong_convergence_study, {"n_paths": 0}),
+        (calculus_equivalence_study, {"n_paths": 0}),
+        (reversibility_study, {"n_paths": 0}),
+        (strong_convergence_study, {"min_exp": 9, "max_exp": 8}),
+        (strong_convergence_study, {"min_exp": 8, "max_exp": 8}),
+        (calculus_equivalence_study, {"n_halvings": -1}),
+        (calculus_equivalence_study, {"n_halvings": 0}),
+        (reversibility_study, {"n_halvings": -1}),
+        (reversibility_study, {"n_halvings": 0}),
+    ],
+    ids=[
+        "strong_convergence_study",
+        "calculus_equivalence_study",
+        "reversibility_study",
+        "strong_convergence_study-no_level",
+        "strong_convergence_study-one_level",
+        "calculus_equivalence_study-no_level",
+        "calculus_equivalence_study-one_level",
+        "reversibility_study-no_level",
+        "reversibility_study-one_level",
+    ],
 )
-def test_studies_reject_empty_path_count(study):
+def test_studies_reject_empty_path_count(study, kwargs):
+    # Fewer than one path or two levels leaves no median or no trend.
     with pytest.raises(ConfigurationError):
-        study(n_paths=0)
+        study(**kwargs)
 
 
 def test_batched_studies_equal_path_by_path_integration():
@@ -408,7 +497,7 @@ def test_batched_studies_equal_path_by_path_integration():
     fine = [generate_path(p, TimeGrid(0.0, 1.0, 2**max_exp), 1) for p in range(n_paths)]
     x0 = np.array([1.0])
     errors = {s: [] for s in (EULER_MARUYAMA, MILSTEIN_ITO)}
-    gaps = []
+    gaps, round_trips = [], []
     for exp in range(min_exp, max_exp + 1):
         paths = [coarsen_path(f, 2 ** (max_exp - exp)) for f in fine]
         for scheme in errors:
@@ -429,6 +518,16 @@ def test_batched_studies_equal_path_by_path_integration():
                 ]
             )
         )
+        starts = [
+            integrate_backward(
+                system,
+                None,
+                integrate(system, None, x0, path, MILSTEIN_ITO).states[-1],
+                reverse_path(path),
+            ).states[0]
+            for path in paths
+        ]
+        round_trips.append(np.median([float(np.linalg.norm(s - x0)) for s in starts]))
     study = strong_convergence_study(min_exp=min_exp, max_exp=max_exp, n_paths=n_paths)
     for scheme, med in errors.items():
         assert np.array_equal(study[scheme]["median_error"], med)
@@ -436,6 +535,8 @@ def test_batched_studies_equal_path_by_path_integration():
         min_exp=min_exp, n_halvings=max_exp - min_exp, n_paths=n_paths
     )
     assert np.array_equal(got, gaps)
+    _, got = reversibility_study(min_exp=min_exp, n_halvings=max_exp - min_exp, n_paths=n_paths)
+    assert np.array_equal(got, round_trips)
 
 
 def test_dump_trajectory_csv():
