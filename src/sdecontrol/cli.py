@@ -18,16 +18,16 @@ import numpy as np
 from .benchmarks import GRAD_CHECK_SYSTEMS, build_grad_check_problem
 from .config import load_config
 from .errors import SdeControlError, ConfigurationError
-from .optim import TrainConfig, evaluation_seed
+from .optim import TrainConfig
 from .policy import load_policy
 from .portfolio import (
     MarketParams,
-    build_system,
+    evaluate_policy,
     policy_grid,
     run_experiment,
     write_policy_grid_csv,
 )
-from .sdecore import MILSTEIN_ITO, dump_trajectory_csv, integrate
+from .sdecore import dump_trajectory_csv
 from .sensitivity import (
     adjoint_gradient,
     finite_difference_gradient,
@@ -149,6 +149,11 @@ def cmd_train(args) -> int:
 
 def cmd_grad_check(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
+    for key in ("grad_tol", "cosine_tol"):
+        if not np.isfinite(cfg[key]):
+            raise ConfigurationError(f"{key} must be finite, got {cfg[key]}")
+    if not 0 < cfg["fd_step"] < np.inf:
+        raise ConfigurationError(f"fd_step must be positive and finite, got {cfg['fd_step']}")
     nu = cfg["nu"][0] if cfg["nu"] else 0.25
     system, cost, x0, policy = build_grad_check_problem(
         cfg["system"],
@@ -177,7 +182,7 @@ def cmd_grad_check(args) -> int:
     for name, a, b in (("forward/adjoint", fw.grad, ad.grad), ("adjoint/fd", ad.grad, fd.grad)):
         cosine, max_rel = gradient_agreement(a, b)
         line = f"{name}: cosine={cosine:.9f} max_rel={max_rel:.3e}"
-        if cosine < cfg["cosine_tol"] or max_rel > cfg["grad_tol"]:
+        if not (cosine >= cfg["cosine_tol"] and max_rel <= cfg["grad_tol"]):  # NaN fails
             j = int(np.argmax(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)))
             print(
                 f"FAIL {line} worst coord {j}: {a[j]:.10g} vs {b[j]:.10g}",
@@ -259,19 +264,17 @@ def _load_checkpoint_policy(path, expected_inputs):
 
 def cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    if cfg["n_paths"] < 1:
-        raise ConfigurationError(f"n_paths must be >= 1, got {cfg['n_paths']}")
+    n = cfg["n_paths"]
+    if n < 1:
+        raise ConfigurationError(f"n_paths must be >= 1, got {n}")
     policy = _load_checkpoint_policy(args.checkpoint, 2)
-    params = _market_params(cfg)
-    system = build_system(params)
     grid = TimeGrid(0.0, cfg["horizon"], cfg["n_steps"])
+    _, trajs = evaluate_policy(_market_params(cfg), policy, grid, n, cfg["base_seed"], n)
     os.makedirs(args.out, exist_ok=True)
-    for k in range(cfg["n_paths"]):
-        path = generate_path(evaluation_seed(cfg["base_seed"], k), grid, 1)
-        traj = integrate(system, policy, np.asarray(params.x0, dtype=float), path, MILSTEIN_ITO)
+    for k, traj in enumerate(trajs):
         with open(os.path.join(args.out, f"traj_seed{k}.csv"), "w") as fh:
             dump_trajectory_csv(traj, fh, ["S", "V"], ["u_i", "u_d"])
-    print(f"wrote {cfg['n_paths']} trajectories to {args.out}")
+    print(f"wrote {n} trajectories to {args.out}")
     return EXIT_OK
 
 

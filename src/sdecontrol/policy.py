@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
+from .wiener import philox_rng
 
 __all__ = ["Activation", "MlpPolicy", "init_params", "save_policy", "load_policy"]
 
@@ -257,7 +258,7 @@ def init_params(
     """
     if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
         raise ConfigurationError(f"invalid layer_dims {layer_dims}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = philox_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
         scale = 1.0 / np.sqrt(fan_in)

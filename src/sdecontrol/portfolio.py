@@ -325,7 +325,7 @@ def evaluate_policy(
             ) from exc
     states = np.stack([traj.states for traj in trajs])  # (n_paths, n_steps + 1, 2)
     controls = np.stack([traj.controls for traj in trajs])
-    objective = _quadrature(cost, grid, states.swapaxes(0, 1), controls.swapaxes(0, 1))
+    objective = _quadrature(cost, grid, zip(states.swapaxes(0, 1), controls.swapaxes(0, 1)))
     sigmas = np.array([_at(params.sigma, t) for t in grid.times()])
     penalty = np.sum(sigmas[:-1] * states[:, :-1, 0] ** 2, axis=-1) * grid.dt
     crossed = np.any(solvency_gap(states, params.alpha) < 0, axis=-1)
@@ -372,9 +372,11 @@ def run_experiment(
 
     Per nu the output directory receives trainlog_nu<nu>.csv, checkpoint
     policy_nu<nu>.txt, traj_nu<nu>_seed<k>.csv and policygrid_nu<nu>.csv.
-    Returns {nu: ExperimentResult}.  Evaluation sizes and the policy grid are
-    checked before any training.
+    Returns {nu: ExperimentResult}.  The nu list, evaluation sizes and the
+    policy grid are checked before any training.
     """
+    if len(nu_values) == 0:
+        raise ConfigurationError("nu needs at least one risk weight")
     _check_evaluation_sizes(eval_paths, trajectory_dumps)
     _check_policy_grid(grid_s_range, grid_v_range, grid_resolution)
     os.makedirs(out_dir, exist_ok=True)

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, UnsupportedSchemeError
-from .wiener import TimeGrid, WienerPath, BackwardWienerPath
+from .wiener import TimeGrid, WienerPath, BackwardWienerPath, philox_rng
 
 __all__ = [
     "Calculus",
@@ -304,6 +304,23 @@ def _validate_dims(system, policy, x0, increments):
     return x0
 
 
+def _walk(system, policy, x0, increments, grid, scheme):
+    """Yield (x_k, u_k) for k = 0..n_steps and store nothing: the one loop
+    over grid steps.  x0 is broadcast against the increments' batch axes and
+    u_0 is the control at x0 as given.  The caller sets ``np.errstate`` and
+    consumes (x_k, u_k) before asking for the next point."""
+    control_fn = None if policy is None else policy.control
+    dt = grid.dt
+    u = control_value(policy, grid.time(0), x0, system.control_dim)
+    batch = np.broadcast_shapes(np.shape(x0)[:-1], np.shape(increments)[1:-1])
+    x = np.broadcast_to(x0, batch + (system.state_dim,)).copy()
+    for k in range(grid.n_steps):
+        yield x, u
+        x = step_control(system, control_fn, grid.time(k), x, u, dt, increments[k], scheme)
+        u = control_value(policy, grid.time(k + 1), x, system.control_dim)
+    yield x, u
+
+
 def forward_states(system, policy, x0, increments, grid, scheme, check="raise"):
     """Integrate and return (states, controls) arrays over the whole grid.
 
@@ -317,23 +334,13 @@ def forward_states(system, policy, x0, increments, grid, scheme, check="raise"):
     """
     x0 = _validate_dims(system, policy, x0, increments)
     n = grid.n_steps
-    control_fn = None if policy is None else policy.control
-    dt = grid.dt
-    u0 = control_value(policy, grid.time(0), x0, system.control_dim)
     batch = np.broadcast_shapes(x0.shape[:-1], np.shape(increments)[1:-1])
     states = np.zeros((n + 1,) + batch + (system.state_dim,))
     controls = np.zeros((n + 1,) + batch + (system.control_dim,))
-    x = np.broadcast_to(x0, batch + (system.state_dim,)).copy()
-    states[0] = x
-    controls[0] = u0
-    u = u0
     with np.errstate(all="ignore"):
-        for k in range(n):
-            t = grid.time(k)
-            x = step_control(system, control_fn, t, x, u, dt, increments[k], scheme)
-            states[k + 1] = x
-            u = control_value(policy, grid.time(k + 1), x, system.control_dim)
-            controls[k + 1] = u
+        for k, (x, u) in enumerate(_walk(system, policy, x0, increments, grid, scheme)):
+            states[k] = x
+            controls[k] = u
     if check == "raise":
         finite = np.isfinite(states[1:]).reshape(n, -1).all(axis=1)
         k = int(np.argmin(finite))  # the first non-finite step; 0 when all are finite
@@ -423,56 +430,54 @@ def convert_calculus(system: ControlledSystem) -> ControlledSystem:
     )
 
 
-def self_check_partials(system, n_points=100, seed=0, tol=1e-5, sampler=None):
-    """Compare analytic partials against central finite differences.
-
-    Returns the worst relative error over sampled (t, x, u) points; raises
-    ConfigurationError when it exceeds `tol`.  `sampler(rng)` may supply
-    domain-appropriate points; the default samples standard normals.
-    """
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    worst = 0.0
-
-    def rel_err(analytic, approx):
-        denom = np.maximum(1.0, np.abs(analytic))
-        return float(np.max(np.abs(analytic - approx) / denom)) if analytic.size else 0.0
-
-    fd = central_difference
+def _worst_partial_error(pairs, n_x, n_u, n_points, seed, tol, sampler, what):
+    """Worst relative error |analytic - fd| / max(1, |analytic|) over the
+    (analytic, fd) pairs that ``pairs(t, x, u)`` yields at each sampled
+    point (``sampler(rng)``, else standard normals); raises
+    ConfigurationError when it exceeds ``tol`` or is NaN."""
+    rng = philox_rng(seed)
+    errors = [0.0]
     for _ in range(n_points):
         if sampler is not None:
             t, x, u = sampler(rng)
         else:
             t = float(rng.uniform(0.0, 1.0))
-            x = rng.standard_normal(system.state_dim)
-            u = rng.standard_normal(system.control_dim)
-
-        pairs = [
-            (system.drift_dx(t, x, u), fd(lambda z: system.drift(t, z, u), x)),
-            (system.drift_du(t, x, u), fd(lambda z: system.drift(t, x, z), u)),
-            (
-                system.diffusion_dx(t, x, u),
-                np.moveaxis(fd(lambda z: system.diffusion(t, z, u), x), 1, 0),
-            ),
-            (
-                system.diffusion_du(t, x, u),
-                np.moveaxis(fd(lambda z: system.diffusion(t, x, z), u), 1, 0),
-            ),
-        ]
-        if system.milstein_dx is not None:
-            pairs.append(
-                (system.milstein_dx(t, x, u), fd(lambda z: milstein_terms(system, t, z, u), x))
-            )
-        if system.milstein_du is not None:
-            pairs.append(
-                (system.milstein_du(t, x, u), fd(lambda z: milstein_terms(system, t, x, z), u))
-            )
-        for analytic, approx in pairs:
-            worst = max(worst, rel_err(np.asarray(analytic), approx))
-    if worst > tol:
+            x = rng.standard_normal(n_x)
+            u = rng.standard_normal(n_u)
+        for analytic, approx in pairs(t, x, u):
+            analytic = np.asarray(analytic)
+            if analytic.size:
+                errors.append(np.max(np.abs(analytic - approx) / np.maximum(1.0, np.abs(analytic))))
+    worst = float(np.max(errors))  # np.max keeps a NaN, where max() would drop it
+    if not worst <= tol:
         raise ConfigurationError(
-            f"analytic partials disagree with finite differences: {worst:.3e} > {tol:.1e}"
+            f"{what} disagree with finite differences: {worst:.3e} > {tol:.1e}"
         )
     return worst
+
+
+def self_check_partials(system, n_points=100, seed=0, tol=1e-5, sampler=None):
+    """Compare analytic partials against central finite differences.
+
+    Returns the worst relative error over sampled (t, x, u) points; raises
+    ConfigurationError when it exceeds `tol` or is NaN.  `sampler(rng)` may
+    supply domain-appropriate points; the default samples standard normals.
+    """
+    fd = central_difference
+
+    def pairs(t, x, u):
+        yield system.drift_dx(t, x, u), fd(lambda z: system.drift(t, z, u), x)
+        yield system.drift_du(t, x, u), fd(lambda z: system.drift(t, x, z), u)
+        # .T puts the noise channel first, as in diffusion_dx / diffusion_du
+        yield system.diffusion_dx(t, x, u), fd(lambda z: system.diffusion(t, z, u).T, x)
+        yield system.diffusion_du(t, x, u), fd(lambda z: system.diffusion(t, x, z).T, u)
+        if system.milstein_dx is not None:
+            yield system.milstein_dx(t, x, u), fd(lambda z: milstein_terms(system, t, z, u), x)
+        if system.milstein_du is not None:
+            yield system.milstein_du(t, x, u), fd(lambda z: milstein_terms(system, t, x, z), u)
+
+    n_x, n_u = system.state_dim, system.control_dim
+    return _worst_partial_error(pairs, n_x, n_u, n_points, seed, tol, sampler, "analytic partials")
 
 
 def dump_trajectory_csv(traj: Trajectory, fileobj, state_names=None, control_names=None):

@@ -1,8 +1,9 @@
 """Cost evaluation and path-wise gradients d J / d theta.
 
-Every evaluator sweeps one stored trajectory: ``forward_states`` takes the
-steps (``step_control`` is the only copy of the Euler/Milstein update) and
-``_quadrature`` sums the cost.  Three estimators differentiate that cost:
+Every evaluator steps through ``sdecore._walk``, the one loop over grid steps,
+and sums the cost with ``_quadrature`` over the (x_k, u_k) it yields, stored
+by ``forward_states`` or streamed (the FD oracle).  ``step_control`` is the one
+copy of the Euler/Milstein update.  Three estimators differentiate the cost:
 
 * ``forward_sensitivity`` pushes the state-vs-parameter sensitivity matrix
   forward along the stored trajectory through the exact Jacobians of the
@@ -13,7 +14,7 @@ steps (``step_control`` is the only copy of the Euler/Milstein update) and
   the exact discrete adjoint, so the gradient of the discretized cost and
   the discretized gradient coincide.
 * ``finite_difference_gradient`` central-differences the discretized cost on
-  the same Brownian path, one coordinate at a time.
+  the same Brownian path, all +-h coordinate perturbations in one batch.
 
 Ito-specified systems are used as-is (the Ito-Milstein forward scheme is
 algebraically identical to Stratonovich-Milstein on the converted system);
@@ -32,6 +33,7 @@ running-cost gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -41,10 +43,11 @@ from .sdecore import (
     Calculus,
     EULER_MARUYAMA,
     MILSTEIN_ITO,
+    _walk,
+    _worst_partial_error,
     central_difference,
     convert_calculus,
     forward_states,
-    step_control,
     step_partials,
 )
 from .wiener import WienerPath
@@ -140,13 +143,16 @@ def _quadrature_weights(cost, grid) -> np.ndarray:
     return weights
 
 
-def _quadrature(cost, grid, states, controls):
-    """Discretized cost over stored states/controls; batch axes preserved."""
+def _quadrature(cost, grid, points):
+    """Discretized cost over the (x_k, u_k) of grid points k = 0..n_steps,
+    stored (``zip(states, controls)``) or streamed (``_walk``); batch axes
+    preserved."""
     weights = _quadrature_weights(cost, grid)
     total = 0.0
-    for k in np.flatnonzero(weights).tolist():
-        total = total + cost.running(grid.time(k), states[k], controls[k]) * weights[k]
-    return total + cost.terminal(states[-1], controls[-1])
+    for k, (x, u) in enumerate(points):
+        if weights[k]:
+            total = total + cost.running(grid.time(k), x, u) * weights[k]
+    return total + cost.terminal(x, u)
 
 
 def _forward_pass(system, policy, cost, x0, increments, grid, scheme, check="raise"):
@@ -156,7 +162,7 @@ def _forward_pass(system, policy, cost, x0, increments, grid, scheme, check="rai
     weights = _quadrature_weights(cost, grid)
     states, controls = forward_states(sys_i, policy, x0, increments, grid, scheme, check)
     with np.errstate(all="ignore"):
-        value = _quadrature(cost, grid, states, controls)
+        value = _quadrature(cost, grid, zip(states, controls))
     return sys_i, scheme, weights, states, controls, value
 
 
@@ -372,26 +378,19 @@ def _perturbed_eval(policy, plan, a, bufs):
 
 
 def _eval_cost_perturbed(system, policy, cost, x0, increments, grid, idx, h_signed, scheme):
-    """Discretized cost for a batch of one-coordinate theta perturbations,
-    all driven by the same stored increments.  States are streamed, not
-    stored: the batch holds one row per perturbation, and the network runs
-    through layer buffers allocated once per call."""
+    """Discretized cost for a batch of one-coordinate theta perturbations, one
+    row each, on the same stored increments: ``_walk`` streams the states into
+    ``_quadrature`` and stores none.  The network runs through layer buffers
+    allocated once per call; the control is the output buffer, which the
+    quadrature and the step are done with before the next pass overwrites it."""
     plan = _perturbation_plan(policy, idx, h_signed)
     bufs = [np.empty((len(idx), w.shape[0])) for w in policy.weights]
+    perturbed = SimpleNamespace(
+        control=lambda t, x: _perturbed_eval(policy, plan, policy.net_input(t, x), bufs)
+    )
     x = np.tile(np.asarray(x0, dtype=float), (len(idx), 1))
-    weights = _quadrature_weights(cost, grid)
-    total = np.zeros(len(idx))
     with np.errstate(all="ignore"):
-        for k in range(grid.n_steps + 1):
-            t = grid.time(k)
-            # u is the output buffer: the cost and the step are done with it
-            # before the next pass overwrites it.
-            u = _perturbed_eval(policy, plan, policy.net_input(t, x), bufs)
-            if weights[k]:
-                total += weights[k] * cost.running(t, x, u)
-            if k == grid.n_steps:
-                return total + cost.terminal(x, u)
-            x = step_control(system, None, t, x, u, grid.dt, increments[k], scheme)
+        return _quadrature(cost, grid, _walk(system, perturbed, x, increments, grid, scheme))
 
 
 def finite_difference_gradient(
@@ -406,8 +405,8 @@ def finite_difference_gradient(
     nothing per step.
     """
     _require_policy(policy)
-    if h_rel <= 0:
-        raise ConfigurationError(f"h_rel must be positive, got {h_rel}")
+    if not 0 < h_rel < np.inf:
+        raise ConfigurationError(f"h_rel must be positive and finite, got {h_rel}")
     sys_i, scheme = _ito_form(system, scheme)
     theta0 = policy.get_params()
     n_theta = theta0.size
@@ -443,15 +442,15 @@ def finite_difference_gradient(
 def gradient_agreement(a, b, floor=1e-8):
     """(cosine similarity, max coordinate-relative error) between gradients.
 
-    The relative error of coordinate j is |a_j - b_j| / max(|a_j|, |b_j|) and
-    is measured only where that magnitude exceeds `floor`.
+    Coordinate j's relative error |a_j - b_j| / max(|a_j|, |b_j|) counts where
+    that magnitude exceeds `floor`; a NaN coordinate makes both values NaN.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    cosine = float(a @ b / (na * nb)) if na > 0 and nb > 0 else 1.0
+    cosine = float(a @ b / (na * nb)) if na != 0 and nb != 0 else 1.0
     mags = np.maximum(np.abs(a), np.abs(b))
-    mask = mags > floor
+    mask = ~(mags <= floor)
     max_rel = float(np.max(np.abs(a - b)[mask] / mags[mask])) if mask.any() else 0.0
     return cosine, max_rel
 
@@ -475,33 +474,14 @@ def write_gradient_check_csv(fd_report, forward_report, adjoint_report, fileobj,
 
 def check_cost_partials(cost, n_x, n_u, n_points=50, seed=0, tol=1e-5, sampler=None):
     """Finite-difference self-check for cost partials; returns the worst
-    relative error, raising when it exceeds `tol`."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    worst = 0.0
-    for _ in range(n_points):
-        if sampler is not None:
-            t, x, u = sampler(rng)
-        else:
-            t = float(rng.uniform(0.0, 1.0))
-            x = rng.standard_normal(n_x)
-            u = rng.standard_normal(n_u)
+    relative error, raising when it exceeds `tol` or is NaN."""
+    fd = central_difference
 
-        fd = central_difference
-        pairs = [
-            (np.asarray(cost.running_dx(t, x, u)), fd(lambda z: cost.running(t, z, u), x)),
-            (np.asarray(cost.running_du(t, x, u)), fd(lambda z: cost.running(t, x, z), u)),
-            (np.asarray(cost.terminal_dx(x, u)), fd(lambda z: cost.terminal(z, u), x)),
-        ]
+    def pairs(t, x, u):
+        yield cost.running_dx(t, x, u), fd(lambda z: cost.running(t, z, u), x)
+        yield cost.running_du(t, x, u), fd(lambda z: cost.running(t, x, z), u)
+        yield cost.terminal_dx(x, u), fd(lambda z: cost.terminal(z, u), x)
         if cost.terminal_du is not None:
-            pairs.append(
-                (np.asarray(cost.terminal_du(x, u)), fd(lambda z: cost.terminal(x, z), u))
-            )
-        for analytic, approx in pairs:
-            denom = np.maximum(1.0, np.abs(analytic))
-            if analytic.size:
-                worst = max(worst, float(np.max(np.abs(analytic - approx) / denom)))
-    if worst > tol:
-        raise ConfigurationError(
-            f"cost partials disagree with finite differences: {worst:.3e} > {tol:.1e}"
-        )
-    return worst
+            yield cost.terminal_du(x, u), fd(lambda z: cost.terminal(x, z), u)
+
+    return _worst_partial_error(pairs, n_x, n_u, n_points, seed, tol, sampler, "cost partials")

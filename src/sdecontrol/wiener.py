@@ -18,6 +18,7 @@ __all__ = [
     "TimeGrid",
     "WienerPath",
     "BackwardWienerPath",
+    "philox_rng",
     "generate_path",
     "cumulative_values",
     "reverse_path",
@@ -124,11 +125,18 @@ class BackwardWienerPath:
         return fwd - fwd[-1]
 
 
+def philox_rng(seed: int) -> np.random.Generator:
+    """Philox stream keyed by ``seed``, which must lie in [0, 2**128)."""
+    if not 0 <= seed < 2**128:
+        raise ConfigurationError(f"seed must be in [0, 2**128), got {seed}")
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
 def generate_path(seed: int, grid: TimeGrid, dims: int) -> WienerPath:
     """Sample a Wiener path; a pure function of (seed, grid, dims)."""
     if dims < 1:
         raise ConfigurationError(f"dims must be >= 1, got {dims}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = philox_rng(seed)
     increments = rng.standard_normal((grid.n_steps, dims)) * np.sqrt(grid.dt)
     return WienerPath(grid=grid, dims=dims, increments=increments, seed=seed)
 

@@ -177,6 +177,7 @@ class TestCliContract:
             "checkpoint_every = -1",
             "grid_resolution = 1",
             "grid_s_max = inf",
+            "nu = ",
         ],
     )
     def test_bad_experiment_size_exits_2_before_training(self, smoke_cfg, tmp_path, capsys, line):
@@ -186,6 +187,75 @@ class TestCliContract:
         assert main(["train", "--config", smoke_cfg, "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not list(tmp_path.glob("**/trainlog_*.csv"))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "grad_tol = nan",
+            "grad_tol = inf",
+            "cosine_tol = nan",
+            "cosine_tol = -inf",
+            "fd_step = nan",
+            "fd_step = inf",
+            "fd_step = 0",
+            "fd_step = -1e-5",
+        ],
+    )
+    def test_grad_check_bad_tolerance_or_step_exits_2_before_estimators(
+        self, smoke_cfg, tmp_path, capsys, monkeypatch, line
+    ):
+        def no_estimator(*args, **kwargs):
+            raise AssertionError("an estimator ran")
+
+        for name in ("forward_sensitivity", "adjoint_gradient", "finite_difference_gradient"):
+            monkeypatch.setattr(cli, name, no_estimator)
+        with open(smoke_cfg, "a") as fh:
+            fh.write(line + "\n")
+        assert main(["grad-check", "--config", smoke_cfg, "--out", str(tmp_path / "gc")]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "gc").exists()
+
+    def test_grad_check_gate_fails_on_nan_agreement(self, smoke_cfg, tmp_path, capsys, monkeypatch):
+        # A NaN coordinate gives a NaN cosine, which no comparison with a
+        # tolerance may pass.
+        real_adjoint = cli.adjoint_gradient
+
+        def nan_adjoint(*args, **kwargs):
+            report = real_adjoint(*args, **kwargs)
+            grad = report.grad.copy()
+            grad[0] = np.nan
+            return dataclasses.replace(report, grad=grad)
+
+        monkeypatch.setattr(cli, "adjoint_gradient", nan_adjoint)
+        code = main(["grad-check", "--config", smoke_cfg, "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.count("FAIL") == 2
+        assert "ok " not in captured.out
+
+    @pytest.mark.parametrize("agreement", [(np.nan, 0.0), (1.0, np.nan)], ids=["cosine", "max_rel"])
+    def test_grad_check_gate_fails_on_nan_metric(self, smoke_cfg, tmp_path, capsys, monkeypatch, agreement):
+        monkeypatch.setattr(cli, "gradient_agreement", lambda a, b: agreement)
+        code = main(["grad-check", "--config", smoke_cfg, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.count("FAIL") == 2
+
+    @pytest.mark.parametrize(
+        "verb, line, flags",
+        [
+            ("grad-check", "", ["--seed", "-1"]),
+            ("grad-check", "", ["--seed", str(2**128)]),
+            ("grad-check", "policy_seed = -1", []),
+            ("train", "policy_seed = -1", []),
+        ],
+        ids=["grad-check-seed", "grad-check-big-seed", "grad-check-policy-seed", "train-policy-seed"],
+    )
+    def test_out_of_range_seed_exits_2(self, smoke_cfg, tmp_path, capsys, verb, line, flags):
+        with open(smoke_cfg, "a") as fh:
+            fh.write(line + "\n")
+        assert main([verb, "--config", smoke_cfg, "--out", str(tmp_path / "out"), *flags]) == 2
+        assert "seed must be in [0, 2**128)" in capsys.readouterr().err
+        assert not list(tmp_path.glob("**/*.csv"))
 
     def test_grad_check_zero_tolerance_fails(self, smoke_cfg, tmp_path, capsys):
         with open(smoke_cfg, "a") as fh:

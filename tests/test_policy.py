@@ -273,6 +273,11 @@ class TestInitParams:
         with pytest.raises(ConfigurationError):
             init_params([2, 0, 1], seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_philox_key_range(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            init_params([2, 4, 2], seed=seed)
+
     def test_flatten_roundtrip(self):
         policy = init_params([2, 8, 3], seed=4)
         theta = policy.get_params()
@@ -286,6 +291,22 @@ class TestInitParams:
 
 
 class TestCheckpoint:
+    def test_unseeded_policy_round_trips(self, tmp_path):
+        # The header stores a missing seed as -1; loading maps it back to None.
+        policy = init_params([2, 4, 2], seed=3)
+        policy.seed = None
+        save_policy(policy, tmp_path / "policy.txt")
+        loaded = load_policy(tmp_path / "policy.txt")
+        assert loaded.seed is None
+        assert np.array_equal(loaded.get_params(), policy.get_params())
+
+    def test_seed_outside_philox_key_range_rejected(self, tmp_path):
+        path = tmp_path / "policy.txt"
+        save_policy(init_params([2, 4, 2], seed=3), path)
+        path.write_text(path.read_text().replace("seed: 3", f"seed: {2**128}"))
+        with pytest.raises(ConfigurationError, match="seed"):
+            load_policy(path)
+
     def test_round_trip_bit_equality(self, tmp_path):
         policy = init_params([2, 32, 32, 32, 2], seed=7)
         policy.set_params(policy.get_params() * 1.2345)

@@ -425,6 +425,12 @@ class TestSelfCheckPartials:
             self_check_partials(bad, n_points=10)
         del one
 
+    def test_nan_partial_fails(self):
+        # A running max(worst, err) would drop the NaN: max(0.0, nan) is 0.0.
+        nan_dx = lambda t, x, u: np.full(np.shape(x) + (1,), np.nan)  # noqa: E731
+        with pytest.raises(ConfigurationError, match="nan"):
+            self_check_partials(replace(gbm_system(), drift_dx=nan_dx), n_points=10)
+
 
 def test_central_difference_batch_axes_and_zero_width():
     z = np.array([[1.0, 2.0], [-3.0, 0.5]])

@@ -456,6 +456,32 @@ class TestFiniteDifference:
         with pytest.raises(ConfigurationError):
             finite_difference_gradient(system, policy, cost, x0, path, h_rel=0.0)
 
+    @pytest.mark.parametrize("h_rel", [np.nan, np.inf])
+    def test_non_finite_step_rejected(self, h_rel):
+        system, cost, x0, policy = build_grad_check_problem("gbm")
+        path = generate_path(0, TimeGrid(0.0, 1.0, 4), 1)
+        with pytest.raises(ConfigurationError, match="finite"):
+            finite_difference_gradient(system, policy, cost, x0, path, h_rel=h_rel)
+
+    def test_oracle_steps_through_the_shared_walk(self, monkeypatch):
+        # On a K-step path the perturbed batch and the base eval_cost each
+        # take K steps, all through sdecore.step_control.
+        import sdecontrol.sdecore as sdecore
+
+        real, rows = sdecore.step_control, []
+
+        def counting(system, control_fn, t, x, *args):
+            rows.append(np.shape(x)[0] if np.ndim(x) > 1 else None)
+            return real(system, control_fn, t, x, *args)
+
+        monkeypatch.setattr(sdecore, "step_control", counting)
+        system, cost, x0, policy = build_grad_check_problem("gbm", hidden_dims=(4,))
+        K = 16
+        path = generate_path(0, TimeGrid(0.0, 1.0, K), 1)
+        finite_difference_gradient(system, policy, cost, x0, path)
+        assert len(rows) == 2 * K
+        assert rows.count(2 * policy.n_params) == K
+
     def test_perturbed_batch_rows_match_explicit_perturbations(self):
         # Each row of the batch must be the cost at theta +- h e_j, so a
         # stale or aliased layer buffer or a wrong scatter plan shows here.
@@ -516,6 +542,13 @@ class TestAgreementHelpers:
         _, rel = gradient_agreement(a, b, floor=1e-8)
         assert rel == 0.0
 
+    def test_nan_coordinate_gives_nan_agreement(self):
+        a = np.array([np.nan, 1.0, 2.0])
+        b = np.array([1.0, 1.0, 2.0])
+        for x, y in ((a, b), (b, a)):
+            cosine, rel = gradient_agreement(x, y)
+            assert np.isnan(cosine) and np.isnan(rel)
+
     def test_csv_report(self):
         system, cost, x0, policy = build_grad_check_problem("gbm", hidden_dims=(4,))
         path = generate_path(0, TimeGrid(0.0, 1.0, 32), 1)
@@ -531,3 +564,12 @@ class TestAgreementHelpers:
 
 def test_check_cost_partials_on_benchmark_cost():
     assert check_cost_partials(controlled_gbm_cost(), n_x=1, n_u=1, n_points=20) < 1e-5
+
+
+@pytest.mark.parametrize("offset, shown", [(1.0, "cost partials disagree"), (np.nan, "nan >")])
+def test_check_cost_partials_rejects_bad_partial(offset, shown):
+    # offset = NaN: a running max(worst, err) would drop it, max(0.0, nan) being 0.0.
+    cost = controlled_gbm_cost()
+    bad = dataclasses.replace(cost, running_dx=lambda t, x, u: cost.running_dx(t, x, u) + offset)
+    with pytest.raises(ConfigurationError, match=shown):
+        check_cost_partials(bad, n_x=1, n_u=1, n_points=5)

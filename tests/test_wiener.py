@@ -82,6 +82,14 @@ class TestGeneratePath:
         with pytest.raises(ConfigurationError):
             generate_path(0, TimeGrid(0.0, 1.0, 4), 0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_philox_key_range(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            generate_path(seed, TimeGrid(0.0, 1.0, 4), 1)
+
+    def test_largest_seed_accepted(self):
+        assert generate_path(2**128 - 1, TimeGrid(0.0, 1.0, 4), 1).seed == 2**128 - 1
+
     def test_terminal_variance_matches_horizon(self):
         # Var(B_1) = 1; 1e5 samples give standard error sqrt(2/N) ~ 0.0045
         grid = TimeGrid(0.0, 1.0, 1)
