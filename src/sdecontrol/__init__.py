@@ -17,13 +17,9 @@ from .errors import (
     UnsupportedSchemeError,
 )
 from .wiener import (
-    BackwardWienerPath,
     TimeGrid,
     WienerPath,
-    coarsen_path,
-    cumulative_values,
     generate_path,
-    reverse_path,
 )
 from .sdecore import (
     Calculus,
@@ -34,10 +30,8 @@ from .sdecore import (
     MILSTEIN_STRATONOVICH,
     Trajectory,
     convert_calculus,
-    euler_maruyama_step,
     integrate,
     integrate_backward,
-    milstein_step,
     self_check_partials,
 )
 from .policy import Activation, MlpPolicy, init_params, load_policy, save_policy

@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from .benchmarks import GRAD_CHECK_SYSTEMS, build_grad_check_problem
-from .config import load_config
+from .config import load_config, parse_value
 from .errors import SdeControlError, ConfigurationError
 from .optim import TrainConfig
 from .policy import load_policy
@@ -87,7 +87,7 @@ def _apply_overrides(cfg, args):
     if args.seed is not None:
         cfg["base_seed"] = args.seed
     if getattr(args, "nu", None):
-        cfg["nu"] = tuple(float(v) for v in args.nu.split(","))
+        cfg["nu"] = parse_value("nu", args.nu)
     if getattr(args, "system", None):
         cfg["system"] = args.system
     return cfg

@@ -12,7 +12,7 @@ import os
 
 from .errors import ConfigurationError
 
-__all__ = ["CONFIG_SPEC", "default_config", "parse_value", "load_config", "format_config"]
+__all__ = ["CONFIG_SPEC", "default_config", "parse_value", "load_config"]
 
 
 def _parse_float_list(text):
@@ -104,17 +104,3 @@ def load_config(path=None) -> dict:
             cfg[key.strip()] = parse_value(key.strip(), value)
     return cfg
 
-
-def format_config(cfg: dict) -> str:
-    """Round-trippable key=value text; floats at 17 significant digits."""
-    lines = []
-    for key in CONFIG_SPEC:
-        val = cfg[key]
-        if isinstance(val, float):
-            text = f"{val:.17g}"
-        elif isinstance(val, tuple):
-            text = ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in val)
-        else:
-            text = str(val)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"

@@ -124,7 +124,6 @@ class TrainConfig:
     optimizer: str = "adam"
     direction: str = "minimize"
     base_seed: int = 0
-    scheme: Optional[str] = None
     checkpoint_every: int = 0
     checkpoint_dir: Optional[str] = None
 
@@ -166,7 +165,7 @@ class TrainLog:
             fileobj.write(",".join(f"{r[c]:.17g}" for c in cols) + "\n")
 
 
-def batch_gradient(system, policy, cost, x0, base_seed, iteration, n_paths, grid, scheme=None):
+def batch_gradient(system, policy, cost, x0, base_seed, iteration, n_paths, grid):
     """Mean path-wise adjoint gradient and cost over a fresh batch of paths.
 
     All paths share one batched forward/backward sweep, ``adjoint_core``,
@@ -185,9 +184,7 @@ def batch_gradient(system, policy, cost, x0, base_seed, iteration, n_paths, grid
         [generate_path(s, grid, system.noise_dim).increments for s in seeds], axis=1
     )  # (n_steps, N, n_xi)
     x0b = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
-    grad_sum, costs, valid, _ = adjoint_core(
-        system, policy, cost, x0b, increments, grid, scheme=scheme, check="none"
-    )
+    grad_sum, costs, valid, _ = adjoint_core(system, policy, cost, x0b, increments, grid, check="none")
     n_valid = int(valid.sum())
     n_diverged = n_paths - n_valid
     if n_valid * 2 < n_paths:
@@ -219,8 +216,7 @@ def train(system, policy, cost, x0, config: TrainConfig):
     for it in range(config.iterations):
         tic = time.perf_counter()
         grad, mean_cost, n_div = batch_gradient(
-            system, policy, cost, x0, config.base_seed, it, config.batch_size, config.grid,
-            scheme=config.scheme,
+            system, policy, cost, x0, config.base_seed, it, config.batch_size, config.grid
         )
         theta = apply_update(state, theta, grad)
         policy.set_params(theta)

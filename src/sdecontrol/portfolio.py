@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .optim import TrainConfig, evaluation_seed, train
+from .optim import TrainConfig, evaluation_seed, path_seed, train
 from .policy import MlpPolicy, init_params, save_policy
 from .sdecore import (
     Calculus,
@@ -29,7 +29,7 @@ from .sdecore import (
     integrate,
 )
 from .sensitivity import CostFunctional, _quadrature
-from .wiener import TimeGrid, generate_path
+from .wiener import TimeGrid, generate_path, philox_rng
 
 __all__ = [
     "MarketParams",
@@ -372,13 +372,18 @@ def run_experiment(
 
     Per nu the output directory receives trainlog_nu<nu>.csv, checkpoint
     policy_nu<nu>.txt, traj_nu<nu>_seed<k>.csv and policygrid_nu<nu>.csv.
-    Returns {nu: ExperimentResult}.  The nu list, evaluation sizes and the
-    policy grid are checked before any training.
+    Returns {nu: ExperimentResult}.  The nu list, evaluation sizes, the
+    policy grid and the largest derived path seeds are checked before any
+    training.
     """
     if len(nu_values) == 0:
         raise ConfigurationError("nu needs at least one risk weight")
     _check_evaluation_sizes(eval_paths, trajectory_dumps)
     _check_policy_grid(grid_s_range, grid_v_range, grid_resolution)
+    # philox_rng raises ConfigurationError for a seed outside the Philox key range.
+    base, last = train_config.base_seed, train_config.iterations - 1
+    philox_rng(path_seed(base, last, train_config.batch_size - 1))
+    philox_rng(evaluation_seed(base, eval_paths - 1))
     os.makedirs(out_dir, exist_ok=True)
     results = {}
     for nu in nu_values:

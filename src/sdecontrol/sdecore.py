@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, UnsupportedSchemeError
-from .wiener import TimeGrid, WienerPath, BackwardWienerPath, philox_rng
+from .wiener import TimeGrid, WienerPath, philox_rng
 
 __all__ = [
     "Calculus",
@@ -41,8 +41,6 @@ __all__ = [
     "MILSTEIN_STRATONOVICH",
     "EULER_HEUN",
     "default_scheme",
-    "euler_maruyama_step",
-    "milstein_step",
     "integrate",
     "integrate_backward",
     "convert_calculus",
@@ -259,28 +257,6 @@ def step_partials(system, t, x, u, dt, dB, scheme):
     return jx, ju
 
 
-def euler_maruyama_step(system, policy, t, x, dt, dB):
-    """Euler-Maruyama step x + f dt + g dB (Ito systems)."""
-    if system.calculus is not Calculus.ITO:
-        raise ConfigurationError("euler_maruyama_step requires an Ito system")
-    u = control_value(policy, t, x, system.control_dim)
-    out = step_control(system, None, t, x, u, dt, dB, EULER_MARUYAMA)
-    _raise_if_divergent(out, step_index=None)
-    return out
-
-
-def milstein_step(system, policy, t, x, dt, dB):
-    """Milstein step in the system's calculus; the Ito variant weights the
-    correction by (dB^2 - dt), the Stratonovich variant by dB^2 (realized
-    derivative-free)."""
-    _require_diagonal_noise(system)
-    u = control_value(policy, t, x, system.control_dim)
-    control_fn = None if policy is None else policy.control
-    out = step_control(system, control_fn, t, x, u, dt, dB, default_scheme(system.calculus))
-    _raise_if_divergent(out, step_index=None)
-    return out
-
-
 def _raise_if_divergent(x, step_index):
     if not np.all(np.isfinite(x)):
         raise DivergenceError(
@@ -369,13 +345,12 @@ def _reverse_walk(grid, increments):
     return walk, -np.asarray(increments)[::-1]
 
 
-def integrate_backward(
-    system, policy, xT, backward_path: BackwardWienerPath, scheme=None
-) -> Trajectory:
-    """Integrate the inverse flow from xT back to t_start.
+def integrate_backward(system, policy, xT, path: WienerPath, scheme=None) -> Trajectory:
+    """Integrate the inverse flow from xT back to t_start along the forward
+    ``path``.
 
     Ito systems are converted to Stratonovich form first; the Stratonovich
-    scheme then runs over the reversed walk of the stored forward increments.
+    scheme then runs over the reversed walk of the path's increments.
     Returned states are in forward time order (states[-1] == xT), and a
     DivergenceError names the forward step k, from grid point k to k + 1,
     whose reverse step left a non-finite state.
@@ -384,8 +359,8 @@ def integrate_backward(
         system = convert_calculus(system)
     scheme = scheme or MILSTEIN_STRATONOVICH
     _check_scheme(system, scheme)
-    grid = backward_path.grid
-    walk, increments = _reverse_walk(grid, backward_path.increments)
+    grid = path.grid
+    walk, increments = _reverse_walk(grid, path.increments)
     try:
         states, controls = forward_states(system, policy, xT, increments, walk, scheme)
     except DivergenceError as exc:

@@ -16,10 +16,10 @@ copy of the Euler/Milstein update.  Three estimators differentiate the cost:
 * ``finite_difference_gradient`` central-differences the discretized cost on
   the same Brownian path, all +-h coordinate perturbations in one batch.
 
-Ito-specified systems are used as-is (the Ito-Milstein forward scheme is
-algebraically identical to Stratonovich-Milstein on the converted system);
-Stratonovich-specified systems are converted to Ito form before
-differentiation.
+Every evaluator integrates with the Ito-Milstein scheme.  Ito-specified
+systems are used as-is (the Ito-Milstein forward scheme is algebraically
+identical to Stratonovich-Milstein on the converted system);
+Stratonovich-specified systems are converted to Ito form first.
 
 Quadrature convention: all estimators and the evaluators weight the running
 cost at grid point k by the same ``_quadrature_weights(cost, grid)[k]``: dt on
@@ -41,7 +41,6 @@ import numpy as np
 from .errors import CapacityError, ConfigurationError, DivergenceError
 from .sdecore import (
     Calculus,
-    EULER_MARUYAMA,
     MILSTEIN_ITO,
     _walk,
     _worst_partial_error,
@@ -91,8 +90,6 @@ class CostFunctional:
 @dataclass
 class GradientReport:
     grad: np.ndarray
-    estimator: str
-    path_seed: int
     cost_value: float
 
 
@@ -107,14 +104,9 @@ class AdjointState:
 # -- plumbing ---------------------------------------------------------------
 
 
-def _ito_form(system, scheme):
-    """(system in Ito form, Ito scheme), the pair every estimator integrates."""
-    scheme = scheme or MILSTEIN_ITO
-    if scheme not in (MILSTEIN_ITO, EULER_MARUYAMA):
-        raise ConfigurationError(
-            f"gradient estimators integrate with Ito schemes, got {scheme!r}"
-        )
-    return (system if system.calculus is Calculus.ITO else convert_calculus(system)), scheme
+def _ito_form(system):
+    """The system in Ito form, which every estimator integrates."""
+    return system if system.calculus is Calculus.ITO else convert_calculus(system)
 
 
 def _require_policy(policy):
@@ -155,15 +147,15 @@ def _quadrature(cost, grid, points):
     return total + cost.terminal(x, u)
 
 
-def _forward_pass(system, policy, cost, x0, increments, grid, scheme, check="raise"):
-    """(Ito system, scheme, quadrature weights, states, controls, cost) of the
-    stored trajectory; batch axes are kept, NaN lanes too with check="none"."""
-    sys_i, scheme = _ito_form(system, scheme)
+def _forward_pass(system, policy, cost, x0, increments, grid, check="raise"):
+    """(Ito system, quadrature weights, states, controls, cost) of the stored
+    trajectory; batch axes are kept, NaN lanes too with check="none"."""
+    sys_i = _ito_form(system)
     weights = _quadrature_weights(cost, grid)
-    states, controls = forward_states(sys_i, policy, x0, increments, grid, scheme, check)
+    states, controls = forward_states(sys_i, policy, x0, increments, grid, MILSTEIN_ITO, check)
     with np.errstate(all="ignore"):
         value = _quadrature(cost, grid, zip(states, controls))
-    return sys_i, scheme, weights, states, controls, value
+    return sys_i, weights, states, controls, value
 
 
 def _terminal_partials(cost, grid, weights, states, controls):
@@ -183,9 +175,9 @@ def _terminal_partials(cost, grid, weights, states, controls):
 # -- public cost evaluation -------------------------------------------------
 
 
-def eval_cost(system, policy, cost, x0, path: WienerPath, scheme=None) -> float:
+def eval_cost(system, policy, cost, x0, path: WienerPath) -> float:
     """Discretized cost along the trajectory driven by `path`."""
-    *_, value = _forward_pass(system, policy, cost, x0, path.increments, path.grid, scheme)
+    *_, value = _forward_pass(system, policy, cost, x0, path.increments, path.grid)
     value = float(value)
     if not np.isfinite(value):
         raise DivergenceError("cost evaluation produced a non-finite value")
@@ -195,7 +187,7 @@ def eval_cost(system, policy, cost, x0, path: WienerPath, scheme=None) -> float:
 # -- forward sensitivity ----------------------------------------------------
 
 
-def forward_sensitivity(system, policy, cost, x0, path, scheme=None) -> GradientReport:
+def forward_sensitivity(system, policy, cost, x0, path) -> GradientReport:
     """Gradient via the parameter sensitivity S_k = dx_k/dtheta, pushed
     forward through the step Jacobians of the stored trajectory."""
     _require_policy(policy)
@@ -206,8 +198,8 @@ def forward_sensitivity(system, policy, cost, x0, path, scheme=None) -> Gradient
             f"(limit {_SENS_CAPACITY}); use the adjoint estimator"
         )
     grid = path.grid
-    sys_i, scheme, weights, states, controls, value = _forward_pass(
-        system, policy, cost, x0, path.increments, grid, scheme
+    sys_i, weights, states, controls, value = _forward_pass(
+        system, policy, cost, x0, path.increments, grid
     )
     S = np.zeros((n_x, n_theta))
     grad = np.zeros(n_theta)
@@ -217,15 +209,13 @@ def forward_sensitivity(system, policy, cost, x0, path, scheme=None) -> Gradient
         w = weights[k]
         if w:
             grad += w * (cost.running_dx(t, x, u) @ S + cost.running_du(t, x, u) @ chain)
-        jx, ju = step_partials(sys_i, t, x, u, grid.dt, path.increments[k], scheme)
+        jx, ju = step_partials(sys_i, t, x, u, grid.dt, path.increments[k], MILSTEIN_ITO)
         S = jx @ S + ju @ chain
     cx, cu = _terminal_partials(cost, grid, weights, states, controls)
     grad += cx @ S
     if cu is not None:
         grad += cu @ _total_du_dtheta(policy, grid.time(grid.n_steps), states[-1], S)
-    return GradientReport(
-        grad=grad, estimator="forward", path_seed=path.seed, cost_value=float(value)
-    )
+    return GradientReport(grad=grad, cost_value=float(value))
 
 
 # -- adjoint ----------------------------------------------------------------
@@ -241,9 +231,7 @@ def _pull_back(policy, t, x, cu, acc):
     return cx[..., : x.shape[-1]]
 
 
-def adjoint_core(
-    system, policy, cost, x0, increments, grid, scheme=None, keep_lambda=False, check="raise"
-):
+def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, check="raise"):
     """Backward-adjoint gradient over stored forward states, summed over the
     valid lanes: ``x0`` is (N, n_x) and ``increments`` (n_steps, N, n_xi), or
     (n_x,) and (n_steps, n_xi) for one path without a lane axis.
@@ -260,8 +248,8 @@ def adjoint_core(
     lane axis the costs and the mask are 0-d.
     """
     _require_policy(policy)
-    sys_i, scheme, weights, states, controls, value = _forward_pass(
-        system, policy, cost, x0, increments, grid, scheme, check
+    sys_i, weights, states, controls, value = _forward_pass(
+        system, policy, cost, x0, increments, grid, check
     )
     costs = np.asarray(value, dtype=float)
     valid = np.asarray(np.isfinite(costs) & np.all(np.isfinite(states), axis=(0, -1)))
@@ -284,7 +272,7 @@ def adjoint_core(
             for k in range(K - 1, -1, -1):
                 t, x, u = grid.time(k), xs[k], us[k]
                 w = weights[k]
-                jx, ju = step_partials(sys_i, t, x, u, grid.dt, dbs[k], scheme)
+                jx, ju = step_partials(sys_i, t, x, u, grid.dt, dbs[k], MILSTEIN_ITO)
                 cu = np.einsum("...au,...a->...u", ju, a)
                 if w:
                     cu = cu + w * np.asarray(cost.running_du(t, x, u), dtype=float)
@@ -303,7 +291,7 @@ def adjoint_core(
     return policy.flatten_layer_grads(acc), costs, valid, lambdas
 
 
-def adjoint_gradient(system, policy, cost, x0, path, scheme=None, return_adjoint=False):
+def adjoint_gradient(system, policy, cost, x0, path, return_adjoint=False):
     """Gradient via the backward costate sweep on the stored trajectory; with
     ``cost.pointwise_times`` the costate evolves cost-free between those times
     and jumps by the running-cost gradient at each of them.  The path is one
@@ -311,13 +299,11 @@ def adjoint_gradient(system, policy, cost, x0, path, scheme=None, return_adjoint
     or costate raises DivergenceError."""
     x0 = np.asarray(x0, dtype=float)
     grad, value, valid, lambdas = adjoint_core(
-        system, policy, cost, x0, path.increments, path.grid, scheme, return_adjoint
+        system, policy, cost, x0, path.increments, path.grid, return_adjoint
     )
     if not valid:
         raise DivergenceError("adjoint sweep produced a non-finite cost or costate")
-    report = GradientReport(
-        grad=grad, estimator="adjoint", path_seed=path.seed, cost_value=float(value)
-    )
+    report = GradientReport(grad=grad, cost_value=float(value))
     return (report, AdjointState(lambdas=lambdas)) if return_adjoint else report
 
 
@@ -377,7 +363,7 @@ def _perturbed_eval(policy, plan, a, bufs):
     return a
 
 
-def _eval_cost_perturbed(system, policy, cost, x0, increments, grid, idx, h_signed, scheme):
+def _eval_cost_perturbed(system, policy, cost, x0, increments, grid, idx, h_signed):
     """Discretized cost for a batch of one-coordinate theta perturbations, one
     row each, on the same stored increments: ``_walk`` streams the states into
     ``_quadrature`` and stores none.  The network runs through layer buffers
@@ -390,12 +376,10 @@ def _eval_cost_perturbed(system, policy, cost, x0, increments, grid, idx, h_sign
     )
     x = np.tile(np.asarray(x0, dtype=float), (len(idx), 1))
     with np.errstate(all="ignore"):
-        return _quadrature(cost, grid, _walk(system, perturbed, x, increments, grid, scheme))
+        return _quadrature(cost, grid, _walk(system, perturbed, x, increments, grid, MILSTEIN_ITO))
 
 
-def finite_difference_gradient(
-    system, policy, cost, x0, path, h_rel=1e-5, scheme=None
-) -> GradientReport:
+def finite_difference_gradient(system, policy, cost, x0, path, h_rel=1e-5) -> GradientReport:
     """Central finite differences of the discretized cost over all parameter
     coordinates, every evaluation on the same Wiener path.
 
@@ -407,7 +391,7 @@ def finite_difference_gradient(
     _require_policy(policy)
     if not 0 < h_rel < np.inf:
         raise ConfigurationError(f"h_rel must be positive and finite, got {h_rel}")
-    sys_i, scheme = _ito_form(system, scheme)
+    sys_i = _ito_form(system)
     theta0 = policy.get_params()
     n_theta = theta0.size
     h = h_rel * np.maximum(1.0, np.abs(theta0))
@@ -421,19 +405,11 @@ def finite_difference_gradient(
         idx2 = np.repeat(idx, 2)
         h2 = np.repeat(h[idx], 2)
         h2[1::2] *= -1.0
-        vals = _eval_cost_perturbed(
-            sys_i, policy, cost, x0, path.increments, path.grid, idx2, h2, scheme
-        )
+        vals = _eval_cost_perturbed(sys_i, policy, cost, x0, path.increments, path.grid, idx2, h2)
         if not np.all(np.isfinite(vals)):
             raise DivergenceError("divergence during finite-difference evaluation")
         grad[idx] = (vals[2 * rows] - vals[2 * rows + 1]) / (2.0 * h[idx])
-    base = eval_cost(system, policy, cost, x0, path, scheme)
-    return GradientReport(
-        grad=grad,
-        estimator="finite_difference",
-        path_seed=path.seed,
-        cost_value=base,
-    )
+    return GradientReport(grad=grad, cost_value=eval_cost(system, policy, cost, x0, path))
 
 
 # -- comparison helpers -----------------------------------------------------

@@ -2,13 +2,14 @@
 closed-form GBM solution, the Ito/Stratonovich scheme equivalence gap, and
 inverse-flow reversibility.  Shared by the CLI and the test suite.
 
-All studies reuse one fine Brownian path per seed, coarsened by summing
-adjacent increments, so errors at every resolution are driven by the same
-noise realization.  All three studies are batched over paths: at each level
-they integrate every path in one ``forward_states`` call per scheme (the
-inverse flow runs it over the reversed walk).  The systems have no policy,
-so every step is elementwise and each lane gets the bits a one-path
-integration would.
+All studies reuse one fine Brownian path per seed, so errors at every
+resolution are driven by the same noise realization.  The fine increments
+are stacked paths-first, as (n_paths, n_steps, 1), and each level sums
+adjacent groups of them in one reshape-and-sum.  All three studies are
+batched over paths: at each level they integrate every path in one
+``forward_states`` call per scheme (the inverse flow runs it over the
+reversed walk).  The systems have no policy, so every step is elementwise
+and each lane gets the bits a one-path integration would.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .sdecore import (
     convert_calculus,
     forward_states,
 )
-from .wiener import TimeGrid, coarsen_path, generate_path
+from .wiener import TimeGrid, generate_path
 
 __all__ = [
     "fit_order",
@@ -46,7 +47,8 @@ def fit_order(n_steps_list, errors) -> float:
 
 
 def _fine_paths(seed, n_paths, t_end, min_exp, max_exp):
-    """The levels min_exp..max_exp and one fine Brownian path per seed.
+    """The levels min_exp..max_exp, the fine grid and the increments of one
+    fine Brownian path per seed, stacked as (n_paths, n_steps, 1).
 
     A study needs at least one path, as a median of none is NaN, and at
     least two levels, as neither a trend nor an order has fewer points.
@@ -56,15 +58,19 @@ def _fine_paths(seed, n_paths, t_end, min_exp, max_exp):
     if max_exp <= min_exp:
         raise ConfigurationError(f"a study needs at least two levels, got 2^{min_exp}..2^{max_exp}")
     fine = TimeGrid(0.0, t_end, 2**max_exp)
-    paths = [generate_path(seed + p, fine, 1) for p in range(n_paths)]
-    return list(range(min_exp, max_exp + 1)), paths
+    paths = np.stack([generate_path(seed + p, fine, 1).increments for p in range(n_paths)])
+    return list(range(min_exp, max_exp + 1)), fine, paths
 
 
-def _level_increments(fine_paths, factor):
-    """The coarse grid and every path's coarsened increments, stacked over
-    paths as (n_steps, n_paths, 1)."""
-    coarse = [coarsen_path(fine_path, factor) for fine_path in fine_paths]
-    return coarse[0].grid, np.stack([c.increments for c in coarse], axis=1)
+def _level_increments(fine, fine_paths, factor):
+    """The coarse grid and the sums of each path's groups of ``factor`` fine
+    increments, as (n_steps, n_paths, 1).  The sum runs along the paths-first
+    stack's unit-stride axis, which gives every path the bits of summing its
+    own increments; a steps-first stack sums along a strided axis and moves
+    the last bits at factors of 8 and more."""
+    n_paths, n_fine, _ = fine_paths.shape
+    coarse = fine_paths.reshape(n_paths, n_fine // factor, factor, 1).sum(axis=2)
+    return TimeGrid(fine.t_start, fine.t_end, n_fine // factor), coarse.transpose(1, 0, 2)
 
 
 def _end_states(system, x0, grid, increments, scheme):
@@ -90,15 +96,15 @@ def strong_convergence_study(
     Returns {scheme: {"n_steps": [...], "median_error": [...], "order": p}}.
     """
     system = gbm_system(mu=mu, sigma=sigma)
-    levels, fine_paths = _fine_paths(seed, n_paths, t_end, min_exp, max_exp)
+    levels, fine, fine_paths = _fine_paths(seed, n_paths, t_end, min_exp, max_exp)
     errors = {s: np.zeros((len(levels), n_paths)) for s in schemes}
     x0v = np.array([float(x0)])
-    b_totals = [float(fine_path.increments.sum()) for fine_path in fine_paths]
+    b_totals = [float(increments.sum()) for increments in fine_paths]
     exact_ends = np.array(
         [gbm_exact_path(x0, mu, sigma, [0.0, t_end], [0.0, b])[-1] for b in b_totals]
     )
     for li, exp in enumerate(levels):
-        grid, increments = _level_increments(fine_paths, 2 ** (max_exp - exp))
+        grid, increments = _level_increments(fine, fine_paths, 2 ** (max_exp - exp))
         for scheme in schemes:
             ends = _end_states(system, x0v, grid, increments, scheme)
             errors[scheme][li] = np.abs(ends - exact_ends)
@@ -131,11 +137,11 @@ def calculus_equivalence_study(
     ito = gbm_system(mu=mu, sigma=sigma)
     strat = convert_calculus(ito)
     max_exp = min_exp + n_halvings
-    levels, fine_paths = _fine_paths(seed, n_paths, t_end, min_exp, max_exp)
+    levels, fine, fine_paths = _fine_paths(seed, n_paths, t_end, min_exp, max_exp)
     gaps = np.zeros((len(levels), n_paths))
     x0v = np.array([float(x0)])
     for li, exp in enumerate(levels):
-        grid, increments = _level_increments(fine_paths, 2 ** (max_exp - exp))
+        grid, increments = _level_increments(fine, fine_paths, 2 ** (max_exp - exp))
         end_i = _end_states(ito, x0v, grid, increments, MILSTEIN_ITO)
         end_s = _end_states(strat, x0v, grid, increments, MILSTEIN_STRATONOVICH)
         gaps[li] = np.abs(end_i - end_s)
@@ -159,11 +165,11 @@ def reversibility_study(
     system = gbm_system(mu=mu, sigma=sigma)
     strat = convert_calculus(system)
     max_exp = min_exp + n_halvings
-    levels, fine_paths = _fine_paths(seed, n_paths, t_end, min_exp, max_exp)
+    levels, fine, fine_paths = _fine_paths(seed, n_paths, t_end, min_exp, max_exp)
     errs = np.zeros((len(levels), n_paths))
     x0v = np.array([float(x0)])
     for li, exp in enumerate(levels):
-        grid, increments = _level_increments(fine_paths, 2 ** (max_exp - exp))
+        grid, increments = _level_increments(fine, fine_paths, 2 ** (max_exp - exp))
         ends = _end_states(system, x0v, grid, increments, MILSTEIN_ITO)
         walk = _reverse_walk(grid, increments)
         starts = _end_states(strat, ends[:, None], *walk, MILSTEIN_STRATONOVICH)

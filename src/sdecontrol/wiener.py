@@ -8,7 +8,7 @@ numpy release.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,13 +17,8 @@ from .errors import ConfigurationError
 __all__ = [
     "TimeGrid",
     "WienerPath",
-    "BackwardWienerPath",
     "philox_rng",
     "generate_path",
-    "cumulative_values",
-    "reverse_path",
-    "coarsen_path",
-    "dump_path_csv",
 ]
 
 
@@ -98,32 +93,6 @@ class WienerPath:
             )
         object.__setattr__(self, "increments", _freeze(inc))
 
-    def values(self) -> np.ndarray:
-        return cumulative_values(self)
-
-
-@dataclass(frozen=True)
-class BackwardWienerPath:
-    """Backward Wiener path, value-shifted so that it vanishes at t_end.
-
-    Values satisfy ``B_rev(t) = B(t) - B(t_end)``; increments over every grid
-    interval coincide with the forward ones because the constant shift cancels
-    in differences.
-    """
-
-    grid: TimeGrid
-    dims: int
-    increments: np.ndarray
-    seed: int
-    forward: WienerPath = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "increments", _freeze(self.increments))
-
-    def values(self) -> np.ndarray:
-        fwd = cumulative_values(self.forward)
-        return fwd - fwd[-1]
-
 
 def philox_rng(seed: int) -> np.random.Generator:
     """Philox stream keyed by ``seed``, which must lie in [0, 2**128)."""
@@ -139,48 +108,3 @@ def generate_path(seed: int, grid: TimeGrid, dims: int) -> WienerPath:
     rng = philox_rng(seed)
     increments = rng.standard_normal((grid.n_steps, dims)) * np.sqrt(grid.dt)
     return WienerPath(grid=grid, dims=dims, increments=increments, seed=seed)
-
-
-def cumulative_values(path) -> np.ndarray:
-    """Path values at all grid points: row k is the sum of increments j < k."""
-    inc = np.asarray(path.increments)
-    out = np.zeros((inc.shape[0] + 1, inc.shape[1]))
-    np.cumsum(inc, axis=0, out=out[1:])
-    return out
-
-
-def reverse_path(path: WienerPath) -> BackwardWienerPath:
-    """Backward path B(t) - B(t_end) sharing the forward increments."""
-    return BackwardWienerPath(
-        grid=path.grid,
-        dims=path.dims,
-        increments=path.increments,
-        seed=path.seed,
-        forward=path,
-    )
-
-
-def coarsen_path(path: WienerPath, factor: int) -> WienerPath:
-    """Sum groups of `factor` increments onto a coarser grid.
-
-    The coarse path is the restriction of the same Brownian realization to
-    every factor-th grid point; used by convergence studies so that all
-    resolutions share one noise sample.
-    """
-    if factor < 1 or path.grid.n_steps % factor != 0:
-        raise ConfigurationError(
-            f"factor {factor} does not divide n_steps={path.grid.n_steps}"
-        )
-    coarse_grid = TimeGrid(path.grid.t_start, path.grid.t_end, path.grid.n_steps // factor)
-    inc = path.increments.reshape(coarse_grid.n_steps, factor, path.dims).sum(axis=1)
-    return WienerPath(grid=coarse_grid, dims=path.dims, increments=inc, seed=path.seed)
-
-
-def dump_path_csv(path, fileobj) -> None:
-    """Write `t, B_1..B_n` rows, one per grid point, at 17 significant digits."""
-    values = path.values() if hasattr(path, "values") else cumulative_values(path)
-    times = path.grid.times()
-    header = "t," + ",".join(f"B_{i + 1}" for i in range(path.dims))
-    fileobj.write(header + "\n")
-    for t, row in zip(times, values):
-        fileobj.write(",".join(f"{v:.17g}" for v in (t, *row)) + "\n")

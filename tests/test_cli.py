@@ -257,6 +257,15 @@ class TestCliContract:
         assert "seed must be in [0, 2**128)" in capsys.readouterr().err
         assert not list(tmp_path.glob("**/*.csv"))
 
+    def test_out_of_range_derived_seed_exits_2_before_training(self, smoke_cfg, tmp_path, capsys):
+        # The base seed is in range, but evaluation_seed(base, 0) = base + 2**40
+        # is not; the run fails before it trains or writes anything.
+        out = tmp_path / "out"
+        seed = str(2**128 - 2**39)
+        assert main(["train", "--config", smoke_cfg, "--out", str(out), "--seed", seed]) == 2
+        assert "seed must be in [0, 2**128)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grad_check_zero_tolerance_fails(self, smoke_cfg, tmp_path, capsys):
         with open(smoke_cfg, "a") as fh:
             fh.write("grad_tol = 0\n")
@@ -376,6 +385,25 @@ class TestCliContract:
         for p in sorted(out_a.iterdir()):
             assert p.read_bytes() == (out_b / p.name).read_bytes(), p.name
         capsys.readouterr()
+
+    def test_bad_nu_override_exits_2(self, smoke_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--config", smoke_cfg, "--out", str(out), "--nu", "0.25,x"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_nu_override_parsed_as_the_config_line(self, smoke_cfg, tmp_path, monkeypatch):
+        # `--nu 0.25,` is accepted as the config line `nu = 0.25,` is.
+        seen = []
+
+        def record(*args, **kwargs):
+            seen.append(kwargs["nu_values"])
+            return {}
+
+        monkeypatch.setattr(cli, "run_experiment", record)
+        assert main(["train", "--config", smoke_cfg, "--out", str(tmp_path), "--nu", "0.25,"]) == 0
+        assert seen == [parse_value("nu", "0.25,")] == [(0.25,)]
 
     def test_nu_override(self, smoke_cfg, tmp_path, capsys):
         out = tmp_path / "out"

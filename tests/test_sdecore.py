@@ -23,11 +23,9 @@ from sdecontrol.sdecore import (
     control_value,
     convert_calculus,
     dump_trajectory_csv,
-    euler_maruyama_step,
     forward_states,
     integrate,
     integrate_backward,
-    milstein_step,
     milstein_terms,
     self_check_partials,
     step_control,
@@ -40,7 +38,7 @@ from sdecontrol.studies import (
     reversibility_study,
     strong_convergence_study,
 )
-from sdecontrol.wiener import TimeGrid, WienerPath, coarsen_path, generate_path, reverse_path
+from sdecontrol.wiener import TimeGrid, WienerPath, generate_path
 
 
 def scalar_system(f, g, fdx, fdu, gdx, gdu, calculus=Calculus.ITO):
@@ -69,30 +67,41 @@ def zero_path(n_steps, t_end=1.0, dims=1):
     return WienerPath(grid=grid, dims=dims, increments=np.zeros((n_steps, dims)), seed=0)
 
 
+def euler_step(system, x, dt, dB):
+    """One uncontrolled Euler-Maruyama step of ``step_control`` at t = 0."""
+    u = np.zeros(x.shape[:-1] + (system.control_dim,))
+    return step_control(system, None, 0.0, x, u, dt, dB, EULER_MARUYAMA)
+
+
+def milstein_step(system, x, dt, dB):
+    """One uncontrolled Ito-Milstein step of ``step_control`` at t = 0."""
+    u = np.zeros(x.shape[:-1] + (system.control_dim,))
+    return step_control(system, None, 0.0, x, u, dt, dB, MILSTEIN_ITO)
+
+
 class TestEulerMaruyamaStep:
     def test_zero_system_identity(self):
         x = np.array([1.5])
-        out = euler_maruyama_step(zero_system(), None, 0.0, x, 0.1, np.array([0.3]))
+        out = euler_step(zero_system(), x, 0.1, np.array([0.3]))
         assert np.array_equal(out, x)
 
     def test_pure_drift(self):
         one = lambda t, x, u: np.ones_like(x)  # noqa: E731
         zero = lambda t, x, u: np.zeros_like(x)  # noqa: E731
         system = scalar_system(one, zero, zero, zero, zero, zero)
-        out = euler_maruyama_step(system, None, 0.0, np.array([2.0]), 0.1, np.array([0.5]))
+        out = euler_step(system, np.array([2.0]), 0.1, np.array([0.5]))
         assert np.allclose(out, [2.1])
 
     def test_gbm_hand_step(self):
         # x' = 1 + 0.23*1*0.01 + 0.18*1*0.05 = 1.0113
         system = gbm_system(mu=0.23, sigma=0.18)
-        out = euler_maruyama_step(system, None, 0.0, np.array([1.0]), 0.01, np.array([0.05]))
+        out = euler_step(system, np.array([1.0]), 0.01, np.array([0.05]))
         assert np.allclose(out, [1.0113], atol=1e-15)
 
     def test_rejects_stratonovich_system(self):
+        system = zero_system(Calculus.STRATONOVICH)
         with pytest.raises(ConfigurationError):
-            euler_maruyama_step(
-                zero_system(Calculus.STRATONOVICH), None, 0.0, np.array([1.0]), 0.1, np.array([0.0])
-            )
+            integrate(system, None, np.array([1.0]), zero_path(1), EULER_MARUYAMA)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):
@@ -100,7 +109,7 @@ class TestEulerMaruyamaStep:
         zero = lambda t, x, u: np.zeros_like(x)  # noqa: E731
         system = scalar_system(big, zero, zero, zero, zero, zero)
         with pytest.raises(DivergenceError):
-            euler_maruyama_step(system, None, 0.0, np.array([1e308]), 1.0, np.array([0.0]))
+            integrate(system, None, np.array([1e308]), zero_path(1), EULER_MARUYAMA)
 
 
 class TestMilsteinStep:
@@ -109,8 +118,8 @@ class TestMilsteinStep:
         zero = lambda t, x, u: np.zeros_like(x)  # noqa: E731
         system = scalar_system(one, one, zero, zero, zero, zero)
         x = np.array([1.0])
-        em = euler_maruyama_step(system, None, 0.0, x, 0.1, np.array([0.2]))
-        mi = milstein_step(system, None, 0.0, x, 0.1, np.array([0.2]))
+        em = euler_step(system, x, 0.1, np.array([0.2]))
+        mi = milstein_step(system, x, 0.1, np.array([0.2]))
         assert np.allclose(em, mi, atol=1e-15)
 
     def test_squared_increment_equals_dt_cancels_correction(self):
@@ -118,8 +127,8 @@ class TestMilsteinStep:
         dt = 0.04
         dB = np.array([np.sqrt(dt)])
         x = np.array([1.0])
-        em = euler_maruyama_step(system, None, 0.0, x, dt, dB)
-        mi = milstein_step(system, None, 0.0, x, dt, dB)
+        em = euler_step(system, x, dt, dB)
+        mi = milstein_step(system, x, dt, dB)
         assert np.allclose(em, mi, atol=1e-15)
 
     def test_correction_value_on_gbm(self):
@@ -127,8 +136,8 @@ class TestMilsteinStep:
         system = gbm_system(mu=0.0, sigma=0.2)
         dt, dB = 0.01, np.array([0.3])
         x = np.array([2.0])
-        em = euler_maruyama_step(system, None, 0.0, x, dt, dB)
-        mi = milstein_step(system, None, 0.0, x, dt, dB)
+        em = euler_step(system, x, dt, dB)
+        mi = milstein_step(system, x, dt, dB)
         expected = 0.5 * 0.2**2 * 2.0 * (0.3**2 - dt)
         assert np.allclose(mi - em, expected, atol=1e-15)
 
@@ -146,7 +155,7 @@ class TestMilsteinStep:
             calculus=Calculus.ITO,
         )
         with pytest.raises(UnsupportedSchemeError):
-            milstein_step(system, None, 0.0, np.array([1.0]), 0.1, np.array([0.1, 0.1]))
+            integrate(system, None, np.array([1.0]), zero_path(1, dims=2), MILSTEIN_ITO)
 
     def test_milstein_terms_gbm(self):
         system = gbm_system(mu=0.0, sigma=0.3)
@@ -243,7 +252,8 @@ class TestIntegrate:
         system = gbm_system()
         path = generate_path(3, TimeGrid(0.0, 1.0, 2048), 1)
         traj = integrate(system, None, np.array([1.0]), path, MILSTEIN_ITO)
-        exact = gbm_exact_path(1.0, 0.23, 0.18, path.grid.times(), path.values()[:, 0])
+        b = np.concatenate([[0.0], np.cumsum(path.increments[:, 0])])
+        exact = gbm_exact_path(1.0, 0.23, 0.18, path.grid.times(), b)
         assert abs(traj.states[-1, 0] - exact[-1]) < 5e-3
 
     def test_scheme_calculus_mismatch(self):
@@ -306,7 +316,7 @@ class TestConvertCalculus:
 class TestIntegrateBackward:
     def test_zero_system_constant(self):
         path = zero_path(16)
-        back = integrate_backward(zero_system(), None, np.array([2.0]), reverse_path(path))
+        back = integrate_backward(zero_system(), None, np.array([2.0]), path)
         assert np.all(back.states == 2.0)
 
     def test_linear_deterministic_reversal(self):
@@ -317,21 +327,21 @@ class TestIntegrateBackward:
         system = scalar_system(minus_x, zero, minus_one, zero, zero, zero, Calculus.STRATONOVICH)
         path = zero_path(4096)
         fwd = integrate(system, None, np.array([1.0]), path, EULER_HEUN)
-        back = integrate_backward(system, None, fwd.states[-1], reverse_path(path), EULER_HEUN)
+        back = integrate_backward(system, None, fwd.states[-1], path, EULER_HEUN)
         assert abs(back.states[0, 0] - 1.0) < 1e-6
 
     def test_gbm_round_trip_small_error(self):
         system = gbm_system()
         path = generate_path(5, TimeGrid(0.0, 1.0, 1024), 1)
         fwd = integrate(system, None, np.array([1.0]), path, MILSTEIN_ITO)
-        back = integrate_backward(system, None, fwd.states[-1], reverse_path(path))
+        back = integrate_backward(system, None, fwd.states[-1], path)
         assert abs(back.states[0, 0] - 1.0) < 1e-2
 
     def test_states_in_forward_time_order(self):
         system = gbm_system()
         path = generate_path(5, TimeGrid(0.0, 1.0, 64), 1)
         fwd = integrate(system, None, np.array([1.0]), path, MILSTEIN_ITO)
-        back = integrate_backward(system, None, fwd.states[-1], reverse_path(path))
+        back = integrate_backward(system, None, fwd.states[-1], path)
         assert np.array_equal(back.states[-1], fwd.states[-1])
 
     def test_path_noise_dims_checked(self):
@@ -341,7 +351,7 @@ class TestIntegrateBackward:
         with pytest.raises(ConfigurationError, match="noise dims"):
             integrate(gbm_system(), None, np.array([1.0]), path)
         with pytest.raises(ConfigurationError, match="noise dims"):
-            integrate_backward(gbm_system(), None, np.array([1.0]), reverse_path(path))
+            integrate_backward(gbm_system(), None, np.array([1.0]), path)
 
     @pytest.mark.parametrize("scheme", [MILSTEIN_STRATONOVICH, EULER_HEUN])
     def test_time_input_policy_matches_reverse_step_loop(self, scheme):
@@ -349,7 +359,7 @@ class TestIntegrateBackward:
         policy = init_params([2, 8, 1], seed=3, with_time=True)
         path = generate_path(7, TimeGrid(0.0, 1.0, 64), 1)
         fwd = integrate(system, policy, np.array([1.0]), path, MILSTEIN_ITO)
-        back = integrate_backward(system, policy, fwd.states[-1], reverse_path(path), scheme)
+        back = integrate_backward(system, policy, fwd.states[-1], path, scheme)
         states, controls, step = reverse_step_loop(system, policy, fwd.states[-1], path, scheme)
         assert step is None
         assert np.array_equal(back.states, states)
@@ -371,7 +381,7 @@ class TestIntegrateBackward:
         *_, step = reverse_step_loop(system, None, np.array([1.0]), path, scheme)
         assert 0 < step < 49
         with pytest.raises(DivergenceError) as err:
-            integrate_backward(system, None, np.array([1.0]), reverse_path(path), scheme)
+            integrate_backward(system, None, np.array([1.0]), path, scheme)
         assert err.value.step_index == step
         assert str(err.value) == f"non-finite state encountered at step {step}"
 
@@ -501,11 +511,17 @@ def test_batched_studies_equal_path_by_path_integration():
     n_paths, min_exp, max_exp = 5, 2, 5
     system, strat = gbm_system(), convert_calculus(gbm_system())
     fine = [generate_path(p, TimeGrid(0.0, 1.0, 2**max_exp), 1) for p in range(n_paths)]
+
+    def coarsen(path, factor):
+        grid = TimeGrid(0.0, 1.0, path.grid.n_steps // factor)
+        increments = path.increments.reshape(grid.n_steps, factor, 1).sum(axis=1)
+        return WienerPath(grid=grid, dims=1, increments=increments, seed=path.seed)
+
     x0 = np.array([1.0])
     errors = {s: [] for s in (EULER_MARUYAMA, MILSTEIN_ITO)}
     gaps, round_trips = [], []
     for exp in range(min_exp, max_exp + 1):
-        paths = [coarsen_path(f, 2 ** (max_exp - exp)) for f in fine]
+        paths = [coarsen(f, 2 ** (max_exp - exp)) for f in fine]
         for scheme in errors:
             errs = []
             for f, path in zip(fine, paths):
@@ -529,7 +545,7 @@ def test_batched_studies_equal_path_by_path_integration():
                 system,
                 None,
                 integrate(system, None, x0, path, MILSTEIN_ITO).states[-1],
-                reverse_path(path),
+                path,
             ).states[0]
             for path in paths
         ]

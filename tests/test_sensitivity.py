@@ -13,7 +13,7 @@ from sdecontrol.benchmarks import (
 )
 from sdecontrol.errors import CapacityError, ConfigurationError, DivergenceError
 from sdecontrol.policy import MlpPolicy, init_params
-from sdecontrol.sdecore import MILSTEIN_ITO, Calculus, ControlledSystem, integrate
+from sdecontrol.sdecore import Calculus, ControlledSystem, convert_calculus, integrate
 from sdecontrol.sensitivity import (
     CostFunctional,
     _eval_cost_perturbed,
@@ -422,6 +422,20 @@ class TestAdjointPointwise:
             assert gradient_agreement(report.grad, want)[1] <= tol, estimator.__name__
 
 
+@pytest.mark.parametrize("name", ["gbm", "portfolio"])
+def test_stratonovich_system_is_converted_to_the_ito_results(name):
+    # The estimators integrate Ito-Milstein; a Stratonovich-specified system
+    # is converted back to Ito form first and so gives the Ito results.
+    system, cost, x0, policy = build_grad_check_problem(name)
+    path = generate_path(4, TimeGrid(0.0, 1.0, 32), system.noise_dim)
+    strat = convert_calculus(system)
+    for estimator in (forward_sensitivity, adjoint_gradient, finite_difference_gradient):
+        want = estimator(system, policy, cost, x0, path)
+        got = estimator(strat, policy, cost, x0, path)
+        assert np.allclose(got.grad, want.grad, rtol=1e-12, atol=0), estimator.__name__
+        assert got.cost_value == pytest.approx(want.cost_value, rel=1e-12), estimator.__name__
+
+
 class TestFiniteDifference:
     def test_linear_cost_exact(self):
         # frozen state at x0 = 0: u = w*0 + b = b, J = 2.5 u_T, dJ/db = 2.5
@@ -494,9 +508,7 @@ class TestFiniteDifference:
             off += w.size + b.size
         idx = np.repeat(idx, 2)
         h = np.tile([0.05, -0.03], idx.size // 2)
-        rows = _eval_cost_perturbed(
-            system, policy, cost, x0, path.increments, path.grid, idx, h, MILSTEIN_ITO
-        )
+        rows = _eval_cost_perturbed(system, policy, cost, x0, path.increments, path.grid, idx, h)
         want = []
         for j, hj in zip(idx, h):
             policy.set_params(theta + hj * np.eye(theta.size)[j])

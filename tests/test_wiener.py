@@ -1,28 +1,11 @@
 """Tests for time grids and reproducible Wiener paths."""
 
-import io
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from sdecontrol.errors import ConfigurationError
-from sdecontrol.wiener import (
-    BackwardWienerPath,
-    TimeGrid,
-    WienerPath,
-    coarsen_path,
-    cumulative_values,
-    dump_path_csv,
-    generate_path,
-    reverse_path,
-)
-
-
-def make_path(increments, t_end=1.0, dims=1):
-    inc = np.asarray(increments, dtype=float).reshape(-1, dims)
-    grid = TimeGrid(0.0, t_end, inc.shape[0])
-    return WienerPath(grid=grid, dims=dims, increments=inc, seed=0)
+from sdecontrol.studies import _level_increments
+from sdecontrol.wiener import TimeGrid, generate_path
 
 
 class TestTimeGrid:
@@ -74,10 +57,6 @@ class TestGeneratePath:
         b = generate_path(2, grid, 1)
         assert not np.array_equal(a.increments, b.increments)
 
-    def test_starts_at_zero(self):
-        path = generate_path(7, TimeGrid(0.0, 1.0, 16), 3)
-        assert np.all(path.values()[0] == 0.0)
-
     def test_invalid_dims(self):
         with pytest.raises(ConfigurationError):
             generate_path(0, TimeGrid(0.0, 1.0, 4), 0)
@@ -113,77 +92,17 @@ class TestGeneratePath:
             path.increments[0, 0] = 1.0
 
 
-class TestCumulativeValues:
-    def test_prefix_sum(self):
-        path = make_path([0.5, -0.2])
-        assert np.allclose(cumulative_values(path).ravel(), [0.0, 0.5, 0.3])
-
-    def test_single_zero_increment(self):
-        path = make_path([0.0])
-        assert np.array_equal(cumulative_values(path).ravel(), [0.0, 0.0])
-
-    def test_last_value_is_total_sum(self):
-        path = generate_path(11, TimeGrid(0.0, 1.0, 64), 2)
-        vals = cumulative_values(path)
-        assert np.allclose(vals[-1], path.increments.sum(axis=0), rtol=0, atol=1e-14)
-
-
-class TestReversePath:
-    def test_values_shifted_by_terminal(self):
-        path = make_path([0.5, -0.2])
-        back = reverse_path(path)
-        assert np.allclose(back.values().ravel(), [-0.3, 0.2, 0.0])
-
-    def test_zero_path(self):
-        path = make_path([0.0, 0.0])
-        assert np.all(reverse_path(path).values() == 0.0)
-
-    def test_terminal_and_initial_values(self):
-        path = generate_path(5, TimeGrid(0.0, 1.0, 32), 1)
-        back = reverse_path(path)
-        vals = back.values()
-        assert np.allclose(vals[-1], 0.0)
-        assert np.allclose(vals[0], -path.values()[-1])
-
-    def test_increments_shared_with_forward(self):
-        path = generate_path(9, TimeGrid(0.0, 1.0, 16), 2)
-        back = reverse_path(path)
-        assert np.array_equal(back.increments, path.increments)
-        assert isinstance(back, BackwardWienerPath)
-        assert back.forward is path
-
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=20, deadline=None)
-    def test_reversal_differences_match(self, seed):
-        path = generate_path(seed, TimeGrid(0.0, 1.0, 8), 1)
-        fwd = path.values()
-        back = reverse_path(path).values()
-        assert np.allclose(np.diff(fwd, axis=0), np.diff(back, axis=0), atol=1e-14)
-
-
 class TestCoarsenPath:
+    # The studies coarsen paths-first stacks of fine increments.
     def test_sums_adjacent_increments(self):
-        path = make_path([0.1, 0.2, 0.3, 0.4])
-        coarse = coarsen_path(path, 2)
-        assert coarse.grid.n_steps == 2
-        assert np.allclose(coarse.increments.ravel(), [0.3, 0.7])
+        fine = TimeGrid(0.0, 1.0, 4)
+        grid, coarse = _level_increments(fine, np.array([[[0.1], [0.2], [0.3], [0.4]]]), 2)
+        assert grid.n_steps == 2
+        assert np.allclose(coarse.ravel(), [0.3, 0.7])
 
     def test_same_terminal_value(self):
-        path = generate_path(4, TimeGrid(0.0, 1.0, 64), 1)
-        coarse = coarsen_path(path, 8)
-        assert np.allclose(coarse.values()[-1], path.values()[-1], atol=1e-14)
-
-    def test_bad_factor(self):
-        path = generate_path(0, TimeGrid(0.0, 1.0, 6), 1)
-        with pytest.raises(ConfigurationError):
-            coarsen_path(path, 4)
-
-
-def test_dump_path_csv():
-    path = make_path([0.5, -0.2])
-    buf = io.StringIO()
-    dump_path_csv(path, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "t,B_1"
-    assert len(lines) == 4
-    assert float(lines[2].split(",")[1]) == 0.5
+        fine = TimeGrid(0.0, 1.0, 64)
+        paths = np.stack([generate_path(seed, fine, 1).increments for seed in (4, 5)])
+        _, coarse = _level_increments(fine, paths, 8)
+        assert coarse.shape == (8, 2, 1)
+        assert np.allclose(coarse.sum(axis=0), paths.sum(axis=1), atol=1e-14)
