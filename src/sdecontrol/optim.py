@@ -38,6 +38,9 @@ __all__ = [
 # size stays below it.
 _SEED_STRIDE = 1 << 20
 _EVAL_OFFSET = 1 << 40
+# The most iterations whose path seeds all stay below the evaluation stream:
+# iteration 2**20 - 1 would start at base_seed + 2**40 = evaluation_seed(base_seed, 0).
+_MAX_ITERATIONS = _EVAL_OFFSET // _SEED_STRIDE - 1
 
 
 def path_seed(base_seed: int, iteration: int, index: int) -> int:
@@ -134,6 +137,11 @@ class TrainConfig:
             raise ConfigurationError(
                 f"batch_size {self.batch_size} exceeds {_SEED_STRIDE}: path seeds "
                 "would collide across iterations"
+            )
+        if self.iterations > _MAX_ITERATIONS:
+            raise ConfigurationError(
+                f"iterations {self.iterations} exceeds {_MAX_ITERATIONS}: training path "
+                "seeds would reach the evaluation stream"
             )
         if self.checkpoint_every < 0:
             raise ConfigurationError(

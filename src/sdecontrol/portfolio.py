@@ -49,9 +49,30 @@ def _at(value: Rate, t: float) -> float:
     return value(t) if callable(value) else value
 
 
+def _check_rate(name: str, rate: Rate, horizon: float) -> None:
+    """A callable rate must take an array of times and return values that
+    broadcast to its shape: the exact estimators evaluate the system and cost
+    callbacks a block of steps at a time (see ``ControlledSystem``)."""
+    if not callable(rate):
+        return
+    t = np.linspace(0.0, horizon, 3).reshape(3, 1)
+    try:
+        np.broadcast_to(rate(t), t.shape)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"rate {name} must accept an array of times and return values that "
+            f"broadcast to its shape (use np.where, not if/else, for a switch): {exc}"
+        ) from exc
+
+
 @dataclass
 class MarketParams:
-    """Market and objective constants; rates may be callables of time."""
+    """Market and objective constants; rates may be callables of time.
+
+    A callable rate is evaluated at arrays of times, so it must broadcast over
+    its argument, e.g. ``lambda t: np.where(t < 0.5, 0.2, 0.3)``; one that
+    only takes a scalar raises ConfigurationError here.
+    """
 
     alpha: float = 0.05
     r: Rate = 0.04
@@ -71,6 +92,8 @@ class MarketParams:
             raise ConfigurationError("nu must be >= 0")
         if self.horizon <= 0:
             raise ConfigurationError("horizon must be > 0")
+        for name in ("r", "mu", "sigma"):
+            _check_rate(name, getattr(self, name), self.horizon)
 
 
 def solvency_gap(states: np.ndarray, alpha: float) -> np.ndarray:

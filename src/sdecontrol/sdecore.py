@@ -1,6 +1,8 @@
 """Controlled SDE systems and their forward/backward numerical integration.
 
-Shape conventions (all callbacks must broadcast over leading batch axes):
+Shape conventions (all callbacks must broadcast over leading batch axes; t is
+a float, or an array that broadcasts over the batch axes, see
+``ControlledSystem``):
 
     x                     (..., n_x)
     u                     (..., n_u)
@@ -78,6 +80,12 @@ class ControlledSystem:
 
     ``commutative_noise`` declares that multi-channel noise is diagonal or
     commutative, which is what the diagonal Milstein correction assumes.
+
+    Every callback takes (t, x, u).  Integration passes a float t; the exact
+    gradient estimators pass the partials (``drift_dx`` ... ``milstein_du``)
+    an array of grid times, shape (steps,) + (1,) * lane axes, that broadcasts
+    over the batch axes of x, so a time-dependent callback must broadcast over
+    t as well (e.g. ``np.where``, not ``if``).
     """
 
     state_dim: int
@@ -235,6 +243,9 @@ def step_partials(system, t, x, u, dt, dB, scheme):
     Supported for the Ito schemes, which is what the gradient estimators
     integrate (Stratonovich systems are converted first).  The step itself is
     not taken here: the estimators read x_next from the stored trajectory.
+    All arguments broadcast over leading axes: the estimators pass a block of
+    steps at once, with t an array of grid times that broadcasts over the
+    batch axes of x and the system's callbacks receiving it as it is.
     """
     if scheme not in _ITO_SCHEMES:
         raise UnsupportedSchemeError(

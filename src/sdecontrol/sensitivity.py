@@ -16,6 +16,13 @@ copy of the Euler/Milstein update.  Three estimators differentiate the cost:
 * ``finite_difference_gradient`` central-differences the discretized cost on
   the same Brownian path, all +-h coordinate perturbations in one batch.
 
+Both exact estimators read the step Jacobians and the running-cost partials
+from ``_block_partials``.  Those depend only on the stored (t_k, x_k, u_k,
+dB_k), not on the sensitivity or the costate, so they are computed for a block
+of steps in one call each (``_BLOCK_ROWS`` steps x lanes per block), with t an
+array that broadcasts over the lanes; the sequential sweeps then read one step
+at a time.  The policy passes stay per step.
+
 Every evaluator integrates with the Ito-Milstein scheme.  Ito-specified
 systems are used as-is (the Ito-Milstein forward scheme is algebraically
 identical to Stratonovich-Milstein on the converted system);
@@ -25,7 +32,9 @@ Quadrature convention: all estimators and the evaluators weight the running
 cost at grid point k by the same ``_quadrature_weights(cost, grid)[k]``: dt on
 steps 0..K-1 (a left-endpoint Riemann sum), or, with point-wise cost times, 1
 for each listed time (counted as often as it is listed).  The terminal cost is
-evaluated at the last grid point.  Points of zero weight are not evaluated.
+evaluated at the last grid point.  The running cost is not evaluated at
+points of zero weight; its partials are computed there with the rest of a
+block, and not used.
 In the backward sweep a point-wise time is a jump of the costate by the
 running-cost gradient.
 """
@@ -64,6 +73,7 @@ __all__ = [
 ]
 
 _SENS_CAPACITY = 5 * 10**7  # entries allowed in the n_x * n_theta sensitivity matrix
+_BLOCK_ROWS = 1024  # steps x lanes whose step and running-cost partials share one call
 
 
 @dataclass
@@ -73,6 +83,10 @@ class CostFunctional:
     Callbacks broadcast over leading batch axes:
         running(t, x, u) -> (...)            running_dx -> (..., n_x)
         terminal(x_T, u_T) -> (...)          running_du -> (..., n_u)
+    ``t`` is a float, or, for ``running_dx`` and ``running_du`` in the exact
+    estimators, an array of grid times that broadcasts over the batch axes
+    of x (shape (steps,) + (1,) * lane axes), so a time-dependent partial
+    must broadcast over t too (e.g. ``np.where``, not ``if``).
     ``terminal_du`` may be None when the terminal cost ignores the control.
     ``pointwise_times`` switches the running integral to a finite sum over
     those (on-grid) times; a time listed twice counts twice.
@@ -172,6 +186,32 @@ def _terminal_partials(cost, grid, weights, states, controls):
     return cx, cu
 
 
+def _block_partials(sys_i, cost, grid, xs, us, dbs, backward=False):
+    """Yield (k, Jx, Ju, running_dx, running_du) of every step k of the stored
+    trajectory, k = 0..K-1, or K-1..0 when ``backward``.
+
+    These partials depend only on the stored (t_k, x_k, u_k, dB_k), so they
+    are computed for a block of steps in one call each, with t an array of
+    shape (steps,) + (1,) * lane axes that broadcasts over the lanes.  A block
+    holds ``_BLOCK_ROWS`` steps x lanes (at least one step), which bounds its
+    arrays on large batches.
+    """
+    K = grid.n_steps
+    size = max(1, _BLOCK_ROWS // max(1, int(np.prod(xs.shape[1:-1]))))
+    times = grid.times()
+    starts = range(0, K, size)
+    for k0 in reversed(starts) if backward else starts:
+        k1 = min(k0 + size, K)
+        t = times[k0:k1].reshape((k1 - k0,) + (1,) * (xs.ndim - 2))
+        x, u = xs[k0:k1], us[k0:k1]
+        jx, ju = step_partials(sys_i, t, x, u, grid.dt, dbs[k0:k1], MILSTEIN_ITO)
+        cdx = np.broadcast_to(np.asarray(cost.running_dx(t, x, u), dtype=float), x.shape)
+        cdu = np.broadcast_to(np.asarray(cost.running_du(t, x, u), dtype=float), u.shape)
+        steps = range(k1 - k0)
+        for j in reversed(steps) if backward else steps:
+            yield k0 + j, jx[j], ju[j], cdx[j], cdu[j]
+
+
 # -- public cost evaluation -------------------------------------------------
 
 
@@ -203,13 +243,12 @@ def forward_sensitivity(system, policy, cost, x0, path) -> GradientReport:
     )
     S = np.zeros((n_x, n_theta))
     grad = np.zeros(n_theta)
-    for k in range(grid.n_steps):
-        t, x, u = grid.time(k), states[k], controls[k]
-        chain = _total_du_dtheta(policy, t, x, S)  # (n_u, n_theta)
+    steps = _block_partials(sys_i, cost, grid, states, controls, path.increments)
+    for k, jx, ju, cdx, cdu in steps:
+        chain = _total_du_dtheta(policy, grid.time(k), states[k], S)  # (n_u, n_theta)
         w = weights[k]
         if w:
-            grad += w * (cost.running_dx(t, x, u) @ S + cost.running_du(t, x, u) @ chain)
-        jx, ju = step_partials(sys_i, t, x, u, grid.dt, path.increments[k], MILSTEIN_ITO)
+            grad += w * (cdx @ S + cdu @ chain)
         S = jx @ S + ju @ chain
     cx, cu = _terminal_partials(cost, grid, weights, states, controls)
     grad += cx @ S
@@ -269,16 +308,16 @@ def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, 
             if cu is not None:
                 a = a + _pull_back(policy, grid.time(K), xs[K], cu, acc)
 
-            for k in range(K - 1, -1, -1):
-                t, x, u = grid.time(k), xs[k], us[k]
+            steps = _block_partials(sys_i, cost, grid, xs, us, dbs, backward=True)
+            for k, jx, ju, cdx, cdu in steps:
                 w = weights[k]
-                jx, ju = step_partials(sys_i, t, x, u, grid.dt, dbs[k], MILSTEIN_ITO)
                 cu = np.einsum("...au,...a->...u", ju, a)
                 if w:
-                    cu = cu + w * np.asarray(cost.running_du(t, x, u), dtype=float)
-                a = np.einsum("...ab,...a->...b", jx, a) + _pull_back(policy, t, x, cu, acc)
+                    cu = cu + w * cdu
+                pulled = _pull_back(policy, grid.time(k), xs[k], cu, acc)
+                a = np.einsum("...ab,...a->...b", jx, a) + pulled
                 if w:
-                    a = a + w * np.asarray(cost.running_dx(t, x, u), dtype=float)
+                    a = a + w * cdx
                 if keep_lambda:
                     lambdas[k] = a
         return acc, a, lambdas

@@ -188,6 +188,14 @@ class TestCliContract:
         assert "error:" in capsys.readouterr().err
         assert not list(tmp_path.glob("**/trainlog_*.csv"))
 
+    def test_iterations_reaching_the_evaluation_stream_exit_2(self, smoke_cfg, tmp_path, capsys):
+        with open(smoke_cfg, "a") as fh:
+            fh.write(f"iterations = {2**20}\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", smoke_cfg, "--out", str(out)]) == 2
+        assert "evaluation stream" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "line",
         [

@@ -316,6 +316,14 @@ class TestTrain:
         with pytest.raises(ConfigurationError):
             TrainConfig(grid=TimeGrid(0.0, 1.0, 4), batch_size=2**20 + 1)
 
+    def test_iterations_reaching_the_evaluation_stream_rejected(self):
+        # The last path seed of iteration 2**20 - 2 is the last below 2**40.
+        grid = TimeGrid(0.0, 1.0, 4)
+        cfg = TrainConfig(grid=grid, iterations=2**20 - 1, batch_size=2**20)
+        assert path_seed(0, cfg.iterations - 1, cfg.batch_size - 1) < evaluation_seed(0, 0)
+        with pytest.raises(ConfigurationError, match="evaluation stream"):
+            TrainConfig(grid=grid, iterations=2**20)
+
     @pytest.mark.parametrize("rate", [0.0, -0.1, float("nan"), float("inf")])
     def test_bad_learning_rate_rejected(self, rate):
         with pytest.raises(ConfigurationError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sdecontrol.benchmarks import gbm_system
+from sdecontrol.benchmarks import build_grad_check_problem, gbm_system
 from sdecontrol.errors import ConfigurationError, DivergenceError
 from sdecontrol.optim import TrainConfig, evaluation_seed
 from sdecontrol.policy import MlpPolicy, init_params
@@ -22,7 +22,14 @@ from sdecontrol.sdecore import (
     integrate,
     self_check_partials,
 )
-from sdecontrol.sensitivity import check_cost_partials, eval_cost
+from sdecontrol.sensitivity import (
+    adjoint_gradient,
+    check_cost_partials,
+    eval_cost,
+    finite_difference_gradient,
+    forward_sensitivity,
+    gradient_agreement,
+)
 from sdecontrol.wiener import TimeGrid, WienerPath, generate_path
 
 
@@ -76,6 +83,38 @@ class TestMarketParams:
             MarketParams(nu=-1.0)
         with pytest.raises(ConfigurationError):
             MarketParams(horizon=0.0)
+
+    @pytest.mark.parametrize(
+        "rate",
+        [lambda t: 0.2 if t < 0.5 else 0.3, lambda t: np.array([0.1, 0.2, 0.3])],
+        ids=["scalar-only switch", "fixed-shape result"],
+    )
+    @pytest.mark.parametrize("name", ["r", "mu", "sigma"])
+    def test_rate_that_does_not_broadcast_over_times_rejected(self, name, rate):
+        with pytest.raises(ConfigurationError, match=f"rate {name} must accept an array"):
+            MarketParams(**{name: rate})
+
+    def test_time_varying_rates_differentiate_exactly(self):
+        # The estimators evaluate the rates at arrays of times, a block of
+        # steps at a time; both exact estimators and FD must agree on them.
+        market = MarketParams(
+            nu=0.25,
+            barrier_weight=1.0,
+            r=lambda t: 0.04 + 0.02 * t,
+            mu=lambda t: np.where(t < 0.5, 0.15, 0.3),
+            sigma=lambda t: np.where(t < 0.25, 0.3, 0.18),
+        )
+        system, cost, x0, policy = build_grad_check_problem(
+            "portfolio", hidden_dims=(4,), market=market
+        )
+        path = generate_path(5, TimeGrid(0.0, 1.0, 64), 1)
+        fw = forward_sensitivity(system, policy, cost, x0, path)
+        ad = adjoint_gradient(system, policy, cost, x0, path)
+        fd = finite_difference_gradient(system, policy, cost, x0, path, h_rel=1e-5)
+        assert fw.cost_value == ad.cost_value
+        assert gradient_agreement(fw.grad, ad.grad)[1] <= 1e-10
+        cosine, max_rel = gradient_agreement(ad.grad, fd.grad)
+        assert max_rel <= 1e-4 and cosine >= 1 - 1e-8
 
 
 class TestBuildSystem:

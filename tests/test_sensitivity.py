@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from sdecontrol import sensitivity
 from sdecontrol.benchmarks import (
     build_grad_check_problem,
     controlled_gbm_cost,
@@ -13,10 +14,19 @@ from sdecontrol.benchmarks import (
 )
 from sdecontrol.errors import CapacityError, ConfigurationError, DivergenceError
 from sdecontrol.policy import MlpPolicy, init_params
-from sdecontrol.sdecore import Calculus, ControlledSystem, convert_calculus, integrate
+from sdecontrol.portfolio import MarketParams
+from sdecontrol.sdecore import (
+    MILSTEIN_ITO,
+    Calculus,
+    ControlledSystem,
+    convert_calculus,
+    forward_states,
+    integrate,
+)
 from sdecontrol.sensitivity import (
     CostFunctional,
     _eval_cost_perturbed,
+    adjoint_core,
     adjoint_gradient,
     check_cost_partials,
     eval_cost,
@@ -434,6 +444,81 @@ def test_stratonovich_system_is_converted_to_the_ito_results(name):
         got = estimator(strat, policy, cost, x0, path)
         assert np.allclose(got.grad, want.grad, rtol=1e-12, atol=0), estimator.__name__
         assert got.cost_value == pytest.approx(want.cost_value, rel=1e-12), estimator.__name__
+
+
+class TestBlockPartials:
+    """The exact estimators compute the step and running-cost partials a
+    block of steps at a time, ``sensitivity._BLOCK_ROWS`` steps x lanes per
+    block.  A budget of 1 row is one step per block; 7 rows gives ragged
+    blocks on one path.  No result may depend on the block length."""
+
+    @staticmethod
+    def _at_each_budget(monkeypatch, run):
+        outs = [run()]
+        for rows in (1, 7):
+            with monkeypatch.context() as m:
+                m.setattr(sensitivity, "_BLOCK_ROWS", rows)
+                outs.append(run())
+        for out in outs[1:]:
+            for got, want in zip(out, outs[0]):
+                assert np.array_equal(got, want, equal_nan=True)
+        return outs[0]
+
+    @pytest.mark.parametrize("points", [None, (9, 9, 37)], ids=["integral", "repeat and T"])
+    def test_single_path(self, monkeypatch, points):
+        system, cost, x0, policy = build_grad_check_problem("portfolio", hidden_dims=(4,))
+        grid = TimeGrid(0.0, 1.0, 37)
+        if points:
+            cost = dataclasses.replace(cost, pointwise_times=[grid.time(k) for k in points])
+        path = generate_path(4, grid, 1)
+
+        def run():
+            fw = forward_sensitivity(system, policy, cost, x0, path)
+            ad, state = adjoint_gradient(system, policy, cost, x0, path, return_adjoint=True)
+            return fw.grad, fw.cost_value, ad.grad, ad.cost_value, state.lambdas
+
+        self._at_each_budget(monkeypatch, run)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_batch_with_lanes_dropped_before_the_sweep(self, monkeypatch):
+        # nu = 0 near the solvency line: the log barrier drops crossing lanes.
+        # 50 lanes make 20-step blocks, so 47 steps end in a ragged block.
+        market = MarketParams(nu=0.0, barrier_weight=50.0, x0=(1.0, -0.85))
+        system, cost, x0, policy = build_grad_check_problem(
+            "portfolio", hidden_dims=(4,), market=market
+        )
+        grid = TimeGrid(0.0, 1.0, 47)
+        increments = np.stack([generate_path(s, grid, 1).increments for s in range(50)], axis=1)
+        x0b = np.tile(x0, (50, 1))
+
+        def run():
+            return adjoint_core(system, policy, cost, x0b, increments, grid, True, "none")
+
+        _, _, valid, _ = self._at_each_budget(monkeypatch, run)
+        assert 0 < np.count_nonzero(~valid) < 50
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lane_that_turns_nan_in_the_sweep(self, monkeypatch):
+        # Every cost is finite, but the terminal partial is NaN on the lowest
+        # lane, so the sweep is rerun without it.  4 lanes make 256-step
+        # blocks, so 300 steps end in a ragged block.
+        system, _, x0, policy = build_grad_check_problem("gbm", hidden_dims=(4,))
+        grid = TimeGrid(0.0, 1.0, 300)
+        increments = np.stack([generate_path(s, grid, 1).increments for s in range(4)], axis=1)
+        x0b = np.tile(x0, (4, 1))
+        states, _ = forward_states(system, policy, x0b, increments, grid, MILSTEIN_ITO)
+        finals = np.sort(states[-1, :, 0])
+        low = 0.5 * (finals[0] + finals[1])
+        cost = terminal_only_cost(
+            lambda x, u: x[..., 0], lambda x, u: np.where(x < low, np.nan, 1.0)
+        )
+
+        def run():
+            return adjoint_core(system, policy, cost, x0b, increments, grid, True, "none")
+
+        grad, costs, valid, _ = self._at_each_budget(monkeypatch, run)
+        assert np.all(np.isfinite(costs)) and np.count_nonzero(~valid) == 1
+        assert np.all(np.isfinite(grad))
 
 
 class TestFiniteDifference:
