@@ -24,7 +24,6 @@ from .wiener import (
 from .sdecore import (
     Calculus,
     ControlledSystem,
-    EULER_HEUN,
     EULER_MARUYAMA,
     MILSTEIN_ITO,
     MILSTEIN_STRATONOVICH,

@@ -71,10 +71,10 @@ def gbm_exact_path(x0, mu, sigma, times, b_values):
     return x0 * np.exp((mu - 0.5 * sigma**2) * (times - times[0]) + sigma * b)
 
 
-def controlled_gbm_system(mu=0.23, sigma=0.18, control_gain=0.1) -> ControlledSystem:
+def controlled_gbm_system(mu=0.23, sigma=0.18) -> ControlledSystem:
     """GBM with a scalar control entering drift and diffusion:
-    dx = (mu x + u) dt + (sigma x + c u) dB."""
-    c = control_gain
+    dx = (mu x + u) dt + (sigma x + c u) dB with c = 0.1."""
+    c = 0.1
 
     def drift(t, x, u):
         return mu * x + u
@@ -121,17 +121,18 @@ def controlled_gbm_system(mu=0.23, sigma=0.18, control_gain=0.1) -> ControlledSy
     )
 
 
-def controlled_gbm_cost(state_weight=1.0, control_weight=0.1) -> CostFunctional:
-    """Quadratic running cost plus linear terminal cost for the controlled GBM."""
+def controlled_gbm_cost() -> CostFunctional:
+    """Quadratic running cost x^2 + 0.1 u^2 plus linear terminal cost x_T for
+    the controlled GBM."""
 
     def running(t, x, u):
-        return state_weight * x[..., 0] ** 2 + control_weight * u[..., 0] ** 2
+        return x[..., 0] ** 2 + 0.1 * u[..., 0] ** 2
 
     def running_dx(t, x, u):
-        return (2.0 * state_weight * x[..., 0])[..., None]
+        return (2.0 * x[..., 0])[..., None]
 
     def running_du(t, x, u):
-        return (2.0 * control_weight * u[..., 0])[..., None]
+        return (0.2 * u[..., 0])[..., None]
 
     def terminal(x, u):
         return x[..., 0]
@@ -155,17 +156,16 @@ def build_grad_check_problem(
     mu=0.23,
     sigma=0.18,
     market=None,
-    x0=None,
 ):
     """(system, cost, x0, policy) for a registered gradient-check system.
 
-    The portfolio problem uses ``market`` (a ``MarketParams``), by default
-    ``MarketParams(nu=0.25)``.
+    The GBM starts at x0 = 1.  The portfolio problem uses ``market`` (a
+    ``MarketParams``), by default ``MarketParams(nu=0.25)``, and its x0.
     """
     if name == "gbm":
         system = controlled_gbm_system(mu=mu, sigma=sigma)
         cost = controlled_gbm_cost()
-        x0 = np.array([1.0]) if x0 is None else np.asarray(x0, dtype=float)
+        x0 = np.array([1.0])
         policy = init_params([1, *hidden_dims, 1], seed=policy_seed)
         return system, cost, x0, policy
     if name == "portfolio":
@@ -174,7 +174,7 @@ def build_grad_check_problem(
         params = MarketParams(nu=0.25) if market is None else market
         system = build_system(params)
         cost = build_cost(params)
-        x0 = np.asarray(params.x0, dtype=float) if x0 is None else np.asarray(x0, dtype=float)
+        x0 = np.asarray(params.x0, dtype=float)
         policy = init_params([2, *hidden_dims, 2], seed=policy_seed)
         return system, cost, x0, policy
     raise ConfigurationError(

@@ -29,6 +29,7 @@ from .portfolio import (
 )
 from .sdecore import dump_trajectory_csv
 from .sensitivity import (
+    _AGREEMENT_FLOOR,
     adjoint_gradient,
     finite_difference_gradient,
     forward_sensitivity,
@@ -121,12 +122,9 @@ def _train_config(cfg, direction="maximize"):
 
 def cmd_train(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    train_cfg = _train_config(cfg)
-    if cfg["checkpoint_every"]:
-        train_cfg.checkpoint_dir = args.out
     results = run_experiment(
         _market_params(cfg),
-        train_cfg,
+        _train_config(cfg),
         nu_values=cfg["nu"],
         out_dir=args.out,
         hidden_dims=cfg["hidden_dims"],
@@ -183,7 +181,8 @@ def cmd_grad_check(args) -> int:
         cosine, max_rel = gradient_agreement(a, b)
         line = f"{name}: cosine={cosine:.9f} max_rel={max_rel:.3e}"
         if not (cosine >= cfg["cosine_tol"] and max_rel <= cfg["grad_tol"]):  # NaN fails
-            j = int(np.argmax(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)))
+            mags = np.maximum(np.maximum(np.abs(a), np.abs(b)), _AGREEMENT_FLOOR)
+            j = int(np.argmax(np.abs(a - b) / mags))
             print(
                 f"FAIL {line} worst coord {j}: {a[j]:.10g} vs {b[j]:.10g}",
                 file=sys.stderr,

@@ -41,6 +41,8 @@ _EVAL_OFFSET = 1 << 40
 # The most iterations whose path seeds all stay below the evaluation stream:
 # iteration 2**20 - 1 would start at base_seed + 2**40 = evaluation_seed(base_seed, 0).
 _MAX_ITERATIONS = _EVAL_OFFSET // _SEED_STRIDE - 1
+# Adam's moment decay rates and denominator offset.
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def path_seed(base_seed: int, iteration: int, index: int) -> int:
@@ -59,9 +61,6 @@ class OptimizerState:
     learning_rate: float = 0.03
     direction: str = "minimize"
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     adam_m: Optional[np.ndarray] = None
     adam_v: Optional[np.ndarray] = None
 
@@ -107,11 +106,11 @@ def adam_update(state: OptimizerState, theta, grad) -> np.ndarray:
         state.adam_v = np.zeros_like(theta)
     state.step_count += 1
     t = state.step_count
-    state.adam_m = state.beta1 * state.adam_m + (1 - state.beta1) * grad
-    state.adam_v = state.beta2 * state.adam_v + (1 - state.beta2) * grad**2
-    m_hat = state.adam_m / (1 - state.beta1**t)
-    v_hat = state.adam_v / (1 - state.beta2**t)
-    return theta + state.sign * state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.adam_m = _ADAM_BETA1 * state.adam_m + (1 - _ADAM_BETA1) * grad
+    state.adam_v = _ADAM_BETA2 * state.adam_v + (1 - _ADAM_BETA2) * grad**2
+    m_hat = state.adam_m / (1 - _ADAM_BETA1**t)
+    v_hat = state.adam_v / (1 - _ADAM_BETA2**t)
+    return theta + state.sign * state.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 def apply_update(state: OptimizerState, theta, grad) -> np.ndarray:
@@ -212,8 +211,13 @@ def train(system, policy, cost, x0, config: TrainConfig):
     """Run the full batch-gradient / update loop; returns (policy, TrainLog).
 
     Deterministic in (config.base_seed, initial parameters): the log and the
-    final parameters are reproducible bit-for-bit.
+    final parameters are reproducible bit-for-bit.  With
+    ``config.checkpoint_every`` > 0 the policy is saved every that many
+    iterations to ``config.checkpoint_dir``/checkpoint_<iteration>.txt; a
+    missing directory name raises ConfigurationError before iteration 0.
     """
+    if config.checkpoint_every and not config.checkpoint_dir:
+        raise ConfigurationError("checkpoint_every > 0 needs a checkpoint_dir")
     state = OptimizerState(
         kind=config.optimizer,
         learning_rate=config.learning_rate,
@@ -235,10 +239,6 @@ def train(system, policy, cost, x0, config: TrainConfig):
             n_diverged=n_div,
             wall_ms=(time.perf_counter() - tic) * 1e3,
         )
-        if (
-            config.checkpoint_every
-            and config.checkpoint_dir
-            and (it + 1) % config.checkpoint_every == 0
-        ):
+        if config.checkpoint_every and (it + 1) % config.checkpoint_every == 0:
             save_policy(policy, f"{config.checkpoint_dir}/checkpoint_{it + 1:05d}.txt")
     return policy, log

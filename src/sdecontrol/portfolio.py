@@ -394,9 +394,11 @@ def run_experiment(
     """Train one policy per nu, evaluate it on fresh paths, export artifacts.
 
     Per nu the output directory receives trainlog_nu<nu>.csv, checkpoint
-    policy_nu<nu>.txt, traj_nu<nu>_seed<k>.csv and policygrid_nu<nu>.csv.
-    Returns {nu: ExperimentResult}.  The nu list, evaluation sizes, the
-    policy grid and the largest derived path seeds are checked before any
+    policy_nu<nu>.txt, traj_nu<nu>_seed<k>.csv and policygrid_nu<nu>.csv,
+    and, when ``train_config.checkpoint_every`` > 0, the training checkpoints
+    in checkpoints_nu<nu>/ (in place of any ``checkpoint_dir`` the config
+    names).  Returns {nu: ExperimentResult}.  The nu list, evaluation sizes,
+    the policy grid and the largest derived path seeds are checked before any
     training.
     """
     if len(nu_values) == 0:
@@ -414,8 +416,13 @@ def run_experiment(
         system = build_system(p)
         cost = build_cost(p)
         policy = init_params([2, *hidden_dims, 2], seed=policy_seed)
-        policy, log = train(system, policy, cost, np.asarray(p.x0, dtype=float), train_config)
         tag = _nu_tag(nu)
+        config = train_config
+        if config.checkpoint_every:
+            # One directory per nu, so one nu's checkpoints do not overwrite another's.
+            config = replace(config, checkpoint_dir=os.path.join(out_dir, f"checkpoints_nu{tag}"))
+            os.makedirs(config.checkpoint_dir, exist_ok=True)
+        policy, log = train(system, policy, cost, np.asarray(p.x0, dtype=float), config)
         files = []
 
         path = os.path.join(out_dir, f"trainlog_nu{tag}.csv")

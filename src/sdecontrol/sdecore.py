@@ -20,6 +20,10 @@ Stratonovich drift.  The per-channel correction m_i = (1/2) (dg_i/dx) g_i is
 also the Milstein term, so systems may supply analytic partials of it
 (``milstein_dx`` / ``milstein_du``); otherwise central finite differences of
 the correction are used.
+
+Schemes: Euler-Maruyama and Ito-Milstein for Ito systems, derivative-free
+Stratonovich-Milstein for Stratonovich ones and the inverse flow.  ``_walk``,
+the one loop over grid steps, checks its inputs before the first step.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ __all__ = [
     "EULER_MARUYAMA",
     "MILSTEIN_ITO",
     "MILSTEIN_STRATONOVICH",
-    "EULER_HEUN",
     "default_scheme",
     "integrate",
     "integrate_backward",
@@ -62,11 +65,6 @@ class Calculus(Enum):
 EULER_MARUYAMA = "euler_maruyama"
 MILSTEIN_ITO = "milstein_ito"
 MILSTEIN_STRATONOVICH = "milstein_stratonovich"
-EULER_HEUN = "euler_heun"
-
-_ITO_SCHEMES = {EULER_MARUYAMA, MILSTEIN_ITO}
-_STRAT_SCHEMES = {MILSTEIN_STRATONOVICH, EULER_HEUN}
-_ALL_SCHEMES = _ITO_SCHEMES | _STRAT_SCHEMES
 
 
 @dataclass
@@ -134,11 +132,11 @@ def milstein_terms(system: ControlledSystem, t, x, u) -> np.ndarray:
     return _milstein_product(system, t, x, u, system.diffusion(t, x, u))
 
 
-def central_difference(fun, z, h_rel=1e-6):
+def central_difference(fun, z):
     """Central differences of ``fun`` at ``z`` of shape (..., n), stacked along
     a new last axis: d fun(z)[..., *out] / d z[..., b] at [..., *out, b].
 
-    The step of coordinate b is h = h_rel * max(1, |z_b|), per batch element;
+    The step of coordinate b is h = 1e-6 * max(1, |z_b|), per batch element;
     a zero-width ``z`` gives an empty last axis.
     """
     z = np.asarray(z, dtype=float)
@@ -146,7 +144,7 @@ def central_difference(fun, z, h_rel=1e-6):
         return np.zeros(np.shape(fun(z)) + (0,))
     cols = []
     for b in range(z.shape[-1]):
-        h = h_rel * np.maximum(1.0, np.abs(z[..., b]))
+        h = 1e-6 * np.maximum(1.0, np.abs(z[..., b]))
         zp = z.copy()
         zp[..., b] = z[..., b] + h
         zm = z.copy()
@@ -171,32 +169,26 @@ def milstein_term_partials(system, t, x, u):
     return mdx, mdu
 
 
-def _require_diagonal_noise(system):
-    if system.noise_dim > 1 and not system.commutative_noise:
-        raise UnsupportedSchemeError(
-            "Milstein schemes support scalar or diagonal/commutative noise only; "
-            "declare commutative_noise=True or use Euler-Maruyama / Euler-Heun"
-        )
-
-
 def _check_scheme(system, scheme):
-    if scheme not in _ALL_SCHEMES:
+    if scheme not in (EULER_MARUYAMA, MILSTEIN_ITO, MILSTEIN_STRATONOVICH):
         raise ConfigurationError(f"unknown scheme {scheme!r}")
-    wants_ito = scheme in _ITO_SCHEMES
-    if wants_ito != (system.calculus is Calculus.ITO):
+    if (scheme != MILSTEIN_STRATONOVICH) != (system.calculus is Calculus.ITO):
         raise ConfigurationError(
             f"scheme {scheme!r} is incompatible with {system.calculus.name} calculus"
         )
-    if scheme in (MILSTEIN_ITO, MILSTEIN_STRATONOVICH):
-        _require_diagonal_noise(system)
+    if scheme != EULER_MARUYAMA and system.noise_dim > 1 and not system.commutative_noise:
+        raise UnsupportedSchemeError(
+            "Milstein schemes support scalar or diagonal/commutative noise only; "
+            "declare commutative_noise=True or use Euler-Maruyama"
+        )
 
 
 def step_control(system, control_fn, t, x, u, dt, dB, scheme):
     """One step of the chosen scheme with the control already evaluated at x.
 
-    ``control_fn`` is only consulted by schemes that need coefficient values at
-    auxiliary points (Euler-Heun corrector, derivative-free Stratonovich
-    Milstein support point); it may be None for open-loop/no-control systems.
+    ``control_fn`` is only consulted by Stratonovich-Milstein, which needs
+    coefficient values at its derivative-free support points; it may be None
+    for open-loop/no-control systems.  ``_walk`` checks the scheme.
     """
     f = system.drift(t, x, u)
     g = system.diffusion(t, x, u)
@@ -207,50 +199,35 @@ def step_control(system, control_fn, t, x, u, dt, dB, scheme):
         m = _milstein_product(system, t, x, u, g)
         w = np.asarray(dB) ** 2 - dt
         return euler + np.einsum("...ia,...i->...a", m, w)
-    if scheme == MILSTEIN_STRATONOVICH:
-        # Derivative-free Milstein: the correction is formed from diffusion
-        # values at per-channel support points, re-evaluating the feedback
-        # control there so closed-loop coefficients are differenced correctly.
-        sq = np.sqrt(abs(dt)) * np.sign(dt) if dt < 0 else np.sqrt(dt)
-        out = euler
-        for i in range(system.noise_dim):
-            support = x + f * dt + g[..., :, i] * sq
-            u_sup = u if control_fn is None else control_fn(t, support)
-            g_sup = system.diffusion(t, support, u_sup)
-            corr = (g_sup[..., :, i] - g[..., :, i]) * (
-                np.asarray(dB)[..., i] ** 2 / (2.0 * sq)
-            )[..., None]
-            out = out + corr
-        return out
-    if scheme == EULER_HEUN:
-        predictor = euler
-        u_bar = u if control_fn is None else control_fn(t, predictor)
-        f_bar = system.drift(t, predictor, u_bar)
-        g_bar = system.diffusion(t, predictor, u_bar)
-        return (
-            x
-            + 0.5 * (f + f_bar) * dt
-            + np.einsum("...xi,...i->...x", 0.5 * (g + g_bar), dB)
-        )
-    raise ConfigurationError(f"unknown scheme {scheme!r}")
+    # Stratonovich-Milstein, derivative-free: the correction is formed from
+    # diffusion values at per-channel support points, re-evaluating the feedback
+    # control there so closed-loop coefficients are differenced correctly.
+    sq = np.sqrt(abs(dt)) * np.sign(dt) if dt < 0 else np.sqrt(dt)
+    out = euler
+    for i in range(system.noise_dim):
+        support = x + f * dt + g[..., :, i] * sq
+        u_sup = u if control_fn is None else control_fn(t, support)
+        g_sup = system.diffusion(t, support, u_sup)
+        corr = (g_sup[..., :, i] - g[..., :, i]) * (
+            np.asarray(dB)[..., i] ** 2 / (2.0 * sq)
+        )[..., None]
+        out = out + corr
+    return out
 
 
-def step_partials(system, t, x, u, dt, dB, scheme):
-    """Exact Jacobians (Jx, Ju) of the Ito update that ``step_control`` takes
-    from (x, u): Jx = d x_next / dx at fixed u, shape (..., n_x, n_x), and
-    Ju = d x_next / du, shape (..., n_x, n_u).
+def step_partials(system, t, x, u, dt, dB):
+    """Exact Jacobians (Jx, Ju) of the Ito-Milstein update that
+    ``step_control`` takes from (x, u): Jx = d x_next / dx at fixed u, shape
+    (..., n_x, n_x), and Ju = d x_next / du, shape (..., n_x, n_u).
 
-    Supported for the Ito schemes, which is what the gradient estimators
-    integrate (Stratonovich systems are converted first).  The step itself is
-    not taken here: the estimators read x_next from the stored trajectory.
-    All arguments broadcast over leading axes: the estimators pass a block of
-    steps at once, with t an array of grid times that broadcasts over the
-    batch axes of x and the system's callbacks receiving it as it is.
+    This is the scheme the gradient estimators integrate (Stratonovich
+    systems are converted first), and their forward walk has checked the
+    system against it.  The step itself is not taken here: the estimators
+    read x_next from the stored trajectory.  All arguments broadcast over
+    leading axes: the estimators pass a block of steps at once, with t an
+    array of grid times that broadcasts over the batch axes of x and the
+    system's callbacks receiving it as it is.
     """
-    if scheme not in _ITO_SCHEMES:
-        raise UnsupportedSchemeError(
-            f"step partials are available for Ito schemes only, not {scheme!r}"
-        )
     dB = np.asarray(dB)
     fdx = system.drift_dx(t, x, u)
     fdu = system.drift_du(t, x, u)
@@ -259,12 +236,10 @@ def step_partials(system, t, x, u, dt, dB, scheme):
     eye = np.eye(system.state_dim)
     jx = eye + fdx * dt + np.einsum("...i,...iab->...ab", dB, gdx)
     ju = fdu * dt + np.einsum("...i,...iau->...au", dB, gdu)
-    if scheme == MILSTEIN_ITO:
-        _require_diagonal_noise(system)
-        mdx, mdu = milstein_term_partials(system, t, x, u)
-        w = dB**2 - dt
-        jx = jx + np.einsum("...i,...iab->...ab", w, mdx)
-        ju = ju + np.einsum("...i,...iau->...au", w, mdu)
+    mdx, mdu = milstein_term_partials(system, t, x, u)
+    w = dB**2 - dt
+    jx = jx + np.einsum("...i,...iab->...ab", w, mdx)
+    ju = ju + np.einsum("...i,...iau->...au", w, mdu)
     return jx, ju
 
 
@@ -293,13 +268,17 @@ def _validate_dims(system, policy, x0, increments):
 
 def _walk(system, policy, x0, increments, grid, scheme):
     """Yield (x_k, u_k) for k = 0..n_steps and store nothing: the one loop
-    over grid steps.  x0 is broadcast against the increments' batch axes and
-    u_0 is the control at x0 as given.  The caller sets ``np.errstate`` and
-    consumes (x_k, u_k) before asking for the next point."""
+    over grid steps.  Before the first point it checks the scheme against the
+    system and the dimensions of x0, the increments and the policy, the one
+    place these are checked.  x0 is broadcast against the increments' batch
+    axes and u_0 is the control at x0 as given.  The caller sets
+    ``np.errstate`` and consumes (x_k, u_k) before asking for the next point."""
+    _check_scheme(system, scheme)
+    x0 = _validate_dims(system, policy, x0, increments)
     control_fn = None if policy is None else policy.control
     dt = grid.dt
     u = control_value(policy, grid.time(0), x0, system.control_dim)
-    batch = np.broadcast_shapes(np.shape(x0)[:-1], np.shape(increments)[1:-1])
+    batch = np.broadcast_shapes(x0.shape[:-1], np.shape(increments)[1:-1])
     x = np.broadcast_to(x0, batch + (system.state_dim,)).copy()
     for k in range(grid.n_steps):
         yield x, u
@@ -319,9 +298,8 @@ def forward_states(system, policy, x0, increments, grid, scheme, check="raise"):
     check="none" the arrays are returned as they are (batched callers mask
     afterwards).
     """
-    x0 = _validate_dims(system, policy, x0, increments)
     n = grid.n_steps
-    batch = np.broadcast_shapes(x0.shape[:-1], np.shape(increments)[1:-1])
+    batch = np.broadcast_shapes(np.shape(x0)[:-1], np.shape(increments)[1:-1])
     states = np.zeros((n + 1,) + batch + (system.state_dim,))
     controls = np.zeros((n + 1,) + batch + (system.control_dim,))
     with np.errstate(all="ignore"):
@@ -339,7 +317,6 @@ def integrate(system, policy, x0, path: WienerPath, scheme=None) -> Trajectory:
     """Full forward trajectory on the path's grid; controls are recorded at
     every grid point."""
     scheme = scheme or default_scheme(system.calculus)
-    _check_scheme(system, scheme)
     states, controls = forward_states(
         system, policy, x0, path.increments, path.grid, scheme
     )
@@ -356,24 +333,24 @@ def _reverse_walk(grid, increments):
     return walk, -np.asarray(increments)[::-1]
 
 
-def integrate_backward(system, policy, xT, path: WienerPath, scheme=None) -> Trajectory:
+def integrate_backward(system, policy, xT, path: WienerPath) -> Trajectory:
     """Integrate the inverse flow from xT back to t_start along the forward
     ``path``.
 
-    Ito systems are converted to Stratonovich form first; the Stratonovich
-    scheme then runs over the reversed walk of the path's increments.
+    Ito systems are converted to Stratonovich form first; Stratonovich-Milstein
+    then runs over the reversed walk of the path's increments.
     Returned states are in forward time order (states[-1] == xT), and a
     DivergenceError names the forward step k, from grid point k to k + 1,
     whose reverse step left a non-finite state.
     """
     if system.calculus is Calculus.ITO:
         system = convert_calculus(system)
-    scheme = scheme or MILSTEIN_STRATONOVICH
-    _check_scheme(system, scheme)
     grid = path.grid
     walk, increments = _reverse_walk(grid, path.increments)
     try:
-        states, controls = forward_states(system, policy, xT, increments, walk, scheme)
+        states, controls = forward_states(
+            system, policy, xT, increments, walk, MILSTEIN_STRATONOVICH
+        )
     except DivergenceError as exc:
         k = grid.n_steps - 1 - exc.step_index
         raise DivergenceError(f"non-finite state encountered at step {k}", step_index=k) from None

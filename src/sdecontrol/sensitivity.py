@@ -1,8 +1,9 @@
 """Cost evaluation and path-wise gradients d J / d theta.
 
 Every evaluator steps through ``sdecore._walk``, the one loop over grid steps,
-and sums the cost with ``_quadrature`` over the (x_k, u_k) it yields, stored
-by ``forward_states`` or streamed (the FD oracle).  ``step_control`` is the one
+which checks the system, x0 and the path before the first step, and sums the
+cost with ``_quadrature`` over the (x_k, u_k) it yields, stored by
+``forward_states`` or streamed (the FD oracle).  ``step_control`` is the one
 copy of the Euler/Milstein update.  Three estimators differentiate the cost:
 
 * ``forward_sensitivity`` pushes the state-vs-parameter sensitivity matrix
@@ -23,10 +24,11 @@ of steps in one call each (``_BLOCK_ROWS`` steps x lanes per block), with t an
 array that broadcasts over the lanes; the sequential sweeps then read one step
 at a time.  The policy passes stay per step.
 
-Every evaluator integrates with the Ito-Milstein scheme.  Ito-specified
-systems are used as-is (the Ito-Milstein forward scheme is algebraically
-identical to Stratonovich-Milstein on the converted system);
-Stratonovich-specified systems are converted to Ito form first.
+Every evaluator integrates with the Ito-Milstein scheme, the one that
+``step_partials`` differentiates.  Ito-specified systems are used as-is (the
+Ito-Milstein forward scheme is algebraically identical to
+Stratonovich-Milstein on the converted system); Stratonovich-specified systems
+are converted to Ito form first.
 
 Quadrature convention: all estimators and the evaluators weight the running
 cost at grid point k by the same ``_quadrature_weights(cost, grid)[k]``: dt on
@@ -74,6 +76,8 @@ __all__ = [
 
 _SENS_CAPACITY = 5 * 10**7  # entries allowed in the n_x * n_theta sensitivity matrix
 _BLOCK_ROWS = 1024  # steps x lanes whose step and running-cost partials share one call
+# Gradient magnitude below which a coordinate's relative error is not counted.
+_AGREEMENT_FLOOR = 1e-8
 
 
 @dataclass
@@ -105,14 +109,6 @@ class CostFunctional:
 class GradientReport:
     grad: np.ndarray
     cost_value: float
-
-
-@dataclass
-class AdjointState:
-    """Costate at every grid point, pulled back through the transposed Ito
-    step Jacobians of the stored trajectory from lambdas[K] = d(cost at T)/dx_T."""
-
-    lambdas: np.ndarray  # (n_steps + 1, n_x)
 
 
 # -- plumbing ---------------------------------------------------------------
@@ -204,7 +200,7 @@ def _block_partials(sys_i, cost, grid, xs, us, dbs, backward=False):
         k1 = min(k0 + size, K)
         t = times[k0:k1].reshape((k1 - k0,) + (1,) * (xs.ndim - 2))
         x, u = xs[k0:k1], us[k0:k1]
-        jx, ju = step_partials(sys_i, t, x, u, grid.dt, dbs[k0:k1], MILSTEIN_ITO)
+        jx, ju = step_partials(sys_i, t, x, u, grid.dt, dbs[k0:k1])
         cdx = np.broadcast_to(np.asarray(cost.running_dx(t, x, u), dtype=float), x.shape)
         cdu = np.broadcast_to(np.asarray(cost.running_du(t, x, u), dtype=float), u.shape)
         steps = range(k1 - k0)
@@ -335,7 +331,12 @@ def adjoint_gradient(system, policy, cost, x0, path, return_adjoint=False):
     ``cost.pointwise_times`` the costate evolves cost-free between those times
     and jumps by the running-cost gradient at each of them.  The path is one
     lane of ``adjoint_core``, passed without a lane axis; a non-finite cost
-    or costate raises DivergenceError."""
+    or costate raises DivergenceError.
+
+    With ``return_adjoint`` it returns (report, lambdas): the costate at every
+    grid point, shape (n_steps + 1, n_x), pulled back through the transposed
+    Ito step Jacobians of the stored trajectory from lambdas[K] = d(cost at
+    T)/dx_T."""
     x0 = np.asarray(x0, dtype=float)
     grad, value, valid, lambdas = adjoint_core(
         system, policy, cost, x0, path.increments, path.grid, return_adjoint
@@ -343,7 +344,7 @@ def adjoint_gradient(system, policy, cost, x0, path, return_adjoint=False):
     if not valid:
         raise DivergenceError("adjoint sweep produced a non-finite cost or costate")
     report = GradientReport(grad=grad, cost_value=float(value))
-    return (report, AdjointState(lambdas=lambdas)) if return_adjoint else report
+    return (report, lambdas) if return_adjoint else report
 
 
 # -- finite differences -----------------------------------------------------
@@ -411,7 +412,8 @@ def _eval_cost_perturbed(system, policy, cost, x0, increments, grid, idx, h_sign
     plan = _perturbation_plan(policy, idx, h_signed)
     bufs = [np.empty((len(idx), w.shape[0])) for w in policy.weights]
     perturbed = SimpleNamespace(
-        control=lambda t, x: _perturbed_eval(policy, plan, policy.net_input(t, x), bufs)
+        n_out=policy.n_out,
+        control=lambda t, x: _perturbed_eval(policy, plan, policy.net_input(t, x), bufs),
     )
     x = np.tile(np.asarray(x0, dtype=float), (len(idx), 1))
     with np.errstate(all="ignore"):
@@ -454,29 +456,31 @@ def finite_difference_gradient(system, policy, cost, x0, path, h_rel=1e-5) -> Gr
 # -- comparison helpers -----------------------------------------------------
 
 
-def gradient_agreement(a, b, floor=1e-8):
+def gradient_agreement(a, b):
     """(cosine similarity, max coordinate-relative error) between gradients.
 
     Coordinate j's relative error |a_j - b_j| / max(|a_j|, |b_j|) counts where
-    that magnitude exceeds `floor`; a NaN coordinate makes both values NaN.
+    that magnitude exceeds ``_AGREEMENT_FLOOR``; a NaN coordinate makes both
+    values NaN.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     cosine = float(a @ b / (na * nb)) if na != 0 and nb != 0 else 1.0
     mags = np.maximum(np.abs(a), np.abs(b))
-    mask = ~(mags <= floor)
+    mask = ~(mags <= _AGREEMENT_FLOOR)
     max_rel = float(np.max(np.abs(a - b)[mask] / mags[mask])) if mask.any() else 0.0
     return cosine, max_rel
 
 
-def write_gradient_check_csv(fd_report, forward_report, adjoint_report, fileobj, floor=1e-8):
-    """Per-coordinate estimator comparison table."""
+def write_gradient_check_csv(fd_report, forward_report, adjoint_report, fileobj):
+    """Per-coordinate estimator comparison table; relative errors divide by
+    at least ``_AGREEMENT_FLOOR``."""
     fd, fw, ad = fd_report.grad, forward_report.grad, adjoint_report.grad
     fileobj.write("coord_index,fd,forward,adjoint,rel_err_fa,rel_err_fd\n")
     for j in range(fd.size):
-        den_fa = max(abs(fw[j]), abs(ad[j]), floor)
-        den_fd = max(abs(ad[j]), abs(fd[j]), floor)
+        den_fa = max(abs(fw[j]), abs(ad[j]), _AGREEMENT_FLOOR)
+        den_fd = max(abs(ad[j]), abs(fd[j]), _AGREEMENT_FLOOR)
         rel_fa = abs(fw[j] - ad[j]) / den_fa
         rel_fd = abs(ad[j] - fd[j]) / den_fd
         fileobj.write(

@@ -2,14 +2,16 @@
 closed-form GBM solution, the Ito/Stratonovich scheme equivalence gap, and
 inverse-flow reversibility.  Shared by the CLI and the test suite.
 
-All studies reuse one fine Brownian path per seed, so errors at every
-resolution are driven by the same noise realization.  The fine increments
-are stacked paths-first, as (n_paths, n_steps, 1), and each level sums
-adjacent groups of them in one reshape-and-sum.  All three studies are
-batched over paths: at each level they integrate every path in one
-``forward_states`` call per scheme (the inverse flow runs it over the
-reversed walk).  The systems have no policy, so every step is elementwise
-and each lane gets the bits a one-path integration would.
+Every study integrates GBM from x0 = 1; the strong-convergence study compares
+Euler-Maruyama with Ito-Milstein.  All studies reuse one fine Brownian path
+per seed, so errors at every resolution are driven by the same noise
+realization.  The fine increments are stacked paths-first, as (n_paths,
+n_steps, 1), and each level sums adjacent groups of them in one
+reshape-and-sum.  All three studies are batched over paths: at each level
+they integrate every path in one ``forward_states`` call per scheme (the
+inverse flow runs it over the reversed walk), whose walk checks the scheme.
+The systems have no policy, so every step is elementwise and each lane gets
+the bits a one-path integration would.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .sdecore import (
     EULER_MARUYAMA,
     MILSTEIN_ITO,
     MILSTEIN_STRATONOVICH,
-    _check_scheme,
     _reverse_walk,
     convert_calculus,
     forward_states,
@@ -36,6 +37,9 @@ __all__ = [
     "reversibility_study",
     "write_convergence_csv",
 ]
+
+_X0 = 1.0  # initial state of every study's GBM
+_STRONG_SCHEMES = (EULER_MARUYAMA, MILSTEIN_ITO)
 
 
 def fit_order(n_steps_list, errors) -> float:
@@ -75,7 +79,6 @@ def _level_increments(fine, fine_paths, factor):
 
 def _end_states(system, x0, grid, increments, scheme):
     """Scalar terminal state of every path, shape (n_paths,)."""
-    _check_scheme(system, scheme)
     states, _ = forward_states(system, None, x0, increments, grid, scheme)
     return states[-1, :, 0]
 
@@ -83,33 +86,32 @@ def _end_states(system, x0, grid, increments, scheme):
 def strong_convergence_study(
     mu=0.23,
     sigma=0.18,
-    x0=1.0,
     t_end=1.0,
     min_exp=4,
     max_exp=10,
     n_paths=200,
     seed=0,
-    schemes=(EULER_MARUYAMA, MILSTEIN_ITO),
 ):
-    """Median endpoint error vs the exact GBM solution, per scheme and level.
+    """Median endpoint error vs the exact GBM solution from x0 = 1, under
+    Euler-Maruyama and Ito-Milstein, per level.
 
     Returns {scheme: {"n_steps": [...], "median_error": [...], "order": p}}.
     """
     system = gbm_system(mu=mu, sigma=sigma)
     levels, fine, fine_paths = _fine_paths(seed, n_paths, t_end, min_exp, max_exp)
-    errors = {s: np.zeros((len(levels), n_paths)) for s in schemes}
-    x0v = np.array([float(x0)])
+    errors = {s: np.zeros((len(levels), n_paths)) for s in _STRONG_SCHEMES}
+    x0v = np.array([_X0])
     b_totals = [float(increments.sum()) for increments in fine_paths]
     exact_ends = np.array(
-        [gbm_exact_path(x0, mu, sigma, [0.0, t_end], [0.0, b])[-1] for b in b_totals]
+        [gbm_exact_path(_X0, mu, sigma, [0.0, t_end], [0.0, b])[-1] for b in b_totals]
     )
     for li, exp in enumerate(levels):
         grid, increments = _level_increments(fine, fine_paths, 2 ** (max_exp - exp))
-        for scheme in schemes:
+        for scheme in _STRONG_SCHEMES:
             ends = _end_states(system, x0v, grid, increments, scheme)
             errors[scheme][li] = np.abs(ends - exact_ends)
     out = {}
-    for scheme in schemes:
+    for scheme in _STRONG_SCHEMES:
         med = np.median(errors[scheme], axis=1)
         out[scheme] = {
             "n_steps": [2**e for e in levels],
@@ -122,15 +124,15 @@ def strong_convergence_study(
 def calculus_equivalence_study(
     mu=0.23,
     sigma=0.18,
-    x0=1.0,
     t_end=1.0,
     min_exp=4,
     n_halvings=4,
     n_paths=50,
     seed=0,
 ):
-    """Median endpoint gap between the Ito system under Ito-Milstein and its
-    Stratonovich conversion under (derivative-free) Stratonovich-Milstein.
+    """Median endpoint gap, from x0 = 1, between the Ito system under
+    Ito-Milstein and its Stratonovich conversion under (derivative-free)
+    Stratonovich-Milstein.
 
     Returns (n_steps_list, median_gaps); the gap should shrink with the step.
     """
@@ -139,7 +141,7 @@ def calculus_equivalence_study(
     max_exp = min_exp + n_halvings
     levels, fine, fine_paths = _fine_paths(seed, n_paths, t_end, min_exp, max_exp)
     gaps = np.zeros((len(levels), n_paths))
-    x0v = np.array([float(x0)])
+    x0v = np.array([_X0])
     for li, exp in enumerate(levels):
         grid, increments = _level_increments(fine, fine_paths, 2 ** (max_exp - exp))
         end_i = _end_states(ito, x0v, grid, increments, MILSTEIN_ITO)
@@ -151,15 +153,14 @@ def calculus_equivalence_study(
 def reversibility_study(
     mu=0.23,
     sigma=0.18,
-    x0=1.0,
     t_end=1.0,
     min_exp=4,
     n_halvings=4,
     n_paths=100,
     seed=0,
 ):
-    """Median round-trip error of the inverse flow: integrate forward
-    (Ito-Milstein), then the Stratonovich conversion backward over the
+    """Median round-trip error of the inverse flow: integrate forward from
+    x0 = 1 (Ito-Milstein), then the Stratonovich conversion backward over the
     reversed increments (Stratonovich-Milstein, as ``integrate_backward``),
     and compare with the initial state.  Returns (n_steps_list, median_errors)."""
     system = gbm_system(mu=mu, sigma=sigma)
@@ -167,7 +168,7 @@ def reversibility_study(
     max_exp = min_exp + n_halvings
     levels, fine, fine_paths = _fine_paths(seed, n_paths, t_end, min_exp, max_exp)
     errs = np.zeros((len(levels), n_paths))
-    x0v = np.array([float(x0)])
+    x0v = np.array([_X0])
     for li, exp in enumerate(levels):
         grid, increments = _level_increments(fine, fine_paths, 2 ** (max_exp - exp))
         ends = _end_states(system, x0v, grid, increments, MILSTEIN_ITO)

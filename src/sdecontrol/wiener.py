@@ -55,10 +55,11 @@ class TimeGrid:
         """All n_steps + 1 grid points."""
         return self.t_start + np.arange(self.n_steps + 1) * self.dt
 
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
-        """Index of the grid point equal to t; raises if t is off-grid."""
+    def index_of(self, t: float) -> int:
+        """Index of the grid point equal to t within 1e-9 * max(1, |t|);
+        raises if t is off-grid."""
         k = int(round((t - self.t_start) / self.dt))
-        if k < 0 or k > self.n_steps or abs(self.time(k) - t) > tol * max(1.0, abs(t)):
+        if k < 0 or k > self.n_steps or abs(self.time(k) - t) > 1e-9 * max(1.0, abs(t)):
             raise ConfigurationError(f"time {t} is not a grid point of {self}")
         return k
 

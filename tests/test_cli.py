@@ -116,6 +116,18 @@ class TestCliContract:
         assert len(log) == 1 + 2  # header + one row per iteration
         capsys.readouterr()
 
+    def test_every_nu_keeps_its_checkpoints(self, smoke_cfg, tmp_path, capsys):
+        # Two nu values trained with the same checkpoint names: each keeps
+        # its own, and its last one is the policy it exported.
+        with open(smoke_cfg, "a") as fh:
+            fh.write("nu = 0.25, 0.5\ncheckpoint_every = 1\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", smoke_cfg, "--out", str(out)]) == 0
+        for tag in ("0.25", "0.5"):
+            last = out / f"checkpoints_nu{tag}" / "checkpoint_00002.txt"
+            assert last.read_bytes() == (out / f"policy_nu{tag}.txt").read_bytes()
+        capsys.readouterr()
+
     def test_grad_check_passes_on_gbm(self, smoke_cfg, tmp_path, capsys):
         out = tmp_path / "gc"
         code = main(["grad-check", "--config", smoke_cfg, "--out", str(out)])

@@ -307,6 +307,17 @@ class TestTrain:
         assert (tmp_path / "checkpoint_00002.txt").exists()
         assert (tmp_path / "checkpoint_00004.txt").exists()
 
+    def test_checkpoints_without_directory_rejected(self):
+        system, cost, x0, _ = build_grad_check_problem("gbm", hidden_dims=(4,))
+        policy = init_params([1, 4, 1], seed=0)
+        cfg = TrainConfig(
+            grid=TimeGrid(0.0, 1.0, 16), batch_size=2, iterations=2, checkpoint_every=1
+        )
+        theta = policy.get_params().copy()
+        with pytest.raises(ConfigurationError, match="checkpoint_dir"):
+            train(system, policy, cost, x0, cfg)
+        assert np.array_equal(policy.get_params(), theta)
+
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(grid=TimeGrid(0.0, 1.0, 4), batch_size=0)

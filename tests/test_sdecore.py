@@ -15,7 +15,6 @@ from sdecontrol.errors import (
 from sdecontrol.sdecore import (
     Calculus,
     ControlledSystem,
-    EULER_HEUN,
     EULER_MARUYAMA,
     MILSTEIN_ITO,
     MILSTEIN_STRATONOVICH,
@@ -264,6 +263,12 @@ class TestIntegrate:
         with pytest.raises(ConfigurationError):
             integrate(gbm_system(), None, np.array([1.0, 2.0]), zero_path(4))
 
+    def test_forward_states_checks_scheme_against_calculus(self):
+        path = zero_path(4)
+        strat = convert_calculus(gbm_system())
+        with pytest.raises(ConfigurationError, match="incompatible"):
+            forward_states(strat, None, np.array([1.0]), path.increments, path.grid, MILSTEIN_ITO)
+
     def test_divergence_carries_step_index(self):
         double = lambda t, x, u: x * 1e200  # noqa: E731
         zero = lambda t, x, u: np.zeros_like(x)  # noqa: E731
@@ -319,17 +324,6 @@ class TestIntegrateBackward:
         back = integrate_backward(zero_system(), None, np.array([2.0]), path)
         assert np.all(back.states == 2.0)
 
-    def test_linear_deterministic_reversal(self):
-        # second-order Heun pair: round-trip error is O(dt^3) for an ODE
-        minus_x = lambda t, x, u: -x  # noqa: E731
-        zero = lambda t, x, u: np.zeros_like(x)  # noqa: E731
-        minus_one = lambda t, x, u: -np.ones_like(x)  # noqa: E731
-        system = scalar_system(minus_x, zero, minus_one, zero, zero, zero, Calculus.STRATONOVICH)
-        path = zero_path(4096)
-        fwd = integrate(system, None, np.array([1.0]), path, EULER_HEUN)
-        back = integrate_backward(system, None, fwd.states[-1], path, EULER_HEUN)
-        assert abs(back.states[0, 0] - 1.0) < 1e-6
-
     def test_gbm_round_trip_small_error(self):
         system = gbm_system()
         path = generate_path(5, TimeGrid(0.0, 1.0, 1024), 1)
@@ -353,19 +347,21 @@ class TestIntegrateBackward:
         with pytest.raises(ConfigurationError, match="noise dims"):
             integrate_backward(gbm_system(), None, np.array([1.0]), path)
 
-    @pytest.mark.parametrize("scheme", [MILSTEIN_STRATONOVICH, EULER_HEUN])
+    # integrate_backward steps with Stratonovich-Milstein, the scheme the
+    # reference loop is given.
+    @pytest.mark.parametrize("scheme", [MILSTEIN_STRATONOVICH])
     def test_time_input_policy_matches_reverse_step_loop(self, scheme):
         system = controlled_gbm_system()
         policy = init_params([2, 8, 1], seed=3, with_time=True)
         path = generate_path(7, TimeGrid(0.0, 1.0, 64), 1)
         fwd = integrate(system, policy, np.array([1.0]), path, MILSTEIN_ITO)
-        back = integrate_backward(system, policy, fwd.states[-1], path, scheme)
+        back = integrate_backward(system, policy, fwd.states[-1], path)
         states, controls, step = reverse_step_loop(system, policy, fwd.states[-1], path, scheme)
         assert step is None
         assert np.array_equal(back.states, states)
         assert np.array_equal(back.controls, controls)
 
-    @pytest.mark.parametrize("scheme", [MILSTEIN_STRATONOVICH, EULER_HEUN])
+    @pytest.mark.parametrize("scheme", [MILSTEIN_STRATONOVICH])
     def test_overflow_reports_step_of_reverse_step_loop(self, scheme):
         # dx = -x^2 dt run backwards from x = 1 blows up before t = 0.
         system = scalar_system(
@@ -381,7 +377,7 @@ class TestIntegrateBackward:
         *_, step = reverse_step_loop(system, None, np.array([1.0]), path, scheme)
         assert 0 < step < 49
         with pytest.raises(DivergenceError) as err:
-            integrate_backward(system, None, np.array([1.0]), path, scheme)
+            integrate_backward(system, None, np.array([1.0]), path)
         assert err.value.step_index == step
         assert str(err.value) == f"non-finite state encountered at step {step}"
 
@@ -407,16 +403,6 @@ def reverse_step_loop(system, policy, xT, path, scheme):
             u = control_value(policy, grid.time(k - 1), x, system.control_dim)
             states[k - 1], controls[k - 1] = x, u
     return states, controls, None
-
-
-class TestEulerHeun:
-    def test_matches_strat_milstein_on_smooth_system(self):
-        ito = gbm_system()
-        strat = convert_calculus(ito)
-        path = generate_path(2, TimeGrid(0.0, 1.0, 2048), 1)
-        a = integrate(strat, None, np.array([1.0]), path, EULER_HEUN)
-        b = integrate(strat, None, np.array([1.0]), path, MILSTEIN_STRATONOVICH)
-        assert abs(a.states[-1, 0] - b.states[-1, 0]) < 5e-3
 
 
 class TestSelfCheckPartials:
@@ -451,7 +437,9 @@ def test_central_difference_batch_axes_and_zero_width():
     assert empty.shape == (4, 3, 0)
 
 
-@pytest.mark.parametrize("scheme", [EULER_MARUYAMA, MILSTEIN_ITO])
+# step_partials differentiates the Ito-Milstein step, the scheme the
+# estimators integrate.
+@pytest.mark.parametrize("scheme", [MILSTEIN_ITO])
 @pytest.mark.parametrize(
     "build", [controlled_gbm_system, lambda: build_system(MarketParams())], ids=["gbm", "portfolio"]
 )
@@ -463,7 +451,7 @@ def test_step_partials_differentiate_step_control(scheme, build, batch):
     u = rng.standard_normal(batch + (system.control_dim,))
     dB = 0.3 * rng.standard_normal(batch + (system.noise_dim,))
     t, dt = 0.2, 0.01
-    jx, ju = step_partials(system, t, x, u, dt, dB, scheme)
+    jx, ju = step_partials(system, t, x, u, dt, dB)
 
     def step(z, v):
         return step_control(system, None, t, z, v, dt, dB, scheme)

@@ -12,7 +12,12 @@ from sdecontrol.benchmarks import (
     controlled_gbm_cost,
     controlled_gbm_system,
 )
-from sdecontrol.errors import CapacityError, ConfigurationError, DivergenceError
+from sdecontrol.errors import (
+    CapacityError,
+    ConfigurationError,
+    DivergenceError,
+    UnsupportedSchemeError,
+)
 from sdecontrol.policy import MlpPolicy, init_params
 from sdecontrol.portfolio import MarketParams
 from sdecontrol.sdecore import (
@@ -82,6 +87,23 @@ def frozen_system():
     )
 
 
+def noncommutative_system():
+    """Two noise channels, g = (x, x^2) u-free, not declared commutative: the
+    Ito-Milstein step the evaluators integrate does not support it."""
+    return ControlledSystem(
+        state_dim=1,
+        control_dim=1,
+        noise_dim=2,
+        drift=lambda t, x, u: u * x,
+        diffusion=lambda t, x, u: np.stack([x, x**2], axis=-1),
+        drift_dx=lambda t, x, u: u[..., None],
+        drift_du=lambda t, x, u: x[..., None],
+        diffusion_dx=lambda t, x, u: np.stack([np.ones_like(x), 2 * x], axis=-2)[..., None],
+        diffusion_du=lambda t, x, u: np.zeros(x.shape[:-1] + (2, 1, 1)),
+        calculus=Calculus.ITO,
+    )
+
+
 def terminal_only_cost(terminal, terminal_dx, terminal_du=None):
     zero1 = lambda t, x, u: np.zeros(x.shape[:-1])  # noqa: E731
     zerov = lambda t, x, u: np.zeros_like(x)  # noqa: E731
@@ -94,6 +116,19 @@ def terminal_only_cost(terminal, terminal_dx, terminal_du=None):
         terminal_dx=terminal_dx,
         terminal_du=terminal_du,
     )
+
+
+@pytest.mark.parametrize("evaluator", ["eval_cost", "finite_difference_gradient"])
+def test_noncommutative_noise_rejected_by_every_evaluator(evaluator):
+    # The exact estimators reject this system too; the cost and the FD
+    # oracle run the same checked walk.
+    cost = terminal_only_cost(lambda x, u: x[..., 0], lambda x, u: np.ones_like(x))
+    path = generate_path(0, TimeGrid(0.0, 1.0, 4), 2)
+    args = (noncommutative_system(), scalar_policy(0.1, 0.2), cost, np.array([1.0]), path)
+    with pytest.raises(UnsupportedSchemeError):
+        getattr(sensitivity, evaluator)(*args)
+    with pytest.raises(UnsupportedSchemeError):
+        adjoint_gradient(*args)
 
 
 class TestEvalCost:
@@ -213,16 +248,16 @@ class TestAdjointGradient:
             lambda x, u: np.full(x.shape[:-1], 3.0), lambda x, u: np.zeros_like(x)
         )
         path = generate_path(1, TimeGrid(0.0, 1.0, 32), 1)
-        report, adjoint = adjoint_gradient(system, policy, cost, x0, path, return_adjoint=True)
+        report, lambdas = adjoint_gradient(system, policy, cost, x0, path, return_adjoint=True)
         assert np.all(report.grad == 0.0)
-        assert np.all(adjoint.lambdas[-1] == 0.0)
+        assert np.all(lambdas[-1] == 0.0)
 
     def test_terminal_costate_is_terminal_gradient_bitwise(self):
         system, cost, x0, policy = build_grad_check_problem("portfolio", hidden_dims=(8,))
         path = generate_path(4, TimeGrid(0.0, 1.0, 64), 1)
-        _, adjoint = adjoint_gradient(system, policy, cost, x0, path, return_adjoint=True)
+        _, lambdas = adjoint_gradient(system, policy, cost, x0, path, return_adjoint=True)
         # terminal reward r V + mu S differentiates to (mu, r) = (0.23, 0.04)
-        assert np.array_equal(adjoint.lambdas[-1], np.array([0.23, 0.04]))
+        assert np.array_equal(lambdas[-1], np.array([0.23, 0.04]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -474,8 +509,8 @@ class TestBlockPartials:
 
         def run():
             fw = forward_sensitivity(system, policy, cost, x0, path)
-            ad, state = adjoint_gradient(system, policy, cost, x0, path, return_adjoint=True)
-            return fw.grad, fw.cost_value, ad.grad, ad.cost_value, state.lambdas
+            ad, lambdas = adjoint_gradient(system, policy, cost, x0, path, return_adjoint=True)
+            return fw.grad, fw.cost_value, ad.grad, ad.cost_value, lambdas
 
         self._at_each_budget(monkeypatch, run)
 
@@ -562,6 +597,12 @@ class TestFiniteDifference:
         with pytest.raises(ConfigurationError, match="finite"):
             finite_difference_gradient(system, policy, cost, x0, path, h_rel=h_rel)
 
+    def test_initial_state_dimension_checked(self):
+        system, cost, _, policy = build_grad_check_problem("portfolio", hidden_dims=(4,))
+        path = generate_path(0, TimeGrid(0.0, 1.0, 4), 1)
+        with pytest.raises(ConfigurationError, match="initial state dimension 3"):
+            finite_difference_gradient(system, policy, cost, np.array([1.0, 0.0, 0.0]), path)
+
     def test_oracle_steps_through_the_shared_walk(self, monkeypatch):
         # On a K-step path the perturbed batch and the base eval_cost each
         # take K steps, all through sdecore.step_control.
@@ -636,7 +677,7 @@ class TestAgreementHelpers:
     def test_floor_masks_tiny_coordinates(self):
         a = np.array([1.0, 1e-12])
         b = np.array([1.0, -1e-12])
-        _, rel = gradient_agreement(a, b, floor=1e-8)
+        _, rel = gradient_agreement(a, b)
         assert rel == 0.0
 
     def test_nan_coordinate_gives_nan_agreement(self):
