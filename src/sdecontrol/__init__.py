@@ -24,9 +24,6 @@ from .wiener import (
 from .sdecore import (
     Calculus,
     ControlledSystem,
-    EULER_MARUYAMA,
-    MILSTEIN_ITO,
-    MILSTEIN_STRATONOVICH,
     Trajectory,
     convert_calculus,
     integrate,

@@ -219,11 +219,6 @@ class MlpPolicy:
         acts, pres = self._forward(x)
         return self._backward(acts, pres, cotangent, _summed_products)
 
-    def vjp_params(self, x, cotangent) -> np.ndarray:
-        """cotangent^T @ d eval/d theta in flattened parameter order, summed
-        over the batch axes."""
-        return self.flatten_layer_grads(self.vjp_params_layers(x, cotangent)[1])
-
     def _basis_backward(self, x, products=None):
         """Backward pass of every unit output cotangent at once; the input
         Jacobian comes back as (..., n_out, n_in), per-row layer products

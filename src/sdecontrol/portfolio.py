@@ -24,7 +24,6 @@ from .policy import MlpPolicy, init_params, save_policy
 from .sdecore import (
     Calculus,
     ControlledSystem,
-    MILSTEIN_ITO,
     dump_trajectory_csv,
     integrate,
 )
@@ -340,7 +339,7 @@ def evaluate_policy(
     for i in range(n_paths):
         seed = evaluation_seed(seed_base, i)
         try:
-            trajs.append(integrate(system, policy, x0, generate_path(seed, grid, 1), MILSTEIN_ITO))
+            trajs.append(integrate(system, policy, x0, generate_path(seed, grid, 1)))
         except DivergenceError as exc:
             raise DivergenceError(
                 f"evaluation path {i} (seed {seed}) diverged at step {exc.step_index}",

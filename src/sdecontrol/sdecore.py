@@ -21,9 +21,12 @@ also the Milstein term, so systems may supply analytic partials of it
 (``milstein_dx`` / ``milstein_du``); otherwise central finite differences of
 the correction are used.
 
-Schemes: Euler-Maruyama and Ito-Milstein for Ito systems, derivative-free
-Stratonovich-Milstein for Stratonovich ones and the inverse flow.  ``_walk``,
-the one loop over grid steps, checks its inputs before the first step.
+The step is Milstein's method in the system's own calculus: Ito-Milstein for
+Ito systems, derivative-free Stratonovich-Milstein for Stratonovich ones and
+the inverse flow.  One switch, ``euler=True``, drops the correction and takes
+an Euler-Maruyama step instead (Ito systems only); the strong-convergence study
+sets it.  ``_walk``, the one loop over grid steps, checks its inputs before
+the first step.
 """
 
 from __future__ import annotations
@@ -42,10 +45,6 @@ __all__ = [
     "Calculus",
     "ControlledSystem",
     "Trajectory",
-    "EULER_MARUYAMA",
-    "MILSTEIN_ITO",
-    "MILSTEIN_STRATONOVICH",
-    "default_scheme",
     "integrate",
     "integrate_backward",
     "convert_calculus",
@@ -59,12 +58,6 @@ __all__ = [
 class Calculus(Enum):
     ITO = "ito"
     STRATONOVICH = "stratonovich"
-
-
-# Scheme identifiers.
-EULER_MARUYAMA = "euler_maruyama"
-MILSTEIN_ITO = "milstein_ito"
-MILSTEIN_STRATONOVICH = "milstein_stratonovich"
 
 
 @dataclass
@@ -108,10 +101,6 @@ class Trajectory:
     grid: TimeGrid
     states: np.ndarray  # (n_steps + 1, ..., n_x)
     controls: np.ndarray  # (n_steps + 1, ..., n_u)
-
-
-def default_scheme(calculus: Calculus) -> str:
-    return MILSTEIN_ITO if calculus is Calculus.ITO else MILSTEIN_STRATONOVICH
 
 
 def control_value(policy, t, x, control_dim: int) -> np.ndarray:
@@ -169,41 +158,41 @@ def milstein_term_partials(system, t, x, u):
     return mdx, mdu
 
 
-def _check_scheme(system, scheme):
-    if scheme not in (EULER_MARUYAMA, MILSTEIN_ITO, MILSTEIN_STRATONOVICH):
-        raise ConfigurationError(f"unknown scheme {scheme!r}")
-    if (scheme != MILSTEIN_STRATONOVICH) != (system.calculus is Calculus.ITO):
+def _check_scheme(system, euler):
+    if euler and system.calculus is not Calculus.ITO:
         raise ConfigurationError(
-            f"scheme {scheme!r} is incompatible with {system.calculus.name} calculus"
+            "Euler-Maruyama integrates Ito systems only; convert the Stratonovich system first"
         )
-    if scheme != EULER_MARUYAMA and system.noise_dim > 1 and not system.commutative_noise:
+    if not euler and system.noise_dim > 1 and not system.commutative_noise:
         raise UnsupportedSchemeError(
             "Milstein schemes support scalar or diagonal/commutative noise only; "
             "declare commutative_noise=True or use Euler-Maruyama"
         )
 
 
-def step_control(system, control_fn, t, x, u, dt, dB, scheme):
-    """One step of the chosen scheme with the control already evaluated at x.
+def step_control(system, control_fn, t, x, u, dt, dB, euler=False):
+    """One Milstein step in the system's calculus, or an Euler-Maruyama step
+    with ``euler=True``, with the control already evaluated at x.
 
     ``control_fn`` is only consulted by Stratonovich-Milstein, which needs
     coefficient values at its derivative-free support points; it may be None
-    for open-loop/no-control systems.  ``_walk`` checks the scheme.
+    for open-loop/no-control systems.  ``_walk`` checks the system against
+    the step.
     """
     f = system.drift(t, x, u)
     g = system.diffusion(t, x, u)
-    euler = x + f * dt + np.einsum("...xi,...i->...x", g, dB)
-    if scheme == EULER_MARUYAMA:
-        return euler
-    if scheme == MILSTEIN_ITO:
+    x_euler = x + f * dt + np.einsum("...xi,...i->...x", g, dB)
+    if euler:
+        return x_euler
+    if system.calculus is Calculus.ITO:
         m = _milstein_product(system, t, x, u, g)
         w = np.asarray(dB) ** 2 - dt
-        return euler + np.einsum("...ia,...i->...a", m, w)
+        return x_euler + np.einsum("...ia,...i->...a", m, w)
     # Stratonovich-Milstein, derivative-free: the correction is formed from
     # diffusion values at per-channel support points, re-evaluating the feedback
     # control there so closed-loop coefficients are differenced correctly.
-    sq = np.sqrt(abs(dt)) * np.sign(dt) if dt < 0 else np.sqrt(dt)
-    out = euler
+    sq = np.copysign(np.sqrt(abs(dt)), dt)
+    out = x_euler
     for i in range(system.noise_dim):
         support = x + f * dt + g[..., :, i] * sq
         u_sup = u if control_fn is None else control_fn(t, support)
@@ -220,7 +209,7 @@ def step_partials(system, t, x, u, dt, dB):
     ``step_control`` takes from (x, u): Jx = d x_next / dx at fixed u, shape
     (..., n_x, n_x), and Ju = d x_next / du, shape (..., n_x, n_u).
 
-    This is the scheme the gradient estimators integrate (Stratonovich
+    This is the step the gradient estimators integrate (Stratonovich
     systems are converted first), and their forward walk has checked the
     system against it.  The step itself is not taken here: the estimators
     read x_next from the stored trajectory.  All arguments broadcast over
@@ -250,7 +239,8 @@ def _raise_if_divergent(x, step_index):
         )
 
 
-def _validate_dims(system, policy, x0, increments):
+def _validate_dims(system, policy, x0, increments, grid):
+    """x0 as floats, and the batch shape that it and the increments broadcast to."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape[-1] != system.state_dim:
         raise ConfigurationError(
@@ -263,35 +253,45 @@ def _validate_dims(system, policy, x0, increments):
         raise ConfigurationError(
             f"policy output dim {policy.n_out} != control_dim {system.control_dim}"
         )
-    return x0
+    shape = np.shape(increments)
+    if shape[0] != grid.n_steps:
+        raise ConfigurationError(f"path has {shape[0]} increments, grid has {grid.n_steps} steps")
+    try:
+        batch = np.broadcast_shapes(x0.shape[:-1], shape[1:-1])
+    except ValueError:
+        raise ConfigurationError(
+            f"initial state batch {x0.shape[:-1]} does not broadcast against path batch {shape[1:-1]}"
+        ) from None
+    return x0, batch
 
 
-def _walk(system, policy, x0, increments, grid, scheme):
+def _walk(system, policy, x0, increments, grid, euler=False):
     """Yield (x_k, u_k) for k = 0..n_steps and store nothing: the one loop
-    over grid steps.  Before the first point it checks the scheme against the
-    system and the dimensions of x0, the increments and the policy, the one
-    place these are checked.  x0 is broadcast against the increments' batch
-    axes and u_0 is the control at x0 as given.  The caller sets
-    ``np.errstate`` and consumes (x_k, u_k) before asking for the next point."""
-    _check_scheme(system, scheme)
-    x0 = _validate_dims(system, policy, x0, increments)
+    over grid steps.  Before the first point it checks the system against the
+    step (``euler`` or Milstein) and x0, the increments and the policy against
+    the system, the grid and each other, the one place these are checked.  x0
+    is broadcast against the increments' batch axes and u_0 is the control at
+    x0 as given.  The caller sets ``np.errstate`` and consumes (x_k, u_k)
+    before asking for the next point."""
+    _check_scheme(system, euler)
+    x0, batch = _validate_dims(system, policy, x0, increments, grid)
     control_fn = None if policy is None else policy.control
     dt = grid.dt
     u = control_value(policy, grid.time(0), x0, system.control_dim)
-    batch = np.broadcast_shapes(x0.shape[:-1], np.shape(increments)[1:-1])
     x = np.broadcast_to(x0, batch + (system.state_dim,)).copy()
     for k in range(grid.n_steps):
         yield x, u
-        x = step_control(system, control_fn, grid.time(k), x, u, dt, increments[k], scheme)
+        x = step_control(system, control_fn, grid.time(k), x, u, dt, increments[k], euler)
         u = control_value(policy, grid.time(k + 1), x, system.control_dim)
     yield x, u
 
 
-def forward_states(system, policy, x0, increments, grid, scheme, check="raise"):
+def forward_states(system, policy, x0, increments, grid, check="raise", euler=False):
     """Integrate and return (states, controls) arrays over the whole grid.
 
     ``increments`` has shape (n_steps, ..., n_xi); batch axes broadcast against
-    x0.  The loop itself never stops early: NaNs propagate to the end of the
+    x0.  ``euler=True`` takes Euler-Maruyama steps instead of Milstein ones.
+    The loop itself never stops early: NaNs propagate to the end of the
     grid.  With check="raise", one scan of the stepped states after the loop
     raises DivergenceError at the first step k whose result states[k + 1] is
     non-finite in any batch lane (a non-finite x0 reports step 0); with
@@ -299,13 +299,14 @@ def forward_states(system, policy, x0, increments, grid, scheme, check="raise"):
     afterwards).
     """
     n = grid.n_steps
-    batch = np.broadcast_shapes(np.shape(x0)[:-1], np.shape(increments)[1:-1])
-    states = np.zeros((n + 1,) + batch + (system.state_dim,))
-    controls = np.zeros((n + 1,) + batch + (system.control_dim,))
     with np.errstate(all="ignore"):
-        for k, (x, u) in enumerate(_walk(system, policy, x0, increments, grid, scheme)):
-            states[k] = x
-            controls[k] = u
+        walk = _walk(system, policy, x0, increments, grid, euler)
+        x, u = next(walk)  # the broadcast x0 sizes the arrays
+        states = np.zeros((n + 1,) + x.shape)
+        controls = np.zeros((n + 1,) + x.shape[:-1] + (system.control_dim,))
+        states[0], controls[0] = x, u
+        for k, (x, u) in enumerate(walk, start=1):
+            states[k], controls[k] = x, u
     if check == "raise":
         finite = np.isfinite(states[1:]).reshape(n, -1).all(axis=1)
         k = int(np.argmin(finite))  # the first non-finite step; 0 when all are finite
@@ -313,13 +314,10 @@ def forward_states(system, policy, x0, increments, grid, scheme, check="raise"):
     return states, controls
 
 
-def integrate(system, policy, x0, path: WienerPath, scheme=None) -> Trajectory:
+def integrate(system, policy, x0, path: WienerPath) -> Trajectory:
     """Full forward trajectory on the path's grid; controls are recorded at
     every grid point."""
-    scheme = scheme or default_scheme(system.calculus)
-    states, controls = forward_states(
-        system, policy, x0, path.increments, path.grid, scheme
-    )
+    states, controls = forward_states(system, policy, x0, path.increments, path.grid)
     return Trajectory(grid=path.grid, states=states, controls=controls)
 
 
@@ -348,9 +346,7 @@ def integrate_backward(system, policy, xT, path: WienerPath) -> Trajectory:
     grid = path.grid
     walk, increments = _reverse_walk(grid, path.increments)
     try:
-        states, controls = forward_states(
-            system, policy, xT, increments, walk, MILSTEIN_STRATONOVICH
-        )
+        states, controls = forward_states(system, policy, xT, increments, walk)
     except DivergenceError as exc:
         k = grid.n_steps - 1 - exc.step_index
         raise DivergenceError(f"non-finite state encountered at step {k}", step_index=k) from None

@@ -24,11 +24,9 @@ of steps in one call each (``_BLOCK_ROWS`` steps x lanes per block), with t an
 array that broadcasts over the lanes; the sequential sweeps then read one step
 at a time.  The policy passes stay per step.
 
-Every evaluator integrates with the Ito-Milstein scheme, the one that
-``step_partials`` differentiates.  Ito-specified systems are used as-is (the
-Ito-Milstein forward scheme is algebraically identical to
-Stratonovich-Milstein on the converted system); Stratonovich-specified systems
-are converted to Ito form first.
+Every evaluator converts a Stratonovich system to Ito form first
+(``_ito_form``), so the walk takes the Ito-Milstein steps that
+``step_partials`` differentiates.
 
 Quadrature convention: all estimators and the evaluators weight the running
 cost at grid point k by the same ``_quadrature_weights(cost, grid)[k]``: dt on
@@ -52,7 +50,6 @@ import numpy as np
 from .errors import CapacityError, ConfigurationError, DivergenceError
 from .sdecore import (
     Calculus,
-    MILSTEIN_ITO,
     _walk,
     _worst_partial_error,
     central_difference,
@@ -162,7 +159,7 @@ def _forward_pass(system, policy, cost, x0, increments, grid, check="raise"):
     trajectory; batch axes are kept, NaN lanes too with check="none"."""
     sys_i = _ito_form(system)
     weights = _quadrature_weights(cost, grid)
-    states, controls = forward_states(sys_i, policy, x0, increments, grid, MILSTEIN_ITO, check)
+    states, controls = forward_states(sys_i, policy, x0, increments, grid, check)
     with np.errstate(all="ignore"):
         value = _quadrature(cost, grid, zip(states, controls))
     return sys_i, weights, states, controls, value
@@ -417,7 +414,7 @@ def _eval_cost_perturbed(system, policy, cost, x0, increments, grid, idx, h_sign
     )
     x = np.tile(np.asarray(x0, dtype=float), (len(idx), 1))
     with np.errstate(all="ignore"):
-        return _quadrature(cost, grid, _walk(system, perturbed, x, increments, grid, MILSTEIN_ITO))
+        return _quadrature(cost, grid, _walk(system, perturbed, x, increments, grid))
 
 
 def finite_difference_gradient(system, policy, cost, x0, path, h_rel=1e-5) -> GradientReport:

@@ -2,14 +2,16 @@
 closed-form GBM solution, the Ito/Stratonovich scheme equivalence gap, and
 inverse-flow reversibility.  Shared by the CLI and the test suite.
 
-Every study integrates GBM from x0 = 1; the strong-convergence study compares
-Euler-Maruyama with Ito-Milstein.  All studies reuse one fine Brownian path
+Every study integrates GBM from x0 = 1 with Milstein steps in the system's
+calculus; the strong-convergence study also takes Euler-Maruyama steps, through
+the one switch ``euler=True``, and labels the two ``euler_maruyama`` and
+``milstein_ito`` (``_STRONG_SCHEMES``).  All studies reuse one fine Brownian path
 per seed, so errors at every resolution are driven by the same noise
 realization.  The fine increments are stacked paths-first, as (n_paths,
 n_steps, 1), and each level sums adjacent groups of them in one
 reshape-and-sum.  All three studies are batched over paths: at each level
 they integrate every path in one ``forward_states`` call per scheme (the
-inverse flow runs it over the reversed walk), whose walk checks the scheme.
+inverse flow runs it over the reversed walk), whose walk checks the inputs.
 The systems have no policy, so every step is elementwise and each lane gets
 the bits a one-path integration would.
 """
@@ -20,14 +22,7 @@ import numpy as np
 
 from .benchmarks import gbm_exact_path, gbm_system
 from .errors import ConfigurationError
-from .sdecore import (
-    EULER_MARUYAMA,
-    MILSTEIN_ITO,
-    MILSTEIN_STRATONOVICH,
-    _reverse_walk,
-    convert_calculus,
-    forward_states,
-)
+from .sdecore import _reverse_walk, convert_calculus, forward_states
 from .wiener import TimeGrid, generate_path
 
 __all__ = [
@@ -39,7 +34,8 @@ __all__ = [
 ]
 
 _X0 = 1.0  # initial state of every study's GBM
-_STRONG_SCHEMES = (EULER_MARUYAMA, MILSTEIN_ITO)
+# The strong-convergence study's CSV label of each step -> ``euler`` switch.
+_STRONG_SCHEMES = {"euler_maruyama": True, "milstein_ito": False}
 
 
 def fit_order(n_steps_list, errors) -> float:
@@ -77,9 +73,9 @@ def _level_increments(fine, fine_paths, factor):
     return TimeGrid(fine.t_start, fine.t_end, n_fine // factor), coarse.transpose(1, 0, 2)
 
 
-def _end_states(system, x0, grid, increments, scheme):
+def _end_states(system, x0, grid, increments, euler=False):
     """Scalar terminal state of every path, shape (n_paths,)."""
-    states, _ = forward_states(system, None, x0, increments, grid, scheme)
+    states, _ = forward_states(system, None, x0, increments, grid, euler=euler)
     return states[-1, :, 0]
 
 
@@ -107,8 +103,8 @@ def strong_convergence_study(
     )
     for li, exp in enumerate(levels):
         grid, increments = _level_increments(fine, fine_paths, 2 ** (max_exp - exp))
-        for scheme in _STRONG_SCHEMES:
-            ends = _end_states(system, x0v, grid, increments, scheme)
+        for scheme, euler in _STRONG_SCHEMES.items():
+            ends = _end_states(system, x0v, grid, increments, euler)
             errors[scheme][li] = np.abs(ends - exact_ends)
     out = {}
     for scheme in _STRONG_SCHEMES:
@@ -144,8 +140,8 @@ def calculus_equivalence_study(
     x0v = np.array([_X0])
     for li, exp in enumerate(levels):
         grid, increments = _level_increments(fine, fine_paths, 2 ** (max_exp - exp))
-        end_i = _end_states(ito, x0v, grid, increments, MILSTEIN_ITO)
-        end_s = _end_states(strat, x0v, grid, increments, MILSTEIN_STRATONOVICH)
+        end_i = _end_states(ito, x0v, grid, increments)
+        end_s = _end_states(strat, x0v, grid, increments)
         gaps[li] = np.abs(end_i - end_s)
     return [2**e for e in levels], np.median(gaps, axis=1).tolist()
 
@@ -171,9 +167,8 @@ def reversibility_study(
     x0v = np.array([_X0])
     for li, exp in enumerate(levels):
         grid, increments = _level_increments(fine, fine_paths, 2 ** (max_exp - exp))
-        ends = _end_states(system, x0v, grid, increments, MILSTEIN_ITO)
-        walk = _reverse_walk(grid, increments)
-        starts = _end_states(strat, ends[:, None], *walk, MILSTEIN_STRATONOVICH)
+        ends = _end_states(system, x0v, grid, increments)
+        starts = _end_states(strat, ends[:, None], *_reverse_walk(grid, increments))
         errs[li] = np.abs(starts - x0v[0])
     return [2**e for e in levels], np.median(errs, axis=1).tolist()
 

@@ -15,7 +15,6 @@ from sdecontrol.cli import main
 from sdecontrol.optim import TrainConfig, train
 from sdecontrol.policy import init_params
 from sdecontrol.portfolio import MarketParams, build_cost, build_system, evaluate_policy
-from sdecontrol.sdecore import EULER_MARUYAMA, MILSTEIN_ITO
 from sdecontrol.sensitivity import (
     CostFunctional,
     adjoint_gradient,
@@ -74,8 +73,8 @@ def test_1_three_way_gradient_agreement():
 def test_2_strong_convergence_orders():
     t0 = time.time()
     study = strong_convergence_study(min_exp=4, max_exp=10, n_paths=200)
-    em = study[EULER_MARUYAMA]["order"]
-    mil = study[MILSTEIN_ITO]["order"]
+    em = study["euler_maruyama"]["order"]
+    mil = study["milstein_ito"]["order"]
     elapsed = time.time() - t0
     ok = abs(em - 0.5) <= 0.15 and abs(mil - 1.0) <= 0.15
     report(
@@ -276,7 +275,7 @@ def test_7_policy_vjp_exactness():
             up[j] += h
             dn[j] -= h
             fd_x[j] = float(c @ policy.eval(up) - c @ policy.eval(dn)) / (2.0 * h)
-        vt = policy.vjp_params(x, c)
+        vt = policy.flatten_layer_grads(policy.vjp_params_layers(x, c)[1])
         vx = policy.vjp_input(x, c)
         worst = max(
             worst,

@@ -298,8 +298,9 @@ class TestCliContract:
         code = main(["convergence", "--config", smoke_cfg, "--out", str(out)])
         assert code == 0
         assert (out / "convergence.csv").exists()
-        assert (out / "convergence_orders.csv").exists()
         assert (out / "reversibility.csv").exists()
+        rows = (out / "convergence_orders.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["euler_maruyama", "milstein_ito"]
         stdout = capsys.readouterr().out
         lines = re.findall(r"^wall time: .*$", stdout, re.M)
         assert len(lines) == 1

@@ -138,7 +138,8 @@ class TestVjpInput:
 class TestVjpParams:
     def test_zero_cotangent(self):
         policy = init_params([2, 8, 2], seed=0)
-        out = policy.vjp_params(np.array([0.5, 0.5]), np.zeros(2))
+        _, layers = policy.vjp_params_layers(np.array([0.5, 0.5]), np.zeros(2))
+        out = policy.flatten_layer_grads(layers)
         assert out.shape == (policy.n_params,)
         assert np.all(out == 0.0)
 
@@ -150,7 +151,7 @@ class TestVjpParams:
         )
         x = np.array([0.5, -1.0])
         cot = np.array([2.0, 3.0])
-        grad = policy.vjp_params(x, cot)
+        grad = policy.flatten_layer_grads(policy.vjp_params_layers(x, cot)[1])
         # layout: A row-major then b; dJ/dA = outer(cot, x), dJ/db = cot
         expected = np.concatenate([np.outer(cot, x).ravel(), cot])
         assert np.allclose(grad, expected, atol=1e-14)
@@ -160,7 +161,7 @@ class TestVjpParams:
         rng = np.random.Generator(np.random.Philox(key=7))
         x = rng.standard_normal(2)
         cot = rng.standard_normal(2)
-        analytic = policy.vjp_params(x, cot)
+        analytic = policy.flatten_layer_grads(policy.vjp_params_layers(x, cot)[1])
         theta = policy.get_params()
         h = 1e-6
         for j in range(theta.size):
@@ -195,7 +196,8 @@ class TestVjpParams:
         _, jp = policy.jacobian_params(x)
         for cot in np.eye(2):
             assert np.allclose(cot @ ji, policy.vjp_input(x, cot), atol=1e-13)
-            assert np.allclose(cot @ jp, policy.vjp_params(x, cot), atol=1e-13)
+            vt = policy.flatten_layer_grads(policy.vjp_params_layers(x, cot)[1])
+            assert np.allclose(cot @ jp, vt, atol=1e-13)
         # The fused passes return the single-purpose results bit for bit.
         policy = init_params([3, 6, 5, 2], seed=11)
         rng = np.random.Generator(np.random.Philox(key=12))
@@ -221,7 +223,7 @@ class TestVjpParams:
             ]
             _, jp = policy.jacobian_params(x)
             rows = np.einsum("...o,...op->...p", cot, jp).reshape(-1, policy.n_params)
-            summed = policy.vjp_params(x, cot)
+            summed = policy.flatten_layer_grads(layers)
             assert np.allclose(summed, rows.sum(axis=0), rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("output", ["softplus", "tanh"])

@@ -16,12 +16,7 @@ from sdecontrol.portfolio import (
     run_experiment,
     solvency_gap,
 )
-from sdecontrol.sdecore import (
-    EULER_MARUYAMA,
-    MILSTEIN_ITO,
-    integrate,
-    self_check_partials,
-)
+from sdecontrol.sdecore import forward_states, integrate, self_check_partials
 from sdecontrol.sensitivity import (
     adjoint_gradient,
     check_cost_partials,
@@ -36,6 +31,11 @@ from sdecontrol.wiener import TimeGrid, WienerPath, generate_path
 def zero_path(n_steps, t_end=1.0):
     grid = TimeGrid(0.0, t_end, n_steps)
     return WienerPath(grid=grid, dims=1, increments=np.zeros((n_steps, 1)), seed=0)
+
+
+def euler_states(system, policy, x0, path):
+    """States of an Euler-Maruyama integration along ``path``."""
+    return forward_states(system, policy, x0, path.increments, path.grid, euler=True)[0]
 
 
 class ConstantControl:
@@ -126,9 +126,9 @@ class TestBuildSystem:
         # sigma -> 0 via a time callback: S, V grow as independent exponentials
         p = MarketParams(sigma=lambda t: 0.0)
         system = build_system(p)
-        traj = integrate(system, None, np.array([1.0, 2.0]), zero_path(4096), EULER_MARUYAMA)
-        assert traj.states[-1, 0] == pytest.approx(np.exp(0.23), rel=1e-3)
-        assert traj.states[-1, 1] == pytest.approx(2.0 * np.exp(0.04), rel=1e-3)
+        states = euler_states(system, None, np.array([1.0, 2.0]), zero_path(4096))
+        assert states[-1, 0] == pytest.approx(np.exp(0.23), rel=1e-3)
+        assert states[-1, 1] == pytest.approx(2.0 * np.exp(0.04), rel=1e-3)
 
     def test_zero_cost_churn_cancels(self):
         # alpha = 0 and u_i = u_d: trading contributes nothing to either asset
@@ -144,11 +144,11 @@ class TestBuildSystem:
         p = MarketParams(alpha=0.05, r=0.0, sigma=lambda t: 0.0)
         system = build_system(p)
         policy = ConstantControl(0.0, 1.0)
-        traj = integrate(system, policy, np.array([1.0, 0.0]), zero_path(8192), EULER_MARUYAMA)
+        states = euler_states(system, policy, np.array([1.0, 0.0]), zero_path(8192))
         mu = 0.23
         s_exact = np.exp(mu) - (np.exp(mu) - 1.0) / mu
-        assert traj.states[-1, 1] == pytest.approx(0.95, abs=1e-3)
-        assert traj.states[-1, 0] == pytest.approx(s_exact, abs=1e-3)
+        assert states[-1, 1] == pytest.approx(0.95, abs=1e-3)
+        assert states[-1, 0] == pytest.approx(s_exact, abs=1e-3)
 
     @pytest.mark.parametrize("x_shape, u_shape", [((4, 2), (2,)), ((2,), (4, 2)), ((2,), (2,))])
     def test_drift_equals_stacked_columns(self, x_shape, u_shape):
@@ -169,8 +169,8 @@ class TestBuildSystem:
         system = build_system(MarketParams())
         gbm = gbm_system(mu=0.23, sigma=0.18)
         path = generate_path(3, TimeGrid(0.0, 1.0, 256), 1)
-        port = integrate(system, None, np.array([1.0, 0.5]), path, MILSTEIN_ITO)
-        ref = integrate(gbm, None, np.array([1.0]), path, MILSTEIN_ITO)
+        port = integrate(system, None, np.array([1.0, 0.5]), path)
+        ref = integrate(gbm, None, np.array([1.0]), path)
         assert np.allclose(port.states[:, 0], ref.states[:, 0], atol=1e-12)
 
 
@@ -279,7 +279,7 @@ class TestEvaluatePolicy:
         system = build_system(params)
         policy = init_params([2, 8, 2], seed=1)
         path = generate_path(4, TimeGrid(0.0, 1.0, 100), 1)
-        traj = integrate(system, policy, np.array([1.0, 0.0]), path, MILSTEIN_ITO)
+        traj = integrate(system, policy, np.array([1.0, 0.0]), path)
         dt = path.grid.dt
         pi = np.cumsum(traj.controls[:-1] * dt, axis=0)
         assert np.all(np.diff(pi, axis=0) >= 0)

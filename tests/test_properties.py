@@ -11,7 +11,7 @@ from sdecontrol.benchmarks import build_grad_check_problem
 from sdecontrol.optim import batch_gradient, path_seed
 from sdecontrol.policy import init_params
 from sdecontrol.portfolio import MarketParams
-from sdecontrol.sdecore import MILSTEIN_ITO, convert_calculus, forward_states
+from sdecontrol.sdecore import convert_calculus, forward_states
 from sdecontrol.sensitivity import (
     adjoint_gradient,
     eval_cost,
@@ -47,7 +47,7 @@ def reference_cost(system, policy, cost, x0, path):
     """The discretized cost as an explicit loop over the stored states: dt
     at steps 0..K-1, or one term per listed point-wise time."""
     grid = path.grid
-    states, controls = forward_states(system, policy, x0, path.increments, grid, MILSTEIN_ITO)
+    states, controls = forward_states(system, policy, x0, path.increments, grid)
     if cost.pointwise_times:
         ks = [grid.index_of(t) for t in cost.pointwise_times]
         terms = [cost.running(grid.time(k), states[k], controls[k]) for k in ks]

@@ -15,9 +15,7 @@ from sdecontrol.errors import (
 from sdecontrol.sdecore import (
     Calculus,
     ControlledSystem,
-    EULER_MARUYAMA,
-    MILSTEIN_ITO,
-    MILSTEIN_STRATONOVICH,
+    _walk,
     central_difference,
     control_value,
     convert_calculus,
@@ -69,13 +67,18 @@ def zero_path(n_steps, t_end=1.0, dims=1):
 def euler_step(system, x, dt, dB):
     """One uncontrolled Euler-Maruyama step of ``step_control`` at t = 0."""
     u = np.zeros(x.shape[:-1] + (system.control_dim,))
-    return step_control(system, None, 0.0, x, u, dt, dB, EULER_MARUYAMA)
+    return step_control(system, None, 0.0, x, u, dt, dB, euler=True)
 
 
 def milstein_step(system, x, dt, dB):
     """One uncontrolled Ito-Milstein step of ``step_control`` at t = 0."""
     u = np.zeros(x.shape[:-1] + (system.control_dim,))
-    return step_control(system, None, 0.0, x, u, dt, dB, MILSTEIN_ITO)
+    return step_control(system, None, 0.0, x, u, dt, dB)
+
+
+def euler_states(system, x0, path):
+    """States of an uncontrolled Euler-Maruyama integration along ``path``."""
+    return forward_states(system, None, x0, path.increments, path.grid, euler=True)[0]
 
 
 class TestEulerMaruyamaStep:
@@ -100,7 +103,7 @@ class TestEulerMaruyamaStep:
     def test_rejects_stratonovich_system(self):
         system = zero_system(Calculus.STRATONOVICH)
         with pytest.raises(ConfigurationError):
-            integrate(system, None, np.array([1.0]), zero_path(1), EULER_MARUYAMA)
+            euler_states(system, np.array([1.0]), zero_path(1))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):
@@ -108,7 +111,7 @@ class TestEulerMaruyamaStep:
         zero = lambda t, x, u: np.zeros_like(x)  # noqa: E731
         system = scalar_system(big, zero, zero, zero, zero, zero)
         with pytest.raises(DivergenceError):
-            integrate(system, None, np.array([1e308]), zero_path(1), EULER_MARUYAMA)
+            euler_states(system, np.array([1e308]), zero_path(1))
 
 
 class TestMilsteinStep:
@@ -154,7 +157,7 @@ class TestMilsteinStep:
             calculus=Calculus.ITO,
         )
         with pytest.raises(UnsupportedSchemeError):
-            integrate(system, None, np.array([1.0]), zero_path(1, dims=2), MILSTEIN_ITO)
+            integrate(system, None, np.array([1.0]), zero_path(1, dims=2))
 
     def test_milstein_terms_gbm(self):
         system = gbm_system(mu=0.0, sigma=0.3)
@@ -176,21 +179,21 @@ def test_milstein_step_calls_diffusion_once():
     system = replace(base, diffusion=diffusion)
     x, u = np.array([1.2, -0.1]), np.array([0.3, 0.4])
     dt, dB = 0.01, np.array([0.07])
-    out = step_control(system, None, 0.2, x, u, dt, dB, MILSTEIN_ITO)
+    out = step_control(system, None, 0.2, x, u, dt, dB)
     assert len(calls) == 1
-    euler = step_control(base, None, 0.2, x, u, dt, dB, EULER_MARUYAMA)
+    euler = step_control(base, None, 0.2, x, u, dt, dB, euler=True)
     m = milstein_terms(base, 0.2, x, u)
     assert np.array_equal(out, euler + np.einsum("...ia,...i->...a", m, dB**2 - dt))
 
 
-def per_step_divergence(system, x0, increments, grid, scheme):
-    """Step index and message of the first non-finite step, checked after
-    every step as a loop that stops at once would report them."""
+def per_step_divergence(system, x0, increments, grid):
+    """Step index and message of the first non-finite Euler-Maruyama step,
+    checked after every step as a loop that stops at once would report them."""
     x = np.array(x0, dtype=float)
     u = np.zeros(x.shape[:-1] + (system.control_dim,))
     with np.errstate(all="ignore"):
         for k in range(grid.n_steps):
-            x = step_control(system, None, grid.time(k), x, u, grid.dt, increments[k], scheme)
+            x = step_control(system, None, grid.time(k), x, u, grid.dt, increments[k], euler=True)
             if not np.all(np.isfinite(x)):
                 return k, f"non-finite state encountered at step {k}"
     return None, None
@@ -217,13 +220,13 @@ class TestForwardStatesDivergence:
     def test_post_loop_scan_reports_first_step(self, x0, step):
         x0 = np.array(x0)
         increments = 0.1 * np.ones((16,) + x0.shape[:-1] + (1,))
-        want = per_step_divergence(self.system, x0, increments, self.grid, EULER_MARUYAMA)
+        want = per_step_divergence(self.system, x0, increments, self.grid)
         assert want[0] == step
         with pytest.raises(DivergenceError) as err:
-            forward_states(self.system, None, x0, increments, self.grid, EULER_MARUYAMA)
+            forward_states(self.system, None, x0, increments, self.grid, euler=True)
         assert (err.value.step_index, str(err.value)) == want
         states, _ = forward_states(
-            self.system, None, x0, increments, self.grid, EULER_MARUYAMA, check="none"
+            self.system, None, x0, increments, self.grid, check="none", euler=True
         )
         assert not np.isfinite(states[step + 1]).all() and np.isfinite(states[1 : step + 1]).all()
 
@@ -244,20 +247,25 @@ class TestIntegrate:
         zero = lambda t, x, u: np.zeros_like(x)  # noqa: E731
         minus_one = lambda t, x, u: -np.ones_like(x)  # noqa: E731
         system = scalar_system(minus_x, zero, minus_one, zero, zero, zero)
-        traj = integrate(system, None, np.array([1.0]), zero_path(4096), EULER_MARUYAMA)
-        assert abs(traj.states[-1, 0] - np.exp(-1.0)) < 1e-3
+        states = euler_states(system, np.array([1.0]), zero_path(4096))
+        assert abs(states[-1, 0] - np.exp(-1.0)) < 1e-3
 
     def test_gbm_matches_closed_form(self):
         system = gbm_system()
         path = generate_path(3, TimeGrid(0.0, 1.0, 2048), 1)
-        traj = integrate(system, None, np.array([1.0]), path, MILSTEIN_ITO)
+        traj = integrate(system, None, np.array([1.0]), path)
         b = np.concatenate([[0.0], np.cumsum(path.increments[:, 0])])
         exact = gbm_exact_path(1.0, 0.23, 0.18, path.grid.times(), b)
         assert abs(traj.states[-1, 0] - exact[-1]) < 5e-3
 
+    # Euler-Maruyama is an Ito scheme: the one step that can contradict the
+    # system's calculus.  The walk checks it before its first point.
     def test_scheme_calculus_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            integrate(gbm_system(), None, np.array([1.0]), zero_path(4), MILSTEIN_STRATONOVICH)
+        path = zero_path(4)
+        strat = convert_calculus(gbm_system())
+        walk = _walk(strat, None, np.array([1.0]), path.increments, path.grid, euler=True)
+        with pytest.raises(ConfigurationError, match="Ito systems only"):
+            next(walk)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigurationError):
@@ -266,15 +274,31 @@ class TestIntegrate:
     def test_forward_states_checks_scheme_against_calculus(self):
         path = zero_path(4)
         strat = convert_calculus(gbm_system())
-        with pytest.raises(ConfigurationError, match="incompatible"):
-            forward_states(strat, None, np.array([1.0]), path.increments, path.grid, MILSTEIN_ITO)
+        with pytest.raises(ConfigurationError, match="Ito systems only"):
+            forward_states(strat, None, np.array([1.0]), path.increments, path.grid, euler=True)
+
+    @pytest.mark.parametrize(
+        "x0_shape, increments_shape, match",
+        [
+            ((1,), (3, 1), "path has 3 increments, grid has 4 steps"),
+            ((1,), (6, 1), "path has 6 increments, grid has 4 steps"),
+            ((3, 1), (4, 2, 1), r"batch \(3,\) does not broadcast against path batch \(2,\)"),
+        ],
+        ids=["too-few-rows", "too-many-rows", "batch-mismatch"],
+    )
+    def test_increments_checked_against_grid_and_batch(self, x0_shape, increments_shape, match):
+        # Too few rows died in a raw IndexError, too many were cut to the
+        # grid, and unbroadcastable batches died in a raw numpy ValueError.
+        x0, increments = np.ones(x0_shape), np.zeros(increments_shape)
+        with pytest.raises(ConfigurationError, match=match):
+            forward_states(gbm_system(), None, x0, increments, TimeGrid(0.0, 1.0, 4))
 
     def test_divergence_carries_step_index(self):
         double = lambda t, x, u: x * 1e200  # noqa: E731
         zero = lambda t, x, u: np.zeros_like(x)  # noqa: E731
         system = scalar_system(double, zero, zero, zero, zero, zero)
         with pytest.raises(DivergenceError) as err:
-            integrate(system, None, np.array([1e200]), zero_path(8), EULER_MARUYAMA)
+            euler_states(system, np.array([1e200]), zero_path(8))
         assert err.value.step_index is not None
 
 
@@ -313,8 +337,8 @@ class TestConvertCalculus:
         ito = scalar_system(minus_x, zero, minus_one, zero, zero, zero)
         strat = convert_calculus(ito)
         path = zero_path(64)
-        a = integrate(ito, None, np.array([1.0]), path, MILSTEIN_ITO)
-        b = integrate(strat, None, np.array([1.0]), path, MILSTEIN_STRATONOVICH)
+        a = integrate(ito, None, np.array([1.0]), path)
+        b = integrate(strat, None, np.array([1.0]), path)
         assert np.array_equal(a.states, b.states)
 
 
@@ -327,14 +351,14 @@ class TestIntegrateBackward:
     def test_gbm_round_trip_small_error(self):
         system = gbm_system()
         path = generate_path(5, TimeGrid(0.0, 1.0, 1024), 1)
-        fwd = integrate(system, None, np.array([1.0]), path, MILSTEIN_ITO)
+        fwd = integrate(system, None, np.array([1.0]), path)
         back = integrate_backward(system, None, fwd.states[-1], path)
         assert abs(back.states[0, 0] - 1.0) < 1e-2
 
     def test_states_in_forward_time_order(self):
         system = gbm_system()
         path = generate_path(5, TimeGrid(0.0, 1.0, 64), 1)
-        fwd = integrate(system, None, np.array([1.0]), path, MILSTEIN_ITO)
+        fwd = integrate(system, None, np.array([1.0]), path)
         back = integrate_backward(system, None, fwd.states[-1], path)
         assert np.array_equal(back.states[-1], fwd.states[-1])
 
@@ -347,22 +371,18 @@ class TestIntegrateBackward:
         with pytest.raises(ConfigurationError, match="noise dims"):
             integrate_backward(gbm_system(), None, np.array([1.0]), path)
 
-    # integrate_backward steps with Stratonovich-Milstein, the scheme the
-    # reference loop is given.
-    @pytest.mark.parametrize("scheme", [MILSTEIN_STRATONOVICH])
-    def test_time_input_policy_matches_reverse_step_loop(self, scheme):
+    def test_time_input_policy_matches_reverse_step_loop(self):
         system = controlled_gbm_system()
         policy = init_params([2, 8, 1], seed=3, with_time=True)
         path = generate_path(7, TimeGrid(0.0, 1.0, 64), 1)
-        fwd = integrate(system, policy, np.array([1.0]), path, MILSTEIN_ITO)
+        fwd = integrate(system, policy, np.array([1.0]), path)
         back = integrate_backward(system, policy, fwd.states[-1], path)
-        states, controls, step = reverse_step_loop(system, policy, fwd.states[-1], path, scheme)
+        states, controls, step = reverse_step_loop(system, policy, fwd.states[-1], path)
         assert step is None
         assert np.array_equal(back.states, states)
         assert np.array_equal(back.controls, controls)
 
-    @pytest.mark.parametrize("scheme", [MILSTEIN_STRATONOVICH])
-    def test_overflow_reports_step_of_reverse_step_loop(self, scheme):
+    def test_overflow_reports_step_of_reverse_step_loop(self):
         # dx = -x^2 dt run backwards from x = 1 blows up before t = 0.
         system = scalar_system(
             lambda t, x, u: -(x**2),
@@ -374,7 +394,7 @@ class TestIntegrateBackward:
             Calculus.STRATONOVICH,
         )
         path = generate_path(2, TimeGrid(0.0, 5.0, 50), 1)
-        *_, step = reverse_step_loop(system, None, np.array([1.0]), path, scheme)
+        *_, step = reverse_step_loop(system, None, np.array([1.0]), path)
         assert 0 < step < 49
         with pytest.raises(DivergenceError) as err:
             integrate_backward(system, None, np.array([1.0]), path)
@@ -382,9 +402,10 @@ class TestIntegrateBackward:
         assert str(err.value) == f"non-finite state encountered at step {step}"
 
 
-def reverse_step_loop(system, policy, xT, path, scheme):
-    """The inverse flow stepped one grid point at a time from t_end, checked
-    after every step: (states, controls, first non-finite step or None)."""
+def reverse_step_loop(system, policy, xT, path):
+    """The inverse flow stepped one Stratonovich-Milstein step at a time from
+    t_end, checked after every step: (states, controls, first non-finite step
+    or None)."""
     if system.calculus is Calculus.ITO:
         system = convert_calculus(system)
     grid, n = path.grid, path.grid.n_steps
@@ -397,7 +418,7 @@ def reverse_step_loop(system, policy, xT, path, scheme):
     with np.errstate(all="ignore"):
         for k in range(n, 0, -1):
             dB = -path.increments[k - 1]
-            x = step_control(system, control_fn, grid.time(k), x, u, -grid.dt, dB, scheme)
+            x = step_control(system, control_fn, grid.time(k), x, u, -grid.dt, dB)
             if not np.all(np.isfinite(x)):
                 return states, controls, k - 1
             u = control_value(policy, grid.time(k - 1), x, system.control_dim)
@@ -437,14 +458,13 @@ def test_central_difference_batch_axes_and_zero_width():
     assert empty.shape == (4, 3, 0)
 
 
-# step_partials differentiates the Ito-Milstein step, the scheme the
-# estimators integrate.
-@pytest.mark.parametrize("scheme", [MILSTEIN_ITO])
+# step_partials differentiates the Ito-Milstein step, the one the estimators
+# integrate.
 @pytest.mark.parametrize(
     "build", [controlled_gbm_system, lambda: build_system(MarketParams())], ids=["gbm", "portfolio"]
 )
 @pytest.mark.parametrize("batch", [(), (3,)])
-def test_step_partials_differentiate_step_control(scheme, build, batch):
+def test_step_partials_differentiate_step_control(build, batch):
     system = build()
     rng = np.random.Generator(np.random.Philox(key=5))
     x = rng.uniform(0.5, 1.5, batch + (system.state_dim,))
@@ -454,7 +474,7 @@ def test_step_partials_differentiate_step_control(scheme, build, batch):
     jx, ju = step_partials(system, t, x, u, dt, dB)
 
     def step(z, v):
-        return step_control(system, None, t, z, v, dt, dB, scheme)
+        return step_control(system, None, t, z, v, dt, dB)
 
     assert jx.shape == batch + (system.state_dim, system.state_dim)
     assert ju.shape == batch + (system.state_dim, system.control_dim)
@@ -506,14 +526,17 @@ def test_batched_studies_equal_path_by_path_integration():
         return WienerPath(grid=grid, dims=1, increments=increments, seed=path.seed)
 
     x0 = np.array([1.0])
-    errors = {s: [] for s in (EULER_MARUYAMA, MILSTEIN_ITO)}
+    errors = {"euler_maruyama": [], "milstein_ito": []}
     gaps, round_trips = [], []
     for exp in range(min_exp, max_exp + 1):
         paths = [coarsen(f, 2 ** (max_exp - exp)) for f in fine]
         for scheme in errors:
             errs = []
             for f, path in zip(fine, paths):
-                end = integrate(system, None, x0, path, scheme).states[-1, 0]
+                states, _ = forward_states(
+                    system, None, x0, path.increments, path.grid, euler=scheme == "euler_maruyama"
+                )
+                end = states[-1, 0]
                 exact = gbm_exact_path(1.0, 0.23, 0.18, [0.0, 1.0], [0.0, float(f.increments.sum())])
                 errs.append(abs(float(end) - exact[-1]))
             errors[scheme].append(np.median(errs))
@@ -521,8 +544,8 @@ def test_batched_studies_equal_path_by_path_integration():
             np.median(
                 [
                     abs(
-                        float(integrate(system, None, x0, path, MILSTEIN_ITO).states[-1, 0])
-                        - float(integrate(strat, None, x0, path, MILSTEIN_STRATONOVICH).states[-1, 0])
+                        float(integrate(system, None, x0, path).states[-1, 0])
+                        - float(integrate(strat, None, x0, path).states[-1, 0])
                     )
                     for path in paths
                 ]
@@ -532,7 +555,7 @@ def test_batched_studies_equal_path_by_path_integration():
             integrate_backward(
                 system,
                 None,
-                integrate(system, None, x0, path, MILSTEIN_ITO).states[-1],
+                integrate(system, None, x0, path).states[-1],
                 path,
             ).states[0]
             for path in paths

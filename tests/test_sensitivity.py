@@ -21,7 +21,6 @@ from sdecontrol.errors import (
 from sdecontrol.policy import MlpPolicy, init_params
 from sdecontrol.portfolio import MarketParams
 from sdecontrol.sdecore import (
-    MILSTEIN_ITO,
     Calculus,
     ControlledSystem,
     convert_calculus,
@@ -139,9 +138,9 @@ class TestEvalCost:
         )
         policy = init_params([1, 4, 1], seed=0)
         path = generate_path(0, TimeGrid(0.0, 1.0, 64), 1)
-        from sdecontrol.sdecore import MILSTEIN_ITO, integrate
+        from sdecontrol.sdecore import integrate
 
-        traj = integrate(system, policy, np.array([1.0]), path, MILSTEIN_ITO)
+        traj = integrate(system, policy, np.array([1.0]), path)
         value = eval_cost(system, policy, cost, np.array([1.0]), path)
         assert value == pytest.approx(float(traj.states[-1, 0]), abs=1e-14)
 
@@ -161,9 +160,9 @@ class TestEvalCost:
     def test_quadrature_matches_independent_recomputation(self):
         system, cost, x0, policy = build_grad_check_problem("portfolio", hidden_dims=(8,))
         path = generate_path(2, TimeGrid(0.0, 1.0, 50), 1)
-        from sdecontrol.sdecore import MILSTEIN_ITO, integrate
+        from sdecontrol.sdecore import integrate
 
-        traj = integrate(system, policy, x0, path, MILSTEIN_ITO)
+        traj = integrate(system, policy, x0, path)
         dt = path.grid.dt
         expected = sum(
             float(cost.running(path.grid.time(k), traj.states[k], traj.controls[k])) * dt
@@ -541,7 +540,7 @@ class TestBlockPartials:
         grid = TimeGrid(0.0, 1.0, 300)
         increments = np.stack([generate_path(s, grid, 1).increments for s in range(4)], axis=1)
         x0b = np.tile(x0, (4, 1))
-        states, _ = forward_states(system, policy, x0b, increments, grid, MILSTEIN_ITO)
+        states, _ = forward_states(system, policy, x0b, increments, grid)
         finals = np.sort(states[-1, :, 0])
         low = 0.5 * (finals[0] + finals[1])
         cost = terminal_only_cost(
