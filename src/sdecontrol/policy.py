@@ -33,12 +33,7 @@ def _identity(x, out=None):
     return out
 
 
-def _row_products(delta, act):
-    """Per-row layer products: (..., out, in) and (..., out)."""
-    return np.einsum("...o,...i->...oi", delta, act), delta
-
-
-def _summed_products(delta, act):
+def _summed_products(_layer, delta, act):
     """Layer products summed over the batch axes: one gemm, (out, in), and
     the bias sum, (out,).  ``np.dot``, not ``@``: on one row, as in the
     batch-of-one adjoint, it gives the same bits about 3x faster (32 x 32)."""
@@ -46,6 +41,12 @@ def _summed_products(delta, act):
     if act.shape[:-1] != delta.shape[:-1]:
         act = np.broadcast_to(act, delta.shape[:-1] + act.shape[-1:])
     return np.dot(d.T, act.reshape(-1, act.shape[-1])), d.sum(axis=0)
+
+
+def _basis_last(a):
+    """(n_out, ..., width) -> (..., n_out, width), a view: the output basis
+    of a basis backward pass moved next to the last axis."""
+    return a.transpose(tuple(range(1, a.ndim - 1)) + (0, a.ndim - 1))
 
 
 class Activation:
@@ -136,12 +137,8 @@ class MlpPolicy:
             raise ConfigurationError(
                 f"parameter vector has length {theta.shape}, expected ({self.n_params},)"
             )
-        off = 0
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[k] = theta[off : off + w.size].reshape(w.shape).copy()
-            off += w.size
-            self.biases[k] = theta[off : off + b.size].copy()
-            off += b.size
+        for k, (w, b) in enumerate(self._param_slots(theta)):
+            self.weights[k], self.biases[k] = w.copy(), b.copy()
 
     def flatten_layer_grads(self, grads) -> np.ndarray:
         """Flatten per-layer (dW, db) pairs in parameter order; batch axes kept."""
@@ -177,11 +174,12 @@ class MlpPolicy:
 
     def net_input(self, t, x) -> np.ndarray:
         """Network input for state x at time t: x, with t appended as a last
-        column only when the policy was built with with_time=True."""
+        column only when the policy was built with with_time=True.  ``t`` is
+        a float or an array that broadcasts over the batch axes of x."""
         x = np.asarray(x, dtype=float)
         if self.with_time:
-            tcol = np.broadcast_to(float(t), x.shape[:-1] + (1,))
-            return np.concatenate([x, tcol], axis=-1)
+            t = np.asarray(t, dtype=float)[..., None]
+            return np.concatenate([x, np.broadcast_to(t, x.shape[:-1] + (1,))], axis=-1)
         return x
 
     def control(self, t, x) -> np.ndarray:
@@ -189,8 +187,8 @@ class MlpPolicy:
         return self.eval(self.net_input(t, x))
 
     def _backward(self, acts, pres, cotangent, products=None):
-        """Input cotangent and, when ``products`` is given, each layer's
-        ``products(delta, act)`` pair of (dW, db) cotangent products."""
+        """Input cotangent and, when ``products`` is given, each layer k's
+        ``products(k, delta, act)``, its (dW, db) cotangent products."""
         last = len(self.weights) - 1
         delta = np.asarray(cotangent, dtype=float) * self.output.deriv(
             pres[last], acts[last + 1]
@@ -198,7 +196,7 @@ class MlpPolicy:
         grads = [None] * len(self.weights)
         for k in range(last, -1, -1):
             if products is not None:
-                grads[k] = products(delta, acts[k])
+                grads[k] = products(k, delta, acts[k])
             if k:
                 delta = (delta @ self.weights[k]) * self.hidden.deriv(pres[k - 1], acts[k])
             else:
@@ -220,24 +218,46 @@ class MlpPolicy:
         return self._backward(acts, pres, cotangent, _summed_products)
 
     def _basis_backward(self, x, products=None):
-        """Backward pass of every unit output cotangent at once; the input
-        Jacobian comes back as (..., n_out, n_in), per-row layer products
+        """Input Jacobian (..., n_out, n_in) from the backward pass of every
+        unit output cotangent at once; the deltas that ``products`` receives
         keep the output basis on a leading axis."""
         x = np.asarray(x, dtype=float)
         cot = np.eye(self.n_out).reshape((self.n_out,) + (1,) * (x.ndim - 1) + (self.n_out,))
         acts, pres = self._forward(x)
-        dx, grads = self._backward(acts, pres, cot, products)
-        return np.moveaxis(dx, 0, -2), grads
+        return _basis_last(self._backward(acts, pres, cot, products)[0])
 
     def jacobian_input(self, x) -> np.ndarray:
         """d eval/d input, shape (..., n_out, n_in)."""
-        return self._basis_backward(x)[0]
+        return self._basis_backward(x)
+
+    def _param_slots(self, jac):
+        """Per-layer (weight, bias) views of a (..., n_theta) array, shapes
+        (..., out, in) and (..., out), in the order of ``get_params``."""
+        slots, off = [], 0
+        for w, b in zip(self.weights, self.biases):
+            gw = jac[..., off : off + w.size].reshape(jac.shape[:-1] + w.shape)
+            off += w.size
+            slots.append((gw, jac[..., off : off + b.size]))
+            off += b.size
+        return slots
 
     def jacobian_params(self, x):
         """(d eval/d input (..., n_out, n_in), d eval/d theta (..., n_out,
-        n_theta)), both from one forward and one backward pass."""
-        jx, grads = self._basis_backward(x, _row_products)
-        return jx, np.moveaxis(self.flatten_layer_grads(grads), 0, -2)
+        n_theta)), both from one forward and one backward pass.  Each layer's
+        per-row products are written straight into its slot of one
+        preallocated d eval/d theta array (``_param_slots``), so no per-layer
+        temporary is concatenated."""
+        x = np.asarray(x, dtype=float)
+        jac = np.empty(x.shape[:-1] + (self.n_out, self.n_params))
+        slots = self._param_slots(jac)
+
+        def write(k, delta, act):
+            gw, gb = slots[k]
+            delta = _basis_last(delta)
+            np.multiply(delta[..., None], act[..., None, None, :], out=gw)
+            gb[...] = delta
+
+        return self._basis_backward(x, write), jac
 
 
 def init_params(

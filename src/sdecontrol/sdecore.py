@@ -242,6 +242,10 @@ def _raise_if_divergent(x, step_index):
 def _validate_dims(system, policy, x0, increments, grid):
     """x0 as floats, and the batch shape that it and the increments broadcast to."""
     x0 = np.asarray(x0, dtype=float)
+    if x0.ndim == 0:
+        raise ConfigurationError(
+            f"initial state must be an array of shape (..., {system.state_dim}), got a scalar"
+        )
     if x0.shape[-1] != system.state_dim:
         raise ConfigurationError(
             f"initial state dimension {x0.shape[-1]} != state_dim {system.state_dim}"

@@ -22,7 +22,10 @@ from ``_block_partials``.  Those depend only on the stored (t_k, x_k, u_k,
 dB_k), not on the sensitivity or the costate, so they are computed for a block
 of steps in one call each (``_BLOCK_ROWS`` steps x lanes per block), with t an
 array that broadcasts over the lanes; the sequential sweeps then read one step
-at a time.  The policy passes stay per step.
+at a time.  Forward sensitivity reads the policy Jacobians (du/dx, du/dtheta)
+at the stored states the same way, one ``jacobian_params`` call per block of
+at most ``_JAC_BLOCK_DOUBLES`` doubles (steps x n_u x n_theta, at least one
+step); the adjoint's policy VJPs stay per step, since each needs the costate.
 
 Every evaluator converts a Stratonovich system to Ito form first
 (``_ito_form``), so the walk takes the Ito-Milstein steps that
@@ -73,6 +76,7 @@ __all__ = [
 
 _SENS_CAPACITY = 5 * 10**7  # entries allowed in the n_x * n_theta sensitivity matrix
 _BLOCK_ROWS = 1024  # steps x lanes whose step and running-cost partials share one call
+_JAC_BLOCK_DOUBLES = 2**14  # steps x n_u x n_theta doubles in one policy Jacobian block
 # Gradient magnitude below which a coordinate's relative error is not counted.
 _AGREEMENT_FLOOR = 1e-8
 
@@ -119,12 +123,6 @@ def _ito_form(system):
 def _require_policy(policy):
     if policy is None:
         raise ConfigurationError("gradient computation requires a parametric policy")
-
-
-def _total_du_dtheta(policy, t, x, S):
-    """du/dx @ S + du/dtheta (time column dropped), from one policy pass."""
-    ux, utheta = policy.jacobian_params(policy.net_input(t, x))
-    return ux[..., : x.shape[-1]] @ S + utheta
 
 
 def _quadrature_weights(cost, grid) -> np.ndarray:
@@ -234,11 +232,18 @@ def forward_sensitivity(system, policy, cost, x0, path) -> GradientReport:
     sys_i, weights, states, controls, value = _forward_pass(
         system, policy, cost, x0, path.increments, grid
     )
+    K, times = grid.n_steps, grid.times()
+    size = max(1, _JAC_BLOCK_DOUBLES // (policy.n_out * n_theta))
     S = np.zeros((n_x, n_theta))
     grad = np.zeros(n_theta)
     steps = _block_partials(sys_i, cost, grid, states, controls, path.increments)
     for k, jx, ju, cdx, cdu in steps:
-        chain = _total_du_dtheta(policy, grid.time(k), states[k], S)  # (n_u, n_theta)
+        j = k % size
+        if not j:
+            ux = ut = None  # the previous block is freed before the next one is allocated
+            rows = slice(k, min(k + size, K))
+            ux, ut = policy.jacobian_params(policy.net_input(times[rows], states[rows]))
+        chain = ux[j, :, :n_x] @ S + ut[j]  # du_k/dtheta in total, (n_u, n_theta)
         w = weights[k]
         if w:
             grad += w * (cdx @ S + cdu @ chain)
@@ -246,7 +251,8 @@ def forward_sensitivity(system, policy, cost, x0, path) -> GradientReport:
     cx, cu = _terminal_partials(cost, grid, weights, states, controls)
     grad += cx @ S
     if cu is not None:
-        grad += cu @ _total_du_dtheta(policy, grid.time(grid.n_steps), states[-1], S)
+        ux, ut = policy.jacobian_params(policy.net_input(times[K], states[K]))
+        grad += cu @ (ux[:, :n_x] @ S + ut)
     return GradientReport(grad=grad, cost_value=float(value))
 
 

@@ -210,6 +210,36 @@ class TestVjpParams:
             assert jx.shape == batch + (2, 3) and jp.shape == batch + (2, policy.n_params)
             assert np.array_equal(jx, policy.jacobian_input(x))
 
+    def test_jacobian_slots_are_views_in_parameter_order(self):
+        # jacobian_params writes each layer's products into its slot of one
+        # array; a slot that were a copy would leave that array unwritten.
+        policy = init_params([3, 6, 5, 2], seed=15)
+        jac = np.zeros((4, 2, policy.n_params))
+        slots = policy._param_slots(jac)
+        for (gw, gb), w, b in zip(slots, policy.weights, policy.biases):
+            assert np.shares_memory(gw, jac) and np.shares_memory(gb, jac)
+            gw[...], gb[...] = w, b
+        assert np.array_equal(jac, np.broadcast_to(policy.get_params(), jac.shape))
+
+    @pytest.mark.parametrize("lanes", [(), (3,)], ids=["rows", "rows-by-lanes"])
+    def test_net_input_with_array_time(self, lanes):
+        # A block of B stored states with its grid times, t of shape (B,) +
+        # (1,) * lane axes, gives the stacked per-row inputs and Jacobians.
+        policy = init_params([3, 6, 5, 2], seed=16, with_time=True)
+        rng = np.random.Generator(np.random.Philox(key=17))
+        x = rng.standard_normal((5,) + lanes + (2,))
+        t = rng.uniform(0.0, 1.0, (5,) + (1,) * len(lanes))
+        block = policy.net_input(t, x)
+        jx, jp = policy.jacobian_params(block)
+        for idx in np.ndindex(x.shape[:-1]):
+            row = policy.net_input(t[idx[0]].item(), x[idx])
+            assert np.array_equal(block[idx], row)
+            for got, want in zip((jx[idx], jp[idx]), policy.jacobian_params(row)):
+                assert np.max(np.abs(got - want)) <= 1e-14
+        # A scalar t appends the same column bit for bit.
+        col = np.full(x.shape[:-1] + (1,), 0.3)
+        assert np.array_equal(policy.net_input(0.3, x), np.concatenate([x, col], axis=-1))
+
     def test_layer_products_summed_over_batch(self):
         # One gemm per layer gives the sum over rows of the per-row products.
         policy = init_params([3, 6, 5, 2], seed=13)

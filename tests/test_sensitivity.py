@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,20 @@ def test_noncommutative_noise_rejected_by_every_evaluator(evaluator):
         getattr(sensitivity, evaluator)(*args)
     with pytest.raises(UnsupportedSchemeError):
         adjoint_gradient(*args)
+
+
+@pytest.mark.parametrize(
+    "evaluator",
+    [integrate, eval_cost, forward_sensitivity, adjoint_gradient, finite_difference_gradient],
+    ids=lambda f: f.__name__,
+)
+def test_scalar_initial_state_rejected_by_every_evaluator(evaluator):
+    # x0 = 1.0 has no state axis; every evaluator checks it in the same walk.
+    system, cost, _, policy = build_grad_check_problem("gbm", hidden_dims=(4,))
+    args = (system, policy) if evaluator is integrate else (system, policy, cost)
+    path = generate_path(0, TimeGrid(0.0, 1.0, 4), 1)
+    with pytest.raises(ConfigurationError, match="got a scalar"):
+        evaluator(*args, 1.0, path)
 
 
 class TestEvalCost:
@@ -553,6 +568,56 @@ class TestBlockPartials:
         grad, costs, valid, _ = self._at_each_budget(monkeypatch, run)
         assert np.all(np.isfinite(costs)) and np.count_nonzero(~valid) == 1
         assert np.all(np.isfinite(grad))
+
+
+class TestPolicyJacobianBlocks:
+    """Forward sensitivity computes the policy Jacobians a block of stored
+    states at a time, at most ``sensitivity._JAC_BLOCK_DOUBLES`` doubles
+    (steps x n_u x n_theta) per block.  No result may depend on the block."""
+
+    def test_result_does_not_depend_on_the_block(self, monkeypatch):
+        # A time-input policy, point-wise times at 0, a repeat and T (so the
+        # control at T enters the terminal partials), and 10 steps: the
+        # default budget is one block, and 3-step blocks end in a partial one.
+        system, cost, x0, _ = build_grad_check_problem("portfolio")
+        policy = init_params([3, 8, 2], seed=5, with_time=True)
+        grid = TimeGrid(0.0, 1.0, 10)
+        cost = dataclasses.replace(cost, pointwise_times=[0.0, grid.time(4), grid.time(4), 1.0])
+        path = generate_path(6, grid, 1)
+        per_step = policy.n_out * policy.n_params
+        calls = []
+        jacobian_params = policy.jacobian_params
+
+        def counted(x):
+            calls.append(x.shape[:-1])
+            return jacobian_params(x)
+
+        monkeypatch.setattr(policy, "jacobian_params", counted)
+        want = forward_sensitivity(system, policy, cost, x0, path)
+        assert calls == [(10,), ()]  # one block, then the control at T
+        for steps, blocks in ((1, [(1,)] * 10), (3, [(3,), (3,), (3,), (1,)])):
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(sensitivity, "_JAC_BLOCK_DOUBLES", steps * per_step)
+                got = forward_sensitivity(system, policy, cost, x0, path)
+            assert calls == blocks + [()]
+            assert got.cost_value == want.cost_value
+            scale = np.max(np.abs(want.grad))
+            assert np.max(np.abs(got.grad - want.grad)) <= 1e-13 * scale
+
+    def test_memory_on_the_gradient_check(self):
+        # The benchmark's grad-check problem: 1024 steps, 2274 parameters.
+        # One step's parameter Jacobian is 2 x 2274 doubles, so the whole path
+        # at once would hold 37 MB; the block budget keeps the peak under 1 MB.
+        system, cost, x0, policy = build_grad_check_problem("portfolio", hidden_dims=(32, 32, 32))
+        path = generate_path(3, TimeGrid(0.0, 1.0, 1024), 1)
+        tracemalloc.start()
+        try:
+            forward_sensitivity(system, policy, cost, x0, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestFiniteDifference:
