@@ -28,7 +28,6 @@ from .sdecore import (
     convert_calculus,
     integrate,
     integrate_backward,
-    self_check_partials,
 )
 from .policy import Activation, MlpPolicy, init_params, load_policy, save_policy
 from .sensitivity import (

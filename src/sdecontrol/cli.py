@@ -29,11 +29,11 @@ from .portfolio import (
 )
 from .sdecore import dump_trajectory_csv
 from .sensitivity import (
-    _AGREEMENT_FLOOR,
     adjoint_gradient,
     finite_difference_gradient,
     forward_sensitivity,
     gradient_agreement,
+    worst_coordinate,
     write_gradient_check_csv,
 )
 from .studies import (
@@ -181,12 +181,9 @@ def cmd_grad_check(args) -> int:
         cosine, max_rel = gradient_agreement(a, b)
         line = f"{name}: cosine={cosine:.9f} max_rel={max_rel:.3e}"
         if not (cosine >= cfg["cosine_tol"] and max_rel <= cfg["grad_tol"]):  # NaN fails
-            mags = np.maximum(np.maximum(np.abs(a), np.abs(b)), _AGREEMENT_FLOOR)
-            j = int(np.argmax(np.abs(a - b) / mags))
-            print(
-                f"FAIL {line} worst coord {j}: {a[j]:.10g} vs {b[j]:.10g}",
-                file=sys.stderr,
-            )
+            j = worst_coordinate(a, b)
+            worst = "" if j is None else f" worst coord {j}: {a[j]:.10g} vs {b[j]:.10g}"
+            print(f"FAIL {line}{worst}", file=sys.stderr)
             ok = False
         else:
             print(f"ok {line}")

@@ -83,6 +83,12 @@ class MarketParams:
     x0: Tuple[float, float] = (1.0, 0.0)
 
     def __post_init__(self):
+        for name in ("alpha", "nu", "horizon", "barrier_weight", "r", "mu", "sigma"):
+            value = getattr(self, name)
+            if not callable(value) and not np.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
+        if not np.isfinite(np.asarray(self.x0, dtype=float)).all():
+            raise ConfigurationError(f"x0 must be finite, got {self.x0}")
         if self.alpha < 0:
             raise ConfigurationError("alpha must be >= 0")
         if not callable(self.sigma) and self.sigma <= 0:
@@ -91,6 +97,8 @@ class MarketParams:
             raise ConfigurationError("nu must be >= 0")
         if self.horizon <= 0:
             raise ConfigurationError("horizon must be > 0")
+        if self.barrier_weight < 0:
+            raise ConfigurationError("barrier_weight must be >= 0")
         for name in ("r", "mu", "sigma"):
             _check_rate(name, getattr(self, name), self.horizon)
 
@@ -306,6 +314,10 @@ def _check_evaluation_sizes(n_paths, keep_trajectories):
         raise ConfigurationError(
             f"number of kept trajectories must be >= 0, got {keep_trajectories}"
         )
+    if keep_trajectories > n_paths:
+        raise ConfigurationError(
+            f"cannot keep {keep_trajectories} trajectories of {n_paths} evaluation paths"
+        )
 
 
 def _check_policy_grid(s_range, v_range, resolution):
@@ -397,11 +409,12 @@ def run_experiment(
     and, when ``train_config.checkpoint_every`` > 0, the training checkpoints
     in checkpoints_nu<nu>/ (in place of any ``checkpoint_dir`` the config
     names).  Returns {nu: ExperimentResult}.  The nu list, evaluation sizes,
-    the policy grid and the largest derived path seeds are checked before any
-    training.
+    the policy grid and the largest derived path seeds are checked before
+    anything is trained or written.
     """
     if len(nu_values) == 0:
         raise ConfigurationError("nu needs at least one risk weight")
+    markets = [replace(params, nu=float(nu)) for nu in nu_values]  # MarketParams checks each nu
     _check_evaluation_sizes(eval_paths, trajectory_dumps)
     _check_policy_grid(grid_s_range, grid_v_range, grid_resolution)
     # philox_rng raises ConfigurationError for a seed outside the Philox key range.
@@ -410,8 +423,7 @@ def run_experiment(
     philox_rng(evaluation_seed(base, eval_paths - 1))
     os.makedirs(out_dir, exist_ok=True)
     results = {}
-    for nu in nu_values:
-        p = replace(params, nu=float(nu))
+    for nu, p in zip(nu_values, markets):
         system = build_system(p)
         cost = build_cost(p)
         policy = init_params([2, *hidden_dims, 2], seed=policy_seed)

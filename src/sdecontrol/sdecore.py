@@ -39,7 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, UnsupportedSchemeError
-from .wiener import TimeGrid, WienerPath, philox_rng
+from .wiener import TimeGrid, WienerPath
 
 __all__ = [
     "Calculus",
@@ -48,7 +48,6 @@ __all__ = [
     "integrate",
     "integrate_backward",
     "convert_calculus",
-    "self_check_partials",
     "milstein_terms",
     "central_difference",
     "dump_trajectory_csv",
@@ -391,56 +390,6 @@ def convert_calculus(system: ControlledSystem) -> ControlledSystem:
             Calculus.STRATONOVICH if system.calculus is Calculus.ITO else Calculus.ITO
         ),
     )
-
-
-def _worst_partial_error(pairs, n_x, n_u, n_points, seed, tol, sampler, what):
-    """Worst relative error |analytic - fd| / max(1, |analytic|) over the
-    (analytic, fd) pairs that ``pairs(t, x, u)`` yields at each sampled
-    point (``sampler(rng)``, else standard normals); raises
-    ConfigurationError when it exceeds ``tol`` or is NaN."""
-    rng = philox_rng(seed)
-    errors = [0.0]
-    for _ in range(n_points):
-        if sampler is not None:
-            t, x, u = sampler(rng)
-        else:
-            t = float(rng.uniform(0.0, 1.0))
-            x = rng.standard_normal(n_x)
-            u = rng.standard_normal(n_u)
-        for analytic, approx in pairs(t, x, u):
-            analytic = np.asarray(analytic)
-            if analytic.size:
-                errors.append(np.max(np.abs(analytic - approx) / np.maximum(1.0, np.abs(analytic))))
-    worst = float(np.max(errors))  # np.max keeps a NaN, where max() would drop it
-    if not worst <= tol:
-        raise ConfigurationError(
-            f"{what} disagree with finite differences: {worst:.3e} > {tol:.1e}"
-        )
-    return worst
-
-
-def self_check_partials(system, n_points=100, seed=0, tol=1e-5, sampler=None):
-    """Compare analytic partials against central finite differences.
-
-    Returns the worst relative error over sampled (t, x, u) points; raises
-    ConfigurationError when it exceeds `tol` or is NaN.  `sampler(rng)` may
-    supply domain-appropriate points; the default samples standard normals.
-    """
-    fd = central_difference
-
-    def pairs(t, x, u):
-        yield system.drift_dx(t, x, u), fd(lambda z: system.drift(t, z, u), x)
-        yield system.drift_du(t, x, u), fd(lambda z: system.drift(t, x, z), u)
-        # .T puts the noise channel first, as in diffusion_dx / diffusion_du
-        yield system.diffusion_dx(t, x, u), fd(lambda z: system.diffusion(t, z, u).T, x)
-        yield system.diffusion_du(t, x, u), fd(lambda z: system.diffusion(t, x, z).T, u)
-        if system.milstein_dx is not None:
-            yield system.milstein_dx(t, x, u), fd(lambda z: milstein_terms(system, t, z, u), x)
-        if system.milstein_du is not None:
-            yield system.milstein_du(t, x, u), fd(lambda z: milstein_terms(system, t, x, z), u)
-
-    n_x, n_u = system.state_dim, system.control_dim
-    return _worst_partial_error(pairs, n_x, n_u, n_points, seed, tol, sampler, "analytic partials")
 
 
 def dump_trajectory_csv(traj: Trajectory, fileobj, state_names=None, control_names=None):

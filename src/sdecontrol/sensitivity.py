@@ -54,8 +54,6 @@ from .errors import CapacityError, ConfigurationError, DivergenceError
 from .sdecore import (
     Calculus,
     _walk,
-    _worst_partial_error,
-    central_difference,
     convert_calculus,
     forward_states,
     step_partials,
@@ -70,8 +68,8 @@ __all__ = [
     "adjoint_gradient",
     "finite_difference_gradient",
     "gradient_agreement",
+    "worst_coordinate",
     "write_gradient_check_csv",
-    "check_cost_partials",
 ]
 
 _SENS_CAPACITY = 5 * 10**7  # entries allowed in the n_x * n_theta sensitivity matrix
@@ -118,6 +116,19 @@ class GradientReport:
 def _ito_form(system):
     """The system in Ito form, which every estimator integrates."""
     return system if system.calculus is Calculus.ITO else convert_calculus(system)
+
+
+def _one_path_x0(system, x0):
+    """x0 of the single-path evaluators as floats, rejected unless it is 1-d;
+    a batch of initial states goes through ``adjoint_core`` or
+    ``batch_gradient``."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 1:
+        got = "a scalar" if x0.ndim == 0 else f"a batch of shape {x0.shape}"
+        raise ConfigurationError(
+            f"one path needs an initial state of shape ({system.state_dim},), got {got}"
+        )
+    return x0
 
 
 def _require_policy(policy):
@@ -208,6 +219,7 @@ def _block_partials(sys_i, cost, grid, xs, us, dbs, backward=False):
 
 def eval_cost(system, policy, cost, x0, path: WienerPath) -> float:
     """Discretized cost along the trajectory driven by `path`."""
+    x0 = _one_path_x0(system, x0)
     *_, value = _forward_pass(system, policy, cost, x0, path.increments, path.grid)
     value = float(value)
     if not np.isfinite(value):
@@ -221,6 +233,7 @@ def eval_cost(system, policy, cost, x0, path: WienerPath) -> float:
 def forward_sensitivity(system, policy, cost, x0, path) -> GradientReport:
     """Gradient via the parameter sensitivity S_k = dx_k/dtheta, pushed
     forward through the step Jacobians of the stored trajectory."""
+    x0 = _one_path_x0(system, x0)
     _require_policy(policy)
     n_x, n_theta = system.state_dim, policy.n_params
     if n_x * n_theta > _SENS_CAPACITY:
@@ -340,7 +353,7 @@ def adjoint_gradient(system, policy, cost, x0, path, return_adjoint=False):
     grid point, shape (n_steps + 1, n_x), pulled back through the transposed
     Ito step Jacobians of the stored trajectory from lambdas[K] = d(cost at
     T)/dx_T."""
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _one_path_x0(system, x0)
     grad, value, valid, lambdas = adjoint_core(
         system, policy, cost, x0, path.increments, path.grid, return_adjoint
     )
@@ -432,6 +445,7 @@ def finite_difference_gradient(system, policy, cost, x0, path, h_rel=1e-5) -> Gr
     buffers preallocated once per block, so the network layers allocate
     nothing per step.
     """
+    x0 = _one_path_x0(system, x0)
     _require_policy(policy)
     if not 0 < h_rel < np.inf:
         raise ConfigurationError(f"h_rel must be positive and finite, got {h_rel}")
@@ -459,51 +473,45 @@ def finite_difference_gradient(system, policy, cost, x0, path, h_rel=1e-5) -> Gr
 # -- comparison helpers -----------------------------------------------------
 
 
+def _coordinate_errors(a, b):
+    """Per-coordinate relative error |a_j - b_j| / max(|a_j|, |b_j|,
+    ``_AGREEMENT_FLOOR``), and the mask of the coordinates that count: those
+    whose magnitude max(|a_j|, |b_j|) exceeds the floor, or is NaN."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    mags = np.maximum(np.abs(a), np.abs(b))
+    return np.abs(a - b) / np.maximum(mags, _AGREEMENT_FLOOR), ~(mags <= _AGREEMENT_FLOOR)
+
+
 def gradient_agreement(a, b):
     """(cosine similarity, max coordinate-relative error) between gradients.
 
-    Coordinate j's relative error |a_j - b_j| / max(|a_j|, |b_j|) counts where
-    that magnitude exceeds ``_AGREEMENT_FLOOR``; a NaN coordinate makes both
-    values NaN.
+    The relative error is the largest ``_coordinate_errors`` over the
+    coordinates that count (magnitude above ``_AGREEMENT_FLOOR``); a NaN
+    coordinate makes both values NaN.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     cosine = float(a @ b / (na * nb)) if na != 0 and nb != 0 else 1.0
-    mags = np.maximum(np.abs(a), np.abs(b))
-    mask = ~(mags <= _AGREEMENT_FLOOR)
-    max_rel = float(np.max(np.abs(a - b)[mask] / mags[mask])) if mask.any() else 0.0
+    rel, counted = _coordinate_errors(a, b)
+    max_rel = float(np.max(rel[counted])) if counted.any() else 0.0
     return cosine, max_rel
 
 
+def worst_coordinate(a, b):
+    """Index of the largest relative error among the coordinates that
+    ``gradient_agreement`` counts (a NaN first), or None when none counts."""
+    rel, counted = _coordinate_errors(a, b)
+    return int(np.argmax(np.where(counted, rel, -1.0))) if counted.any() else None
+
+
 def write_gradient_check_csv(fd_report, forward_report, adjoint_report, fileobj):
-    """Per-coordinate estimator comparison table; relative errors divide by
-    at least ``_AGREEMENT_FLOOR``."""
+    """Per-coordinate estimator comparison table; the relative errors are
+    ``_coordinate_errors``, over every coordinate."""
     fd, fw, ad = fd_report.grad, forward_report.grad, adjoint_report.grad
+    rel_fa, _ = _coordinate_errors(fw, ad)
+    rel_fd, _ = _coordinate_errors(ad, fd)
     fileobj.write("coord_index,fd,forward,adjoint,rel_err_fa,rel_err_fd\n")
-    for j in range(fd.size):
-        den_fa = max(abs(fw[j]), abs(ad[j]), _AGREEMENT_FLOOR)
-        den_fd = max(abs(ad[j]), abs(fd[j]), _AGREEMENT_FLOOR)
-        rel_fa = abs(fw[j] - ad[j]) / den_fa
-        rel_fd = abs(ad[j] - fd[j]) / den_fd
-        fileobj.write(
-            ",".join(
-                f"{v:.17g}" for v in (j, fd[j], fw[j], ad[j], rel_fa, rel_fd)
-            )
-            + "\n"
-        )
-
-
-def check_cost_partials(cost, n_x, n_u, n_points=50, seed=0, tol=1e-5, sampler=None):
-    """Finite-difference self-check for cost partials; returns the worst
-    relative error, raising when it exceeds `tol` or is NaN."""
-    fd = central_difference
-
-    def pairs(t, x, u):
-        yield cost.running_dx(t, x, u), fd(lambda z: cost.running(t, z, u), x)
-        yield cost.running_du(t, x, u), fd(lambda z: cost.running(t, x, z), u)
-        yield cost.terminal_dx(x, u), fd(lambda z: cost.terminal(z, u), x)
-        if cost.terminal_du is not None:
-            yield cost.terminal_du(x, u), fd(lambda z: cost.terminal(x, z), u)
-
-    return _worst_partial_error(pairs, n_x, n_u, n_points, seed, tol, sampler, "cost partials")
+    for row in zip(range(fd.size), fd, fw, ad, rel_fa, rel_fd):
+        fileobj.write(",".join(f"{v:.17g}" for v in row) + "\n")

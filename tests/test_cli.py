@@ -11,6 +11,7 @@ from sdecontrol import cli
 from sdecontrol.cli import main
 from sdecontrol.config import default_config, load_config, parse_value
 from sdecontrol.errors import ConfigurationError
+from sdecontrol.sensitivity import GradientReport
 
 SMOKE = """
 # fast smoke settings
@@ -181,6 +182,45 @@ class TestCliContract:
         assert code == 1
         assert "worst coord" in capsys.readouterr().err
 
+    def test_grad_check_fail_line_names_a_counted_coordinate(
+        self, smoke_cfg, tmp_path, capsys, monkeypatch
+    ):
+        # Coordinate 1 is below the 1e-8 floor that the gate ignores, yet its
+        # ratio |a - b| / 1e-8 = 0.5 is larger than the failing coordinate 0's.
+        exact = np.array([1.0, 5e-9])
+        grads = {
+            "forward_sensitivity": exact,
+            "adjoint_gradient": exact,
+            "finite_difference_gradient": np.array([1.01, 0.0]),
+        }
+        for name, grad in grads.items():
+            report = GradientReport(grad=grad, cost_value=0.0)
+            monkeypatch.setattr(cli, name, lambda *args, report=report, **kwargs: report)
+        code = main(["grad-check", "--config", smoke_cfg, "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "ok forward/adjoint" in captured.out
+        assert "FAIL adjoint/fd: cosine=" in captured.err
+        assert "worst coord 0: 1 vs 1.01" in captured.err
+
+    def test_grad_check_fail_line_without_a_counted_coordinate(
+        self, smoke_cfg, tmp_path, capsys, monkeypatch
+    ):
+        # Every coordinate is below the floor, so only the cosine (-1) fails.
+        tiny = np.array([1e-9, 0.0])
+        grads = {
+            "forward_sensitivity": tiny,
+            "adjoint_gradient": tiny,
+            "finite_difference_gradient": -tiny,
+        }
+        for name, grad in grads.items():
+            report = GradientReport(grad=grad, cost_value=0.0)
+            monkeypatch.setattr(cli, name, lambda *args, report=report, **kwargs: report)
+        code = main(["grad-check", "--config", smoke_cfg, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "FAIL adjoint/fd: cosine=-1.000000000 max_rel=0.000e+00\n" in err
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -190,6 +230,15 @@ class TestCliContract:
             "grid_resolution = 1",
             "grid_s_max = inf",
             "nu = ",
+            "mu = nan",
+            "r = inf",
+            "nu = nan",
+            "alpha = nan",
+            "barrier_weight = nan",
+            "barrier_weight = -1",
+            "horizon = inf",
+            "s0 = nan",
+            "trajectory_dumps = 3",
         ],
     )
     def test_bad_experiment_size_exits_2_before_training(self, smoke_cfg, tmp_path, capsys, line):
@@ -199,6 +248,7 @@ class TestCliContract:
         assert main(["train", "--config", smoke_cfg, "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not list(tmp_path.glob("**/trainlog_*.csv"))
+        assert not out.exists()
 
     def test_iterations_reaching_the_evaluation_stream_exit_2(self, smoke_cfg, tmp_path, capsys):
         with open(smoke_cfg, "a") as fh:
@@ -325,6 +375,29 @@ class TestCliContract:
         captured = capsys.readouterr()
         assert "two levels" in captured.err
         assert "ok" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, shown",
+        [
+            ("conv_min_exp = -1", "at least one step"),
+            ("mu = nan", "mu must be finite"),
+            ("sigma = nan", "sigma must be finite"),
+            ("horizon = inf", "t_end must be finite"),
+            # 50 paths x 2^40 steps: 8 TiB of increments, refused before allocating.
+            ("conv_max_exp = 40", "study limit"),
+        ],
+    )
+    def test_convergence_with_bad_input_exits_2_before_allocating(
+        self, smoke_cfg, tmp_path, capsys, line, shown
+    ):
+        with open(smoke_cfg, "a") as fh:
+            fh.write(line + "\n")
+        out = tmp_path / "conv"
+        assert main(["convergence", "--config", smoke_cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "error: " in captured.err and shown in captured.err
+        assert "Traceback" not in captured.err
         assert not out.exists()
 
     def test_convergence_gate_fails_on_nan_order(self, smoke_cfg, tmp_path, capsys, monkeypatch):

@@ -16,16 +16,17 @@ from sdecontrol.portfolio import (
     run_experiment,
     solvency_gap,
 )
-from sdecontrol.sdecore import forward_states, integrate, self_check_partials
+from sdecontrol.sdecore import forward_states, integrate
 from sdecontrol.sensitivity import (
     adjoint_gradient,
-    check_cost_partials,
     eval_cost,
     finite_difference_gradient,
     forward_sensitivity,
     gradient_agreement,
 )
 from sdecontrol.wiener import TimeGrid, WienerPath, generate_path
+from test_sdecore import assert_partials_match_fd, system_partial_pairs
+from test_sensitivity import cost_partial_pairs
 
 
 def zero_path(n_steps, t_end=1.0):
@@ -66,6 +67,13 @@ def straddle_sampler(rng):
     x = np.array([s, rng.uniform(-0.5, 0.5) - 0.95 * s])
     u = rng.uniform(0.0, 1.0, 2)
     return t, x, u
+
+
+def sample(sampler, n_points):
+    """n_points points of ``sampler`` from one stream, stacked as t (n,),
+    x (n, 2) and u (n, 2)."""
+    rng = np.random.Generator(np.random.Philox(key=0))
+    return tuple(map(np.array, zip(*(sampler(rng) for _ in range(n_points)))))
 
 
 class TestMarketParams:
@@ -120,7 +128,7 @@ class TestMarketParams:
 class TestBuildSystem:
     def test_partials_self_check(self):
         system = build_system(MarketParams())
-        assert self_check_partials(system, n_points=50, sampler=market_sampler) < 1e-5
+        assert_partials_match_fd(system_partial_pairs(system, *sample(market_sampler, 50)))
 
     def test_uncontrolled_deterministic_growth(self):
         # sigma -> 0 via a time callback: S, V grow as independent exponentials
@@ -201,15 +209,14 @@ class TestBuildCost:
     def test_partials_match_finite_differences(self):
         for nu in (0.0, 0.5):
             cost = build_cost(MarketParams(nu=nu))
-            assert check_cost_partials(cost, 2, 2, n_points=30, sampler=market_sampler) < 1e-5
+            assert_partials_match_fd(cost_partial_pairs(cost, *sample(market_sampler, 30)))
 
     def test_solvency_penalty_partials_across_the_line(self):
+        points = sample(straddle_sampler, 50)
         for nu in (0.25, 1.0):
             for beta in (1e-2, 50.0):
                 cost = build_cost(MarketParams(nu=nu, barrier_weight=beta))
-                assert (
-                    check_cost_partials(cost, 2, 2, n_points=50, sampler=straddle_sampler) < 1e-5
-                )
+                assert_partials_match_fd(cost_partial_pairs(cost, *points))
 
     def test_barrier_active_only_at_nu_zero(self):
         # the log barrier is NaN below the line; the nu > 0 penalty is finite

@@ -24,7 +24,6 @@ from sdecontrol.sdecore import (
     integrate,
     integrate_backward,
     milstein_terms,
-    self_check_partials,
     step_control,
     step_partials,
 )
@@ -426,27 +425,49 @@ def reverse_step_loop(system, policy, xT, path):
     return states, controls, None
 
 
+def assert_partials_match_fd(pairs):
+    """Each (analytic, central difference) pair agrees within
+    1e-5 * max(1, |analytic|), elementwise; a NaN fails the comparison."""
+    for analytic, approx in pairs:
+        assert np.all(np.abs(analytic - approx) <= 1e-5 * np.maximum(1.0, np.abs(analytic)))
+
+
+def system_partial_pairs(system, t, x, u):
+    """(analytic partial, central difference) of the drift, the diffusion and,
+    when the system supplies them, the Milstein terms at the points
+    (t, x, u), batched over their leading axis."""
+    fd = central_difference
+    # The noise channel first, as in diffusion_dx / diffusion_du.
+    g_t = lambda t, x, u: np.swapaxes(system.diffusion(t, x, u), -1, -2)  # noqa: E731
+    yield system.drift_dx(t, x, u), fd(lambda z: system.drift(t, z, u), x)
+    yield system.drift_du(t, x, u), fd(lambda z: system.drift(t, x, z), u)
+    yield system.diffusion_dx(t, x, u), fd(lambda z: g_t(t, z, u), x)
+    yield system.diffusion_du(t, x, u), fd(lambda z: g_t(t, x, z), u)
+    if system.milstein_dx is not None:
+        yield system.milstein_dx(t, x, u), fd(lambda z: milstein_terms(system, t, z, u), x)
+    if system.milstein_du is not None:
+        yield system.milstein_du(t, x, u), fd(lambda z: milstein_terms(system, t, x, z), u)
+
+
 class TestSelfCheckPartials:
+    """Every analytic partial against central differences at 50 points: t
+    uniform on [0, 1], x and u standard normal."""
+
+    @staticmethod
+    def points(system):
+        rng = np.random.Generator(np.random.Philox(key=0))
+        t = rng.uniform(0.0, 1.0, 50)
+        x = rng.standard_normal((50, system.state_dim))
+        u = rng.standard_normal((50, system.control_dim))
+        return t, x, u
+
     def test_gbm_passes(self):
-        assert self_check_partials(gbm_system(), n_points=50) < 1e-5
+        system = gbm_system()
+        assert_partials_match_fd(system_partial_pairs(system, *self.points(system)))
 
     def test_controlled_gbm_passes(self):
-        assert self_check_partials(controlled_gbm_system(), n_points=50) < 1e-5
-
-    def test_detects_wrong_partial(self):
-        one = lambda t, x, u: np.ones_like(x)  # noqa: E731
-        zero = lambda t, x, u: np.zeros_like(x)  # noqa: E731
-        # drift is x but claimed partial is 0
-        bad = scalar_system(lambda t, x, u: x, zero, zero, zero, zero, zero)
-        with pytest.raises(ConfigurationError):
-            self_check_partials(bad, n_points=10)
-        del one
-
-    def test_nan_partial_fails(self):
-        # A running max(worst, err) would drop the NaN: max(0.0, nan) is 0.0.
-        nan_dx = lambda t, x, u: np.full(np.shape(x) + (1,), np.nan)  # noqa: E731
-        with pytest.raises(ConfigurationError, match="nan"):
-            self_check_partials(replace(gbm_system(), drift_dx=nan_dx), n_points=10)
+        system = controlled_gbm_system()
+        assert_partials_match_fd(system_partial_pairs(system, *self.points(system)))
 
 
 def test_central_difference_batch_axes_and_zero_width():

@@ -24,6 +24,7 @@ from sdecontrol.portfolio import MarketParams
 from sdecontrol.sdecore import (
     Calculus,
     ControlledSystem,
+    central_difference,
     convert_calculus,
     forward_states,
     integrate,
@@ -33,14 +34,15 @@ from sdecontrol.sensitivity import (
     _eval_cost_perturbed,
     adjoint_core,
     adjoint_gradient,
-    check_cost_partials,
     eval_cost,
     finite_difference_gradient,
     forward_sensitivity,
     gradient_agreement,
+    worst_coordinate,
     write_gradient_check_csv,
 )
 from sdecontrol.wiener import TimeGrid, WienerPath, generate_path
+from test_sdecore import assert_partials_match_fd
 
 
 def scalar_policy(weight=0.0, bias=0.0):
@@ -143,6 +145,20 @@ def test_scalar_initial_state_rejected_by_every_evaluator(evaluator):
     path = generate_path(0, TimeGrid(0.0, 1.0, 4), 1)
     with pytest.raises(ConfigurationError, match="got a scalar"):
         evaluator(*args, 1.0, path)
+
+
+@pytest.mark.parametrize(
+    "evaluator",
+    [eval_cost, forward_sensitivity, adjoint_gradient, finite_difference_gradient],
+    ids=lambda f: f.__name__,
+)
+def test_batch_initial_state_rejected_by_every_single_path_evaluator(evaluator):
+    # A batch of initial states broadcasts against one path in the walk, but
+    # the single-path evaluators return one cost and one gradient.
+    system, cost, _, policy = build_grad_check_problem("gbm", hidden_dims=(4,))
+    path = generate_path(0, TimeGrid(0.0, 1.0, 8), 1)
+    with pytest.raises(ConfigurationError, match=r"got a batch of shape \(2, 1\)"):
+        evaluator(system, policy, cost, np.array([[1.0], [2.0]]), path)
 
 
 class TestEvalCost:
@@ -744,6 +760,12 @@ class TestAgreementHelpers:
         _, rel = gradient_agreement(a, b)
         assert rel == 0.0
 
+    def test_worst_coordinate_is_one_the_gate_counts(self):
+        # Coordinate 1 is below the floor: its ratio 5e-9 / 1e-8 is not counted.
+        assert worst_coordinate([1.0, 5e-9], [1.01, 0.0]) == 0
+        assert worst_coordinate([1.0, np.nan, 2.0], [1.0, 1.0, 2.0]) == 1
+        assert worst_coordinate([1e-9, 0.0], [-1e-9, 0.0]) is None
+
     def test_nan_coordinate_gives_nan_agreement(self):
         a = np.array([np.nan, 1.0, 2.0])
         b = np.array([1.0, 1.0, 2.0])
@@ -764,14 +786,20 @@ class TestAgreementHelpers:
         assert len(lines) == policy.n_params + 1
 
 
+def cost_partial_pairs(cost, t, x, u):
+    """(analytic partial, central difference) of the running and terminal
+    cost at the points (t, x, u), batched over their leading axis."""
+    fd = central_difference
+    yield cost.running_dx(t, x, u), fd(lambda z: cost.running(t, z, u), x)
+    yield cost.running_du(t, x, u), fd(lambda z: cost.running(t, x, z), u)
+    yield cost.terminal_dx(x, u), fd(lambda z: cost.terminal(z, u), x)
+    if cost.terminal_du is not None:
+        yield cost.terminal_du(x, u), fd(lambda z: cost.terminal(x, z), u)
+
+
 def test_check_cost_partials_on_benchmark_cost():
-    assert check_cost_partials(controlled_gbm_cost(), n_x=1, n_u=1, n_points=20) < 1e-5
-
-
-@pytest.mark.parametrize("offset, shown", [(1.0, "cost partials disagree"), (np.nan, "nan >")])
-def test_check_cost_partials_rejects_bad_partial(offset, shown):
-    # offset = NaN: a running max(worst, err) would drop it, max(0.0, nan) being 0.0.
-    cost = controlled_gbm_cost()
-    bad = dataclasses.replace(cost, running_dx=lambda t, x, u: cost.running_dx(t, x, u) + offset)
-    with pytest.raises(ConfigurationError, match=shown):
-        check_cost_partials(bad, n_x=1, n_u=1, n_points=5)
+    # 20 points: t uniform on [0, 1], x and u standard normal.
+    rng = np.random.Generator(np.random.Philox(key=0))
+    t = rng.uniform(0.0, 1.0, 20)
+    x, u = rng.standard_normal((2, 20, 1))
+    assert_partials_match_fd(cost_partial_pairs(controlled_gbm_cost(), t, x, u))
