@@ -19,49 +19,43 @@ __all__ = [
 ]
 
 
-def gbm_system(mu=0.23, sigma=0.18) -> ControlledSystem:
-    """Uncontrolled geometric Brownian motion dx = mu x dt + sigma x dB (Ito)."""
+def _gbm(mu, sigma, n_u) -> ControlledSystem:
+    """dx = (mu x + u) dt + (sigma x + c u) dB (Ito) with c = 0.1, and a
+    scalar control u for n_u = 1 or none for n_u = 0.  The control enters as
+    the sum over its axis, so a zero-width one adds 0.0."""
+    c = 0.1
 
-    def drift(t, x, u):
-        return mu * x
-
-    def diffusion(t, x, u):
-        return sigma * x[..., None]
-
-    def drift_dx(t, x, u):
-        return np.broadcast_to(np.array([[mu]]), x.shape[:-1] + (1, 1))
-
-    def drift_du(t, x, u):
-        return np.zeros(x.shape[:-1] + (1, 0))
-
-    def diffusion_dx(t, x, u):
-        return np.broadcast_to(np.array([[[sigma]]]), x.shape[:-1] + (1, 1, 1))
-
-    def diffusion_du(t, x, u):
-        return np.zeros(x.shape[:-1] + (1, 1, 0))
-
-    def milstein_dx(t, x, u):
-        return np.broadcast_to(
-            np.array([[[0.5 * sigma**2]]]), x.shape[:-1] + (1, 1, 1)
-        )
-
-    def milstein_du(t, x, u):
-        return np.zeros(x.shape[:-1] + (1, 1, 0))
+    def const(value, shape):
+        """A partial that is ``value`` everywhere: shape (..., *shape) over
+        the batch axes of x."""
+        return lambda t, x, u: np.broadcast_to(np.full(shape, value), x.shape[:-1] + shape)
 
     return ControlledSystem(
         state_dim=1,
-        control_dim=0,
+        control_dim=n_u,
         noise_dim=1,
-        drift=drift,
-        diffusion=diffusion,
-        drift_dx=drift_dx,
-        drift_du=drift_du,
-        diffusion_dx=diffusion_dx,
-        diffusion_du=diffusion_du,
+        drift=lambda t, x, u: mu * x + u.sum(axis=-1, keepdims=True),
+        diffusion=lambda t, x, u: (sigma * x + c * u.sum(axis=-1, keepdims=True))[..., None],
+        drift_dx=const(mu, (1, 1)),
+        drift_du=const(1.0, (1, n_u)),
+        diffusion_dx=const(sigma, (1, 1, 1)),
+        diffusion_du=const(c, (1, 1, n_u)),
         calculus=Calculus.ITO,
-        milstein_dx=milstein_dx,
-        milstein_du=milstein_du,
+        # m = sigma (sigma x + c u) / 2
+        milstein_dx=const(0.5 * sigma**2, (1, 1, 1)),
+        milstein_du=const(0.5 * sigma * c, (1, 1, n_u)),
     )
+
+
+def gbm_system(mu=0.23, sigma=0.18) -> ControlledSystem:
+    """Uncontrolled geometric Brownian motion dx = mu x dt + sigma x dB (Ito)."""
+    return _gbm(mu, sigma, 0)
+
+
+def controlled_gbm_system(mu=0.23, sigma=0.18) -> ControlledSystem:
+    """GBM with a scalar control entering drift and diffusion:
+    dx = (mu x + u) dt + (sigma x + c u) dB with c = 0.1."""
+    return _gbm(mu, sigma, 1)
 
 
 def gbm_exact_path(x0, mu, sigma, times, b_values):
@@ -69,56 +63,6 @@ def gbm_exact_path(x0, mu, sigma, times, b_values):
     times = np.asarray(times, dtype=float)
     b = np.asarray(b_values, dtype=float)
     return x0 * np.exp((mu - 0.5 * sigma**2) * (times - times[0]) + sigma * b)
-
-
-def controlled_gbm_system(mu=0.23, sigma=0.18) -> ControlledSystem:
-    """GBM with a scalar control entering drift and diffusion:
-    dx = (mu x + u) dt + (sigma x + c u) dB with c = 0.1."""
-    c = 0.1
-
-    def drift(t, x, u):
-        return mu * x + u
-
-    def diffusion(t, x, u):
-        return (sigma * x + c * u)[..., None]
-
-    def drift_dx(t, x, u):
-        return np.broadcast_to(np.array([[mu]]), x.shape[:-1] + (1, 1))
-
-    def drift_du(t, x, u):
-        return np.broadcast_to(np.array([[1.0]]), x.shape[:-1] + (1, 1))
-
-    def diffusion_dx(t, x, u):
-        return np.broadcast_to(np.array([[[sigma]]]), x.shape[:-1] + (1, 1, 1))
-
-    def diffusion_du(t, x, u):
-        return np.broadcast_to(np.array([[[c]]]), x.shape[:-1] + (1, 1, 1))
-
-    def milstein_dx(t, x, u):
-        # m = sigma (sigma x + c u) / 2
-        return np.broadcast_to(
-            np.array([[[0.5 * sigma**2]]]), x.shape[:-1] + (1, 1, 1)
-        )
-
-    def milstein_du(t, x, u):
-        return np.broadcast_to(
-            np.array([[[0.5 * sigma * c]]]), x.shape[:-1] + (1, 1, 1)
-        )
-
-    return ControlledSystem(
-        state_dim=1,
-        control_dim=1,
-        noise_dim=1,
-        drift=drift,
-        diffusion=diffusion,
-        drift_dx=drift_dx,
-        drift_du=drift_du,
-        diffusion_dx=diffusion_dx,
-        diffusion_du=diffusion_du,
-        calculus=Calculus.ITO,
-        milstein_dx=milstein_dx,
-        milstein_du=milstein_du,
-    )
 
 
 def controlled_gbm_cost() -> CostFunctional:

@@ -107,14 +107,14 @@ def _market_params(cfg, nu=0.0):
     )
 
 
-def _train_config(cfg, direction="maximize"):
+def _train_config(cfg):
     return TrainConfig(
         grid=TimeGrid(0.0, cfg["horizon"], cfg["n_steps"]),
         batch_size=cfg["batch_size"],
         iterations=cfg["iterations"],
         learning_rate=cfg["learning_rate"],
         optimizer=cfg["optimizer"],
-        direction=direction,
+        direction="maximize",
         base_seed=cfg["base_seed"],
         checkpoint_every=cfg["checkpoint_every"],
     )

@@ -51,17 +51,24 @@ def _at(value: Rate, t: float) -> float:
 def _check_rate(name: str, rate: Rate, horizon: float) -> None:
     """A callable rate must take an array of times and return values that
     broadcast to its shape: the exact estimators evaluate the system and cost
-    callbacks a block of steps at a time (see ``ControlledSystem``)."""
+    callbacks a block of steps at a time (see ``ControlledSystem``).  Its
+    values at the start, middle and end of the horizon must be finite, and
+    sigma's must not be negative (zero switches the noise off)."""
     if not callable(rate):
         return
     t = np.linspace(0.0, horizon, 3).reshape(3, 1)
     try:
-        np.broadcast_to(rate(t), t.shape)
+        values = np.broadcast_to(np.asarray(rate(t), dtype=float), t.shape)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(
             f"rate {name} must accept an array of times and return values that "
             f"broadcast to its shape (use np.where, not if/else, for a switch): {exc}"
         ) from exc
+    at = f"got {values.ravel()} at t = {t.ravel()}"
+    if not np.isfinite(values).all():
+        raise ConfigurationError(f"rate {name} must be finite, {at}")
+    if name == "sigma" and (values < 0).any():
+        raise ConfigurationError(f"rate sigma must be >= 0, {at}")
 
 
 @dataclass

@@ -22,11 +22,11 @@ also the Milstein term, so systems may supply analytic partials of it
 the correction are used.
 
 The step is Milstein's method in the system's own calculus: Ito-Milstein for
-Ito systems, derivative-free Stratonovich-Milstein for Stratonovich ones and
-the inverse flow.  One switch, ``euler=True``, drops the correction and takes
-an Euler-Maruyama step instead (Ito systems only); the strong-convergence study
-sets it.  ``_walk``, the one loop over grid steps, checks its inputs before
-the first step.
+Ito systems, derivative-free Stratonovich-Milstein for Stratonovich ones; the
+inverse flow takes it with -dt over the reversed increments.  One switch,
+``euler=True``, drops the correction and takes an Euler-Maruyama step instead
+(Ito systems only); the strong-convergence study sets it.  ``_walk``, the one
+loop over grid steps, checks its inputs before the first step.
 """
 
 from __future__ import annotations
@@ -336,16 +336,14 @@ def _reverse_walk(grid, increments):
 
 def integrate_backward(system, policy, xT, path: WienerPath) -> Trajectory:
     """Integrate the inverse flow from xT back to t_start along the forward
-    ``path``.
+    ``path`` by the system's own Milstein step over the reversed walk.
 
-    Ito systems are converted to Stratonovich form first; Stratonovich-Milstein
-    then runs over the reversed walk of the path's increments.
+    For an Ito system, the step with -dt and increments -dB is x - (f - m) dt
+    - g dB + m dB^2, the Stratonovich-Milstein step of the backward flow.
     Returned states are in forward time order (states[-1] == xT), and a
     DivergenceError names the forward step k, from grid point k to k + 1,
     whose reverse step left a non-finite state.
     """
-    if system.calculus is Calculus.ITO:
-        system = convert_calculus(system)
     grid = path.grid
     walk, increments = _reverse_walk(grid, path.increments)
     try:

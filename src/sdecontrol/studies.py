@@ -11,9 +11,9 @@ realization.  The fine increments are stacked paths-first, as (n_paths,
 n_steps, 1), and each level sums adjacent groups of them in one
 reshape-and-sum.  All three studies are batched over paths: at each level
 they integrate every path in one ``forward_states`` call per scheme (the
-inverse flow runs it over the reversed walk), whose walk checks the inputs.
-The systems have no policy, so every step is elementwise and each lane gets
-the bits a one-path integration would.
+inverse flow runs the Ito system's own step over the reversed walk), whose
+walk checks the inputs.  The systems have no policy, so every step is
+elementwise and each lane gets the bits a one-path integration would.
 """
 
 from __future__ import annotations
@@ -171,11 +171,10 @@ def reversibility_study(
     seed=0,
 ):
     """Median round-trip error of the inverse flow: integrate forward from
-    x0 = 1 (Ito-Milstein), then the Stratonovich conversion backward over the
-    reversed increments (Stratonovich-Milstein, as ``integrate_backward``),
-    and compare with the initial state.  Returns (n_steps_list, median_errors)."""
+    x0 = 1 (Ito-Milstein), then backward over the reversed increments with the
+    same Ito-Milstein step, as ``integrate_backward``, and compare with the
+    initial state.  Returns (n_steps_list, median_errors)."""
     system = gbm_system(mu=mu, sigma=sigma)
-    strat = convert_calculus(system)
     max_exp = min_exp + n_halvings
     levels, fine, fine_paths = _fine_paths(seed, n_paths, mu, sigma, t_end, min_exp, max_exp)
     errs = np.zeros((len(levels), n_paths))
@@ -183,7 +182,7 @@ def reversibility_study(
     for li, exp in enumerate(levels):
         grid, increments = _level_increments(fine, fine_paths, 2 ** (max_exp - exp))
         ends = _end_states(system, x0v, grid, increments)
-        starts = _end_states(strat, ends[:, None], *_reverse_walk(grid, increments))
+        starts = _end_states(system, ends[:, None], *_reverse_walk(grid, increments))
         errs[li] = np.abs(starts - x0v[0])
     return [2**e for e in levels], np.median(errs, axis=1).tolist()
 

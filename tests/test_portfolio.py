@@ -93,13 +93,21 @@ class TestMarketParams:
             MarketParams(horizon=0.0)
 
     @pytest.mark.parametrize(
-        "rate",
-        [lambda t: 0.2 if t < 0.5 else 0.3, lambda t: np.array([0.1, 0.2, 0.3])],
-        ids=["scalar-only switch", "fixed-shape result"],
+        "name, rate, reason",
+        [
+            pytest.param(name, rate, reason, id=f"{name}-{case}")
+            for name in ("r", "mu", "sigma")
+            for case, rate, reason in (
+                ("scalar-only switch", lambda t: 0.2 if t < 0.5 else 0.3, "must accept an array"),
+                ("fixed-shape result", lambda t: np.array([0.1, 0.2, 0.3]), "must accept an array"),
+                ("nan values", lambda t: np.full_like(t, np.nan), "must be finite"),
+            )
+        ]
+        # r and mu may be negative; a volatility may not.
+        + [pytest.param("sigma", lambda t: -0.2 + 0 * t, "must be >= 0", id="sigma-negative values")],
     )
-    @pytest.mark.parametrize("name", ["r", "mu", "sigma"])
-    def test_rate_that_does_not_broadcast_over_times_rejected(self, name, rate):
-        with pytest.raises(ConfigurationError, match=f"rate {name} must accept an array"):
+    def test_rate_that_does_not_broadcast_over_times_rejected(self, name, rate, reason):
+        with pytest.raises(ConfigurationError, match=f"rate {name} {reason}"):
             MarketParams(**{name: rate})
 
     def test_time_varying_rates_differentiate_exactly(self):

@@ -31,6 +31,7 @@ from sdecontrol.policy import init_params
 from sdecontrol.portfolio import MarketParams, build_system
 from sdecontrol.studies import (
     calculus_equivalence_study,
+    fit_order,
     reversibility_study,
     strong_convergence_study,
 )
@@ -402,11 +403,9 @@ class TestIntegrateBackward:
 
 
 def reverse_step_loop(system, policy, xT, path):
-    """The inverse flow stepped one Stratonovich-Milstein step at a time from
-    t_end, checked after every step: (states, controls, first non-finite step
-    or None)."""
-    if system.calculus is Calculus.ITO:
-        system = convert_calculus(system)
+    """The inverse flow stepped one Milstein step of the system's calculus at
+    a time from t_end, checked after every step: (states, controls, first
+    non-finite step or None)."""
     grid, n = path.grid, path.grid.n_steps
     control_fn = None if policy is None else policy.control
     states = np.zeros((n + 1, system.state_dim))
@@ -591,6 +590,14 @@ def test_batched_studies_equal_path_by_path_integration():
     assert np.array_equal(got, gaps)
     _, got = reversibility_study(min_exp=min_exp, n_halvings=max_exp - min_exp, n_paths=n_paths)
     assert np.array_equal(got, round_trips)
+
+
+def test_inverse_flow_round_trip_converges_at_order_one():
+    # Run backward over the reversed increments, the Ito-Milstein step is the
+    # Stratonovich-Milstein step of the backward flow: strong order 1, held to
+    # the band that acceptance 2 uses for Milstein.
+    n_steps, errors = reversibility_study(min_exp=4, n_halvings=4, n_paths=100)
+    assert abs(fit_order(n_steps, errors) - 1.0) <= 0.15, errors
 
 
 def test_dump_trajectory_csv():
