@@ -176,11 +176,12 @@ def batch_gradient(system, policy, cost, x0, base_seed, iteration, n_paths, grid
     """Mean path-wise adjoint gradient and cost over a fresh batch of paths.
 
     All paths share one batched forward/backward sweep, ``adjoint_core``,
-    whose layer products are summed over the valid paths inside one gemm per
-    layer per step; the sum is divided by the number of valid paths.  Paths
-    that diverge, or whose cost or costate comes out non-finite (e.g. a
-    crossed log barrier), are dropped and counted; more than 50% drops raise
-    BatchFailureError, which names the seeds of the dropped paths.
+    whose layer products are summed over the valid paths and a block of
+    steps inside one gemm per layer per block; the sum is divided by the
+    number of valid paths.  Paths that diverge, or whose cost or costate
+    comes out non-finite (e.g. a crossed log barrier), are dropped and
+    counted; more than 50% drops raise BatchFailureError, which names the
+    seeds of the dropped paths.
 
     Returns (mean_grad, mean_cost, n_diverged).
     """

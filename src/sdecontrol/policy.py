@@ -35,8 +35,8 @@ def _identity(x, out=None):
 
 def _summed_products(_layer, delta, act):
     """Layer products summed over the batch axes: one gemm, (out, in), and
-    the bias sum, (out,).  ``np.dot``, not ``@``: on one row, as in the
-    batch-of-one adjoint, it gives the same bits about 3x faster (32 x 32)."""
+    the bias sum, (out,).  ``np.dot``, not ``@``: on one row it gives the
+    same bits about 3x faster (32 x 32)."""
     d = delta.reshape(-1, delta.shape[-1])
     if act.shape[:-1] != delta.shape[:-1]:
         act = np.broadcast_to(act, delta.shape[:-1] + act.shape[-1:])
@@ -186,36 +186,53 @@ class MlpPolicy:
         """Feedback control at (t, x)."""
         return self.eval(self.net_input(t, x))
 
-    def _backward(self, acts, pres, cotangent, products=None):
-        """Input cotangent and, when ``products`` is given, each layer k's
-        ``products(k, delta, act)``, its (dW, db) cotangent products."""
+    def linearize(self, x):
+        """One forward pass at x (..., n_in), kept for reverse passes:
+        (acts, slopes), each layer's input ``acts[k]`` (``acts[0]`` is x,
+        ``acts[-1]`` the output) and its activation slope ``slopes[k]``,
+        phi'(z_k)."""
+        acts, pres = self._forward(x)
         last = len(self.weights) - 1
-        delta = np.asarray(cotangent, dtype=float) * self.output.deriv(
-            pres[last], acts[last + 1]
-        )
+        slopes = [
+            (self.output if k == last else self.hidden).deriv(z, acts[k + 1])
+            for k, z in enumerate(pres)
+        ]
+        return acts, slopes
+
+    def _backward(self, acts, slopes, cotangent, products=None):
+        """Input cotangent and, when ``products`` is given, each layer k's
+        ``products(k, delta, act)``, its (dW, db) cotangent products; ``acts``
+        is read only by ``products``."""
+        last = len(self.weights) - 1
+        delta = np.asarray(cotangent, dtype=float) * slopes[last]
         grads = [None] * len(self.weights)
         for k in range(last, -1, -1):
             if products is not None:
                 grads[k] = products(k, delta, acts[k])
             if k:
-                delta = (delta @ self.weights[k]) * self.hidden.deriv(pres[k - 1], acts[k])
+                delta = (delta @ self.weights[k]) * slopes[k - 1]
             else:
                 delta = delta @ self.weights[0]
         return delta, grads
 
+    def pull(self, slopes, cotangent) -> np.ndarray:
+        """cotangent^T @ d eval/d input, shape (..., n_in), through
+        ``slopes`` taken from ``linearize`` (all of them, or the same rows of
+        each), with no forward pass."""
+        return self._backward(None, slopes, cotangent)[0]
+
     def vjp_input(self, x, cotangent) -> np.ndarray:
         """cotangent^T @ d eval/d input, shape (..., n_in)."""
-        acts, pres = self._forward(x)
-        dx, _ = self._backward(acts, pres, cotangent)
-        return dx
+        return self.pull(self.linearize(x)[1], cotangent)
 
-    def vjp_params_layers(self, x, cotangent):
+    def vjp_params_layers(self, x, cotangent, forward=None):
         """Input cotangent (..., n_in) and per-layer (dW, db) cotangent
         products summed over the batch axes, shapes (out, in) and (out,),
-        both from one forward and one backward pass.  Each layer's sum over
-        rows is one gemm, ``delta^T @ act``; no per-row product is formed."""
-        acts, pres = self._forward(x)
-        return self._backward(acts, pres, cotangent, _summed_products)
+        from one backward pass over ``forward``, which is ``linearize(x)``
+        (computed here when not given).  Each layer's sum over rows is one
+        gemm, ``delta^T @ act``; no per-row product is formed."""
+        acts, slopes = self.linearize(x) if forward is None else forward
+        return self._backward(acts, slopes, cotangent, _summed_products)
 
     def _basis_backward(self, x, products=None):
         """Input Jacobian (..., n_out, n_in) from the backward pass of every
@@ -223,8 +240,8 @@ class MlpPolicy:
         keep the output basis on a leading axis."""
         x = np.asarray(x, dtype=float)
         cot = np.eye(self.n_out).reshape((self.n_out,) + (1,) * (x.ndim - 1) + (self.n_out,))
-        acts, pres = self._forward(x)
-        return _basis_last(self._backward(acts, pres, cot, products)[0])
+        acts, slopes = self.linearize(x)
+        return _basis_last(self._backward(acts, slopes, cot, products)[0])
 
     def jacobian_input(self, x) -> np.ndarray:
         """d eval/d input, shape (..., n_out, n_in)."""

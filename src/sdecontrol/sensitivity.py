@@ -10,10 +10,10 @@ copy of the Euler/Milstein update.  Three estimators differentiate the cost:
   forward along the stored trajectory through the exact Jacobians of the
   discrete step map (``step_partials``), driven by the same increments.
 * ``adjoint_gradient`` runs the transposed recursion backward: the costate
-  is pulled through the transposed Jacobians of the same steps, and
-  parameter cotangents accumulate through one policy VJP per step.  This is
-  the exact discrete adjoint, so the gradient of the discretized cost and
-  the discretized gradient coincide.
+  is pulled through the transposed Jacobians of the same steps and through
+  the policy's input Jacobian, and parameter cotangents accumulate through
+  the policy's parameter VJPs.  This is the exact discrete adjoint, so the
+  gradient of the discretized cost and the discretized gradient coincide.
 * ``finite_difference_gradient`` central-differences the discretized cost on
   the same Brownian path, all +-h coordinate perturbations in one batch.
 
@@ -25,7 +25,11 @@ array that broadcasts over the lanes; the sequential sweeps then read one step
 at a time.  Forward sensitivity reads the policy Jacobians (du/dx, du/dtheta)
 at the stored states the same way, one ``jacobian_params`` call per block of
 at most ``_JAC_BLOCK_DOUBLES`` doubles (steps x n_u x n_theta, at least one
-step); the adjoint's policy VJPs stay per step, since each needs the costate.
+step).  The adjoint runs the policy in blocks of at most
+``_ADJOINT_BLOCK_DOUBLES`` doubles of stored layer inputs and slopes: one
+forward pass per block, then per step only the costate's pull through that
+step's slopes, and one parameter VJP per block over the control cotangents
+the sweep has kept (``adjoint_core``).
 
 Every evaluator converts a Stratonovich system to Ito form first
 (``_ito_form``), so the walk takes the Ito-Milstein steps that
@@ -75,6 +79,8 @@ __all__ = [
 _SENS_CAPACITY = 5 * 10**7  # entries allowed in the n_x * n_theta sensitivity matrix
 _BLOCK_ROWS = 1024  # steps x lanes whose step and running-cost partials share one call
 _JAC_BLOCK_DOUBLES = 2**14  # steps x n_u x n_theta doubles in one policy Jacobian block
+# Doubles of stored layer inputs and slopes in one adjoint policy block.
+_ADJOINT_BLOCK_DOUBLES = 2**15
 # Gradient magnitude below which a coordinate's relative error is not counted.
 _AGREEMENT_FLOOR = 1e-8
 
@@ -272,14 +278,30 @@ def forward_sensitivity(system, policy, cost, x0, path) -> GradientReport:
 # -- adjoint ----------------------------------------------------------------
 
 
+def _add_layers(acc, layers):
+    for slot, (gw, gb) in zip(acc, layers):
+        slot[0] += gw
+        slot[1] += gb
+
+
 def _pull_back(policy, t, x, cu, acc):
     """cu^T du/dx (time column dropped) from one policy VJP, whose per-layer
     cu^T du/dtheta products, summed over the lanes, are added into ``acc``."""
     cx, layers = policy.vjp_params_layers(policy.net_input(t, x), cu)
-    for slot, (gw, gb) in zip(acc, layers):
-        slot[0] += gw
-        slot[1] += gb
+    _add_layers(acc, layers)
     return cx[..., : x.shape[-1]]
+
+
+def _linearized_block(policy, grid, xs, k0, k1):
+    """(x, forward, slopes) of the policy at the stored states of steps
+    k0..k1-1: their network inputs as rows (steps x lanes, n_in), one
+    ``policy.linearize`` of them, and its slopes shaped (steps,) + lane axes
+    + (width,), so ``s[j]`` is step k0 + j shaped like ``xs[k0 + j]``."""
+    lanes = xs.shape[1:-1]
+    t = grid.times()[k0:k1].reshape((k1 - k0,) + (1,) * len(lanes))
+    x = policy.net_input(t, xs[k0:k1]).reshape(-1, policy.n_in)
+    forward = policy.linearize(x)
+    return x, forward, [s.reshape((k1 - k0,) + lanes + s.shape[-1:]) for s in forward[1]]
 
 
 def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, check="raise"):
@@ -290,9 +312,18 @@ def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, 
     Lanes with a non-finite state or cost are dropped before the backward
     sweep.  A NaN that enters a costate only in the sweep reaches k = 0; the
     sweep is then rerun without those lanes, which would poison the sums.
-    At every step each layer's parameter cotangent products are summed over
-    the lanes in one gemm (``MlpPolicy.vjp_params_layers``) and added into
-    one (out, in) accumulator per layer.
+
+    The sweep runs the policy a block of steps at a time, at most
+    ``_ADJOINT_BLOCK_DOUBLES`` doubles of stored layer inputs and slopes per
+    block (at least one step): one ``MlpPolicy.linearize`` of the block's
+    steps x lanes rows, then at each step the control cotangent cu_k is
+    pulled through that step's slopes (``MlpPolicy.pull``, no forward pass)
+    and kept in a block-sized buffer.  When the sweep leaves the block, one
+    ``vjp_params_layers`` on the kept forward sums each layer's parameter
+    products over the block's rows in one gemm, added into one (out, in)
+    accumulator per layer.  The per-step pull and the block's sums round
+    differently from a one-step VJP, so the results depend on the block
+    size in the last bits.
 
     Returns (gradient summed over the valid lanes (n_theta,), costs (N,),
     valid-lane mask (N,), costates of the valid lanes or None); without a
@@ -304,7 +335,9 @@ def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, 
     )
     costs = np.asarray(value, dtype=float)
     valid = np.asarray(np.isfinite(costs) & np.all(np.isfinite(states), axis=(0, -1)))
-    K = grid.n_steps
+    K, n_x = grid.n_steps, states.shape[-1]
+    lanes = max(1, int(np.prod(states.shape[1:-1])))
+    size = max(1, _ADJOINT_BLOCK_DOUBLES // (2 * sum(policy.layer_dims) * lanes))
 
     def sweep(keep):
         # With every lane kept the stored arrays are swept as they are.
@@ -321,17 +354,26 @@ def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, 
                 a = a + _pull_back(policy, grid.time(K), xs[K], cu, acc)
 
             steps = _block_partials(sys_i, cost, grid, xs, us, dbs, backward=True)
-            for k, jx, ju, cdx, cdu in steps:
-                w = weights[k]
-                cu = np.einsum("...au,...a->...u", ju, a)
-                if w:
-                    cu = cu + w * cdu
-                pulled = _pull_back(policy, grid.time(k), xs[k], cu, acc)
-                a = np.einsum("...ab,...a->...b", jx, a) + pulled
-                if w:
-                    a = a + w * cdx
-                if keep_lambda:
-                    lambdas[k] = a
+            cus = np.empty((min(size, K),) + us.shape[1:])
+            for k0 in reversed(range(0, K, size)):
+                k1 = min(k0 + size, K)
+                x, forward, slopes = _linearized_block(policy, grid, xs, k0, k1)
+                for j in range(k1 - k0 - 1, -1, -1):
+                    k, jx, ju, cdx, cdu = next(steps)
+                    w = weights[k]
+                    cu = np.einsum("...au,...a->...u", ju, a)
+                    if w:
+                        cu = cu + w * cdu
+                    cus[j] = cu
+                    pulled = policy.pull([s[j] for s in slopes], cu)[..., :n_x]
+                    a = np.einsum("...ab,...a->...b", jx, a) + pulled
+                    if w:
+                        a = a + w * cdx
+                    if keep_lambda:
+                        lambdas[k] = a
+                cot = cus[: k1 - k0].reshape(-1, cus.shape[-1])
+                _add_layers(acc, policy.vjp_params_layers(x, cot, forward=forward)[1])
+                del x, forward, slopes  # freed before the next block is allocated
         return acc, a, lambdas
 
     acc, a, lambdas = sweep(valid)

@@ -278,6 +278,105 @@ class TestVjpParams:
                 assert np.array_equal(got, want)
 
 
+def inline_slope_backward(policy, x, cotangent):
+    """Reference backward pass that computes each layer's slope inline from
+    its pre-activation: (input cotangent, per-layer deltas, layer inputs)."""
+    z, acts, pres = np.asarray(x, dtype=float), [], []
+    for w, b in zip(policy.weights, policy.biases):
+        acts.append(z)
+        pres.append(z @ w.T + b)
+        z = (policy.output if len(pres) == len(policy.weights) else policy.hidden).value(pres[-1])
+    acts.append(z)
+    last = len(policy.weights) - 1
+    delta = np.asarray(cotangent, dtype=float) * policy.output.deriv(pres[last], acts[last + 1])
+    deltas = [None] * (last + 1)
+    for k in range(last, -1, -1):
+        deltas[k] = delta
+        delta = delta @ policy.weights[k]
+        if k:
+            delta = delta * policy.hidden.deriv(pres[k - 1], acts[k])
+    return delta, deltas, acts
+
+
+LINEARIZED = [
+    ("tanh", "softplus", False),
+    ("tanh", "identity", True),
+    ("identity", "softplus", True),
+    ("identity", "identity", False),
+]
+
+
+@pytest.mark.parametrize(
+    "hidden, output, with_time", LINEARIZED, ids=["-".join(map(str, c)) for c in LINEARIZED]
+)
+class TestLinearize:
+    """``linearize`` keeps one forward pass, each layer's input and slope;
+    ``vjp_params_layers(forward=)`` and ``pull`` reuse it."""
+
+    @staticmethod
+    def _policy(hidden, output, with_time):
+        return init_params(
+            [3 if with_time else 2, 6, 5, 2],
+            seed=31,
+            hidden_activation=hidden,
+            output_activation=output,
+            with_time=with_time,
+        )
+
+    def test_parameter_vjp_on_a_kept_forward_is_bitwise(self, hidden, output, with_time):
+        policy = self._policy(hidden, output, with_time)
+        rng = np.random.Generator(np.random.Philox(key=32))
+        for batch in ((), (9,), (2, 3)):
+            x = 2.0 * rng.standard_normal(batch + (policy.n_in,))
+            cot = rng.standard_normal(batch + (2,))
+            cx, layers = policy.vjp_params_layers(x, cot, forward=policy.linearize(x))
+            want_cx, want_layers = policy.vjp_params_layers(x, cot)
+            assert np.array_equal(cx, want_cx)
+            for (gw, gb), (ww, wb) in zip(layers, want_layers):
+                assert np.array_equal(gw, ww) and np.array_equal(gb, wb)
+
+    def test_row_pull_equals_the_row_vjp(self, hidden, output, with_time):
+        # On a one-row block the pull is the row's VJP bit for bit; a block's
+        # forward is one gemm over its rows, whose last bits may differ.
+        policy = self._policy(hidden, output, with_time)
+        rng = np.random.Generator(np.random.Philox(key=33))
+        for rows in (1, 9):
+            x = 2.0 * rng.standard_normal((rows, policy.n_in))
+            cot = rng.standard_normal((rows, 2))
+            _, slopes = policy.linearize(x)
+            for j in range(rows):
+                got = policy.pull([s[j] for s in slopes], cot[j])
+                want = policy.vjp_input(x[j], cot[j])
+                if rows == 1:
+                    assert np.array_equal(got, want)
+                else:
+                    # The terms that round are those of |c|^T |du/dx|; with
+                    # identity layers the VJP itself can cancel well below them.
+                    terms = np.abs(cot[j]) @ np.abs(policy.jacobian_input(x[j]))
+                    assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(terms))
+
+    def test_stored_slopes_give_the_inline_slope_bits(self, hidden, output, with_time):
+        # vjp_input and jacobian_params (whose du/dx is jacobian_input's, see
+        # test_jacobians_consistent_with_vjps) read the slopes that linearize
+        # stored; the reference computes them inline, by the same
+        # Activation.deriv calls.
+        policy = self._policy(hidden, output, with_time)
+        rng = np.random.Generator(np.random.Philox(key=34))
+        for batch in ((), (9,), (2, 3)):
+            x = 2.0 * rng.standard_normal(batch + (policy.n_in,))
+            cot = rng.standard_normal(batch + (2,))
+            assert np.array_equal(policy.vjp_input(x, cot), inline_slope_backward(policy, x, cot)[0])
+            # Every unit output cotangent at once, the output basis leading.
+            basis = np.eye(2).reshape((2,) + (1,) * len(batch) + (2,))
+            cx, deltas, acts = inline_slope_backward(policy, x, basis)
+            jx, jp = policy.jacobian_params(x)
+            assert np.array_equal(jx, np.moveaxis(cx, 0, -2))
+            for (gw, gb), delta, act in zip(policy._param_slots(jp), deltas, acts):
+                assert np.array_equal(gb, np.moveaxis(delta, 0, -2))
+                products = delta[..., :, None] * act[..., None, :]
+                assert np.array_equal(gw, np.moveaxis(products, 0, -3))
+
+
 class TestInitParams:
     def test_deterministic(self):
         a = init_params([2, 32, 2], seed=3)

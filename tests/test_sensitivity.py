@@ -586,6 +586,111 @@ class TestBlockPartials:
         assert np.all(np.isfinite(grad))
 
 
+class TestAdjointPolicyBlocks:
+    """The adjoint sweep runs the policy a block of steps at a time, at most
+    ``sensitivity._ADJOINT_BLOCK_DOUBLES`` doubles of stored layer inputs and
+    slopes per block.  Budgets of one step, of 7 steps (which divides no K
+    below) and of the whole path may change only the rounding: gradients and
+    costates agree with the default within 1e-14 of their largest entry, and
+    costs and valid masks are equal."""
+
+    @staticmethod
+    def _at_each_block(monkeypatch, policy, lanes, n_steps, run):
+        want = run()
+        per_step = 2 * sum(policy.layer_dims) * lanes
+        for steps in (1, 7, n_steps):
+            with monkeypatch.context() as m:
+                m.setattr(sensitivity, "_ADJOINT_BLOCK_DOUBLES", steps * per_step)
+                grad, costs, valid, lambdas = run()
+            assert np.array_equal(costs, want[1], equal_nan=True)
+            assert np.array_equal(valid, want[2])
+            for got, ref in ((grad, want[0]), (lambdas, want[3])):
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), steps
+        return want
+
+    @pytest.mark.parametrize(
+        "points, terminal_du",
+        [(None, False), ((9, 9, 37), False), (None, True)],
+        ids=["integral", "repeat and T", "terminal_du"],
+    )
+    def test_single_path(self, monkeypatch, points, terminal_du):
+        system, cost, x0, policy = build_grad_check_problem("portfolio", hidden_dims=(4,))
+        grid = TimeGrid(0.0, 1.0, 37)
+        if points:
+            cost = dataclasses.replace(cost, pointwise_times=[grid.time(k) for k in points])
+        if terminal_du:
+            cost = dataclasses.replace(
+                cost,
+                terminal=lambda x, u, f=cost.terminal: f(x, u) - 0.5 * np.sum(u**2, axis=-1),
+                terminal_du=lambda x, u: -u,
+            )
+        increments = generate_path(4, grid, 1).increments
+
+        def run():
+            return adjoint_core(system, policy, cost, x0, increments, grid, True)
+
+        self._at_each_block(monkeypatch, policy, 1, grid.n_steps, run)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_batch_with_a_lane_dropped_before_the_sweep(self, monkeypatch):
+        market = MarketParams(nu=0.0, barrier_weight=50.0, x0=(1.0, -0.85))
+        system, cost, x0, policy = build_grad_check_problem(
+            "portfolio", hidden_dims=(4,), market=market
+        )
+        grid = TimeGrid(0.0, 1.0, 47)
+        increments = np.stack([generate_path(s, grid, 1).increments for s in range(50)], axis=1)
+        x0b = np.tile(x0, (50, 1))
+
+        def run():
+            return adjoint_core(system, policy, cost, x0b, increments, grid, True, "none")
+
+        _, _, valid, _ = self._at_each_block(monkeypatch, policy, 50, grid.n_steps, run)
+        assert 0 < np.count_nonzero(~valid) < 50
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_costate_that_turns_nan_mid_sweep(self, monkeypatch):
+        # Every cost is finite, but after t = 0.5 the running-cost gradient
+        # is NaN below the lowest lane's minimum there, so one costate turns
+        # NaN in the middle of the sweep and the sweep is rerun without it.
+        system, _, x0, policy = build_grad_check_problem("gbm", hidden_dims=(4,))
+        grid = TimeGrid(0.0, 1.0, 300)
+        increments = np.stack([generate_path(s, grid, 1).increments for s in range(4)], axis=1)
+        x0b = np.tile(x0, (4, 1))
+        states, _ = forward_states(system, policy, x0b, increments, grid)
+        lows = np.sort(states[grid.n_steps // 2 + 1 :, :, 0].min(axis=0))
+        low = 0.5 * (lows[0] + lows[1])
+        cost = CostFunctional(
+            running=lambda t, x, u: x[..., 0],
+            terminal=lambda x, u: x[..., 0],
+            running_dx=lambda t, x, u: np.where((t > 0.5) & (x[..., 0] < low), np.nan, 1.0)[..., None],
+            running_du=lambda t, x, u: np.zeros_like(u),
+            terminal_dx=lambda x, u: np.ones_like(x),
+        )
+
+        def run():
+            return adjoint_core(system, policy, cost, x0b, increments, grid, True, "none")
+
+        grad, costs, valid, _ = self._at_each_block(monkeypatch, policy, 4, grid.n_steps, run)
+        assert np.all(np.isfinite(costs)) and np.count_nonzero(~valid) == 1
+        assert np.all(np.isfinite(grad))
+
+    def test_one_forward_and_one_parameter_vjp_per_block(self, monkeypatch):
+        # The grad-check shape: 1024 steps of the [2, 32, 32, 32, 2] policy
+        # make 163-step blocks, so 7 blocks.
+        system, cost, x0, policy = build_grad_check_problem("portfolio", hidden_dims=(32, 32, 32))
+        path = generate_path(3, TimeGrid(0.0, 1.0, 1024), 1)
+        rows = []
+        vjp_params_layers = policy.vjp_params_layers
+
+        def counted(x, cotangent, forward=None):
+            rows.append((len(x), forward is not None))
+            return vjp_params_layers(x, cotangent, forward)
+
+        monkeypatch.setattr(policy, "vjp_params_layers", counted)
+        adjoint_gradient(system, policy, cost, x0, path)
+        assert rows == [(1024 - 6 * 163, True)] + [(163, True)] * 6
+
+
 class TestPolicyJacobianBlocks:
     """Forward sensitivity computes the policy Jacobians a block of stored
     states at a time, at most ``sensitivity._JAC_BLOCK_DOUBLES`` doubles
