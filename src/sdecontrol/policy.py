@@ -151,13 +151,16 @@ class MlpPolicy:
 
     # -- evaluation and derivatives -------------------------------------
 
-    def _forward(self, x):
+    def _checked_input(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.n_in:
             raise ConfigurationError(
                 f"input has width {x.shape[-1]}, network expects {self.n_in}"
             )
-        acts = [x]
+        return x
+
+    def _forward(self, x):
+        acts = [self._checked_input(x)]
         pres = []
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -168,9 +171,15 @@ class MlpPolicy:
         return acts, pres
 
     def eval(self, x) -> np.ndarray:
-        """Network output for input of shape (..., n_in)."""
-        acts, _ = self._forward(x)
-        return acts[-1]
+        """Network output for input of shape (..., n_in).  Each layer's
+        pre-activation is overwritten by its activation; nothing is kept."""
+        a = self._checked_input(x)
+        last = len(self.weights) - 1
+        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = a @ w.T
+            z += b
+            a = (self.output if k == last else self.hidden).value(z, out=z)
+        return a
 
     def net_input(self, t, x) -> np.ndarray:
         """Network input for state x at time t: x, with t appended as a last
@@ -234,18 +243,21 @@ class MlpPolicy:
         acts, slopes = self.linearize(x) if forward is None else forward
         return self._backward(acts, slopes, cotangent, _summed_products)
 
-    def _basis_backward(self, x, products=None):
-        """Input Jacobian (..., n_out, n_in) from the backward pass of every
-        unit output cotangent at once; the deltas that ``products`` receives
-        keep the output basis on a leading axis."""
-        x = np.asarray(x, dtype=float)
-        cot = np.eye(self.n_out).reshape((self.n_out,) + (1,) * (x.ndim - 1) + (self.n_out,))
-        acts, slopes = self.linearize(x)
-        return _basis_last(self._backward(acts, slopes, cot, products)[0])
+    def _basis(self, ndim):
+        """The n_out unit output cotangents, shape (n_out,) + (1,) * (ndim - 1)
+        + (n_out,), which broadcast over the rows of an input of ``ndim``
+        axes: one backward pass of them gives every row's input Jacobian."""
+        return np.eye(self.n_out).reshape((self.n_out,) + (1,) * (ndim - 1) + (self.n_out,))
+
+    def pull_basis(self, slopes) -> np.ndarray:
+        """d eval/d input, shape (..., n_out, n_in), at every row of the
+        input that ``linearize`` gave ``slopes``: one ``pull`` of the n_out
+        unit output cotangents, with no forward pass."""
+        return _basis_last(self.pull(slopes, self._basis(slopes[0].ndim)))
 
     def jacobian_input(self, x) -> np.ndarray:
         """d eval/d input, shape (..., n_out, n_in)."""
-        return self._basis_backward(x)
+        return self.pull_basis(self.linearize(x)[1])
 
     def _param_slots(self, jac):
         """Per-layer (weight, bias) views of a (..., n_theta) array, shapes
@@ -260,10 +272,10 @@ class MlpPolicy:
 
     def jacobian_params(self, x):
         """(d eval/d input (..., n_out, n_in), d eval/d theta (..., n_out,
-        n_theta)), both from one forward and one backward pass.  Each layer's
-        per-row products are written straight into its slot of one
-        preallocated d eval/d theta array (``_param_slots``), so no per-layer
-        temporary is concatenated."""
+        n_theta)), both from one forward and one backward pass of the n_out
+        unit output cotangents.  Each layer's per-row products are written
+        straight into its slot of one preallocated d eval/d theta array
+        (``_param_slots``), so no per-layer temporary is concatenated."""
         x = np.asarray(x, dtype=float)
         jac = np.empty(x.shape[:-1] + (self.n_out, self.n_params))
         slots = self._param_slots(jac)
@@ -274,7 +286,9 @@ class MlpPolicy:
             np.multiply(delta[..., None], act[..., None, None, :], out=gw)
             gb[...] = delta
 
-        return self._basis_backward(x, write), jac
+        acts, slopes = self.linearize(x)
+        ux = self._backward(acts, slopes, self._basis(x.ndim), write)[0]
+        return _basis_last(ux), jac
 
 
 def init_params(

@@ -27,7 +27,7 @@ from .sdecore import (
     dump_trajectory_csv,
     integrate,
 )
-from .sensitivity import CostFunctional, _quadrature
+from .sensitivity import CostFunctional, _quadrature, _stored_blocks
 from .wiener import TimeGrid, generate_path, philox_rng
 
 __all__ = [
@@ -127,8 +127,9 @@ def build_system(params: MarketParams) -> ControlledSystem:
     def drift(t, x, u):
         s, v = x[..., 0], x[..., 1]
         ui, ud = u[..., 0], u[..., 1]
-        out = np.empty(np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (2,))
-        out[..., 0] = _at(p.mu, t) * s + ui - ud
+        ds = _at(p.mu, t) * s + ui - ud
+        out = np.empty(np.shape(ds) + (2,))
+        out[..., 0] = ds
         out[..., 1] = _at(p.r, t) * v - ui + (1.0 - alpha) * ud
         return out
 
@@ -366,7 +367,8 @@ def evaluate_policy(
             ) from exc
     states = np.stack([traj.states for traj in trajs])  # (n_paths, n_steps + 1, 2)
     controls = np.stack([traj.controls for traj in trajs])
-    objective = _quadrature(cost, grid, zip(states.swapaxes(0, 1), controls.swapaxes(0, 1)))
+    blocks = _stored_blocks(states.swapaxes(0, 1), controls.swapaxes(0, 1))
+    objective = _quadrature(cost, grid, blocks)
     sigmas = np.array([_at(params.sigma, t) for t in grid.times()])
     penalty = np.sum(sigmas[:-1] * states[:, :-1, 0] ** 2, axis=-1) * grid.dt
     crossed = np.any(solvency_gap(states, params.alpha) < 0, axis=-1)

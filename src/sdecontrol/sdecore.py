@@ -274,18 +274,22 @@ def _walk(system, policy, x0, increments, grid, euler=False):
     step (``euler`` or Milstein) and x0, the increments and the policy against
     the system, the grid and each other, the one place these are checked.  x0
     is broadcast against the increments' batch axes and u_0 is the control at
-    x0 as given.  The caller sets ``np.errstate`` and consumes (x_k, u_k)
-    before asking for the next point."""
+    x0 as given.  The grid times are read once, and the policy's ``control``
+    is called at each point.  The caller sets ``np.errstate`` and consumes
+    (x_k, u_k) before asking for the next point."""
     _check_scheme(system, euler)
     x0, batch = _validate_dims(system, policy, x0, increments, grid)
-    control_fn = None if policy is None else policy.control
-    dt = grid.dt
-    u = control_value(policy, grid.time(0), x0, system.control_dim)
+    if policy is None:
+        control_fn, control = None, lambda t, x: control_value(None, t, x, system.control_dim)
+    else:
+        control_fn = control = policy.control
+    dt, times = grid.dt, grid.times()
+    u = control(times[0], x0)
     x = np.broadcast_to(x0, batch + (system.state_dim,)).copy()
     for k in range(grid.n_steps):
         yield x, u
-        x = step_control(system, control_fn, grid.time(k), x, u, dt, increments[k], euler)
-        u = control_value(policy, grid.time(k + 1), x, system.control_dim)
+        x = step_control(system, control_fn, times[k], x, u, dt, increments[k], euler)
+        u = control(times[k + 1], x)
     yield x, u
 
 
@@ -330,7 +334,7 @@ def _reverse_walk(grid, increments):
     the step is -dt and the increments are negated in reverse order.  States
     and controls come out in reverse time order."""
     n = grid.n_steps
-    walk = SimpleNamespace(n_steps=n, dt=-grid.dt, time=lambda k: grid.time(n - k))
+    walk = SimpleNamespace(n_steps=n, dt=-grid.dt, times=lambda: grid.times()[::-1])
     return walk, -np.asarray(increments)[::-1]
 
 

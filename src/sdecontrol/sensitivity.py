@@ -17,6 +17,10 @@ copy of the Euler/Milstein update.  Three estimators differentiate the cost:
 * ``finite_difference_gradient`` central-differences the discretized cost on
   the same Brownian path, all +-h coordinate perturbations in one batch.
 
+Both exact estimators step through the closed-loop step Jacobian
+Jx + Ju du/dx: forward sensitivity pushes S_{k+1} = (Jx + Ju du/dx) S_k +
+Ju du/dtheta, and the adjoint pulls the costate back through its transpose.
+
 Both exact estimators read the step Jacobians and the running-cost partials
 from ``_block_partials``.  Those depend only on the stored (t_k, x_k, u_k,
 dB_k), not on the sensitivity or the costate, so they are computed for a block
@@ -27,9 +31,11 @@ at the stored states the same way, one ``jacobian_params`` call per block of
 at most ``_JAC_BLOCK_DOUBLES`` doubles (steps x n_u x n_theta, at least one
 step).  The adjoint runs the policy in blocks of at most
 ``_ADJOINT_BLOCK_DOUBLES`` doubles of stored layer inputs and slopes: one
-forward pass per block, then per step only the costate's pull through that
-step's slopes, and one parameter VJP per block over the control cotangents
-the sweep has kept (``adjoint_core``).
+forward pass per block and one pull of the n_u basis cotangents over its
+slopes, which gives du/dx at every step of the block; per step only the
+control cotangent's (n_u, n_x) product with that step's du/dx; and one
+parameter VJP per block over the control cotangents the sweep has kept
+(``adjoint_core``).
 
 Every evaluator converts a Stratonovich system to Ito form first
 (``_ito_form``), so the walk takes the Ito-Milstein steps that
@@ -39,9 +45,13 @@ Quadrature convention: all estimators and the evaluators weight the running
 cost at grid point k by the same ``_quadrature_weights(cost, grid)[k]``: dt on
 steps 0..K-1 (a left-endpoint Riemann sum), or, with point-wise cost times, 1
 for each listed time (counted as often as it is listed).  The terminal cost is
-evaluated at the last grid point.  The running cost is not evaluated at
-points of zero weight; its partials are computed there with the rest of a
-block, and not used.
+evaluated at the last grid point.  ``_quadrature`` calls the running cost
+once per block of at most ``_BLOCK_ROWS`` stored steps x lanes (one point
+at a time when the FD oracle streams them), with t an array, and adds the
+weighted rows in step order, so the cost has the bits of a per-point loop.
+The running cost is not evaluated at points of zero weight; its partials
+are computed there with the rest of a block, and not used.  A cost callback
+that cannot take an array t raises ConfigurationError (``_cost_rows``).
 In the backward sweep a point-wise time is a jump of the costate by the
 running-cost gradient.
 """
@@ -92,10 +102,12 @@ class CostFunctional:
     Callbacks broadcast over leading batch axes:
         running(t, x, u) -> (...)            running_dx -> (..., n_x)
         terminal(x_T, u_T) -> (...)          running_du -> (..., n_u)
-    ``t`` is a float, or, for ``running_dx`` and ``running_du`` in the exact
-    estimators, an array of grid times that broadcasts over the batch axes
-    of x (shape (steps,) + (1,) * lane axes), so a time-dependent partial
-    must broadcast over t too (e.g. ``np.where``, not ``if``).
+    ``running``, ``running_dx`` and ``running_du`` receive ``t`` as an array
+    of grid times that broadcasts over the batch axes of x (shape (steps,) +
+    (1,) * lane axes), a block of steps at a time, and may also be given a
+    float, so a time-dependent callback must broadcast over t (e.g.
+    ``np.where``, not ``if``); one that cannot take an array t raises
+    ConfigurationError.
     ``terminal_du`` may be None when the terminal cost ignores the control.
     ``pointwise_times`` switches the running integral to a finite sum over
     those (on-grid) times; a time listed twice counts twice.
@@ -157,16 +169,65 @@ def _quadrature_weights(cost, grid) -> np.ndarray:
     return weights
 
 
-def _quadrature(cost, grid, points):
-    """Discretized cost over the (x_k, u_k) of grid points k = 0..n_steps,
-    stored (``zip(states, controls)``) or streamed (``_walk``); batch axes
+def _block_steps(xs):
+    """Steps per block of ``_BLOCK_ROWS`` steps x lanes (at least one step)
+    of an array (steps, lanes..., n) of stored points."""
+    return max(1, _BLOCK_ROWS // max(1, int(np.prod(xs.shape[1:-1]))))
+
+
+def _over_lanes(values, xs):
+    """Per-step values (grid times, weights) of a block of points xs (steps,
+    lanes..., n), shaped (steps,) + (1,) * lane axes so that they broadcast
+    over the lanes."""
+    return values.reshape(values.shape + (1,) * (xs.ndim - 2))
+
+
+def _cost_rows(cost, name, t, x, u, shape):
+    """``cost.<name>(t, x, u)`` at a block of grid times ``t``, as floats
+    broadcast to ``shape``.  A callback that does not take an array t, or
+    whose value does not broadcast, raises ConfigurationError."""
+    try:
+        return np.broadcast_to(np.asarray(getattr(cost, name)(t, x, u), dtype=float), shape)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"cost callback {name} must accept an array of grid times t that broadcasts "
+            f"over the batch axes of x, and return values that broadcast to {shape} "
+            f"(use np.where, not if/else, for a switch): {exc}"
+        ) from exc
+
+
+def _stored_blocks(states, controls):
+    """(xs, us) blocks of ``_block_steps`` consecutive stored grid points."""
+    size = _block_steps(states)
+    for k0 in range(0, len(states), size):
+        yield states[k0 : k0 + size], controls[k0 : k0 + size]
+
+
+def _quadrature(cost, grid, blocks):
+    """Discretized cost over (xs, us) blocks of consecutive grid points, which
+    cover k = 0..n_steps with a leading step axis: stored
+    (``_stored_blocks``) or streamed one point at a time (``_walk``).
+
+    ``cost.running`` is called once per block, on its points of nonzero
+    weight only, with t an array of their grid times (``_over_lanes``).  The
+    weighted rows are added to the total one at a time in step order, so the
+    sum has the bits of a per-point loop whatever the blocks.  Batch axes
     preserved."""
-    weights = _quadrature_weights(cost, grid)
-    total = 0.0
-    for k, (x, u) in enumerate(points):
-        if weights[k]:
-            total = total + cost.running(grid.time(k), x, u) * weights[k]
-    return total + cost.terminal(x, u)
+    weights, times = _quadrature_weights(cost, grid), grid.times()
+    total, k0 = 0.0, 0
+    for xs, us in blocks:
+        k1 = k0 + len(xs)
+        keep = np.flatnonzero(weights[k0:k1])
+        if keep.size:
+            # No copy when every point counts: on the FD oracle's 4548-row
+            # one-point blocks the copies raised the peak RSS by 0.4 MB.
+            x, u = (xs, us) if keep.size == k1 - k0 else (xs[keep], us[keep])
+            t = _over_lanes(times[k0 + keep], x)
+            rows = _cost_rows(cost, "running", t, x, u, x.shape[:-1])
+            for row in rows * _over_lanes(weights[k0 + keep], x):
+                total = total + row
+        k0 = k1
+    return total + cost.terminal(xs[-1], us[-1])
 
 
 def _forward_pass(system, policy, cost, x0, increments, grid, check="raise"):
@@ -176,7 +237,7 @@ def _forward_pass(system, policy, cost, x0, increments, grid, check="raise"):
     weights = _quadrature_weights(cost, grid)
     states, controls = forward_states(sys_i, policy, x0, increments, grid, check)
     with np.errstate(all="ignore"):
-        value = _quadrature(cost, grid, zip(states, controls))
+        value = _quadrature(cost, grid, _stored_blocks(states, controls))
     return sys_i, weights, states, controls, value
 
 
@@ -204,17 +265,15 @@ def _block_partials(sys_i, cost, grid, xs, us, dbs, backward=False):
     holds ``_BLOCK_ROWS`` steps x lanes (at least one step), which bounds its
     arrays on large batches.
     """
-    K = grid.n_steps
-    size = max(1, _BLOCK_ROWS // max(1, int(np.prod(xs.shape[1:-1]))))
-    times = grid.times()
+    K, size, times = grid.n_steps, _block_steps(xs), grid.times()
     starts = range(0, K, size)
     for k0 in reversed(starts) if backward else starts:
         k1 = min(k0 + size, K)
-        t = times[k0:k1].reshape((k1 - k0,) + (1,) * (xs.ndim - 2))
         x, u = xs[k0:k1], us[k0:k1]
+        t = _over_lanes(times[k0:k1], x)
         jx, ju = step_partials(sys_i, t, x, u, grid.dt, dbs[k0:k1])
-        cdx = np.broadcast_to(np.asarray(cost.running_dx(t, x, u), dtype=float), x.shape)
-        cdu = np.broadcast_to(np.asarray(cost.running_du(t, x, u), dtype=float), u.shape)
+        cdx = _cost_rows(cost, "running_dx", t, x, u, x.shape)
+        cdu = _cost_rows(cost, "running_du", t, x, u, u.shape)
         steps = range(k1 - k0)
         for j in reversed(steps) if backward else steps:
             yield k0 + j, jx[j], ju[j], cdx[j], cdu[j]
@@ -262,11 +321,11 @@ def forward_sensitivity(system, policy, cost, x0, path) -> GradientReport:
             ux = ut = None  # the previous block is freed before the next one is allocated
             rows = slice(k, min(k + size, K))
             ux, ut = policy.jacobian_params(policy.net_input(times[rows], states[rows]))
-        chain = ux[j, :, :n_x] @ S + ut[j]  # du_k/dtheta in total, (n_u, n_theta)
+        uxj = ux[j, :, :n_x]
         w = weights[k]
         if w:
-            grad += w * (cdx @ S + cdu @ chain)
-        S = jx @ S + ju @ chain
+            grad += w * ((cdx + cdu @ uxj) @ S + cdu @ ut[j])
+        S = (jx + ju @ uxj) @ S + ju @ ut[j]  # through the closed-loop step Jacobian
     cx, cu = _terminal_partials(cost, grid, weights, states, controls)
     grad += cx @ S
     if cu is not None:
@@ -292,16 +351,16 @@ def _pull_back(policy, t, x, cu, acc):
     return cx[..., : x.shape[-1]]
 
 
-def _linearized_block(policy, grid, xs, k0, k1):
-    """(x, forward, slopes) of the policy at the stored states of steps
-    k0..k1-1: their network inputs as rows (steps x lanes, n_in), one
-    ``policy.linearize`` of them, and its slopes shaped (steps,) + lane axes
-    + (width,), so ``s[j]`` is step k0 + j shaped like ``xs[k0 + j]``."""
-    lanes = xs.shape[1:-1]
-    t = grid.times()[k0:k1].reshape((k1 - k0,) + (1,) * len(lanes))
-    x = policy.net_input(t, xs[k0:k1]).reshape(-1, policy.n_in)
-    forward = policy.linearize(x)
-    return x, forward, [s.reshape((k1 - k0,) + lanes + s.shape[-1:]) for s in forward[1]]
+def _linearized_block(policy, times, xs, k0, k1):
+    """(x, forward, ux) of the policy at the stored states of steps k0..k1-1:
+    their network inputs as rows (steps x lanes, n_in), one
+    ``policy.linearize`` of them, and du/dx from one ``pull_basis`` over its
+    slopes, shaped (steps,) + lane axes + (n_u, n_x) (the time column
+    dropped), so ``ux[j]`` is step k0 + j."""
+    x = policy.net_input(_over_lanes(times[k0:k1], xs), xs[k0:k1])
+    forward = policy.linearize(x.reshape(-1, policy.n_in))
+    ux = policy.pull_basis(forward[1]).reshape(x.shape[:-1] + (policy.n_out, policy.n_in))
+    return forward[0][0], forward, ux[..., : xs.shape[-1]]
 
 
 def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, check="raise"):
@@ -316,14 +375,18 @@ def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, 
     The sweep runs the policy a block of steps at a time, at most
     ``_ADJOINT_BLOCK_DOUBLES`` doubles of stored layer inputs and slopes per
     block (at least one step): one ``MlpPolicy.linearize`` of the block's
-    steps x lanes rows, then at each step the control cotangent cu_k is
-    pulled through that step's slopes (``MlpPolicy.pull``, no forward pass)
-    and kept in a block-sized buffer.  When the sweep leaves the block, one
+    steps x lanes rows and one ``MlpPolicy.pull_basis`` over its slopes,
+    which gives du/dx at every (step, lane) of the block, shaped (steps,
+    lanes..., n_u, n_x).  At each step the costate is pulled back through
+    the closed-loop step, Jx^T a + du/dx^T cu_k, where cu_k = Ju^T a (plus
+    the running cost's u partial) is the control cotangent, a (n_u, n_x)
+    product in place of a pull through every layer; cu_k is kept in a
+    block-sized buffer.  When the sweep leaves the block, one
     ``vjp_params_layers`` on the kept forward sums each layer's parameter
     products over the block's rows in one gemm, added into one (out, in)
-    accumulator per layer.  The per-step pull and the block's sums round
-    differently from a one-step VJP, so the results depend on the block
-    size in the last bits.
+    accumulator per layer.  The block's forward and sums round differently
+    from a one-step VJP, so gradients and costates depend on the block size
+    in the last bits; costs and valid masks do not.
 
     Returns (gradient summed over the valid lanes (n_theta,), costs (N,),
     valid-lane mask (N,), costates of the valid lanes or None); without a
@@ -335,7 +398,7 @@ def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, 
     )
     costs = np.asarray(value, dtype=float)
     valid = np.asarray(np.isfinite(costs) & np.all(np.isfinite(states), axis=(0, -1)))
-    K, n_x = grid.n_steps, states.shape[-1]
+    K, times = grid.n_steps, grid.times()
     lanes = max(1, int(np.prod(states.shape[1:-1])))
     size = max(1, _ADJOINT_BLOCK_DOUBLES // (2 * sum(policy.layer_dims) * lanes))
 
@@ -357,7 +420,7 @@ def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, 
             cus = np.empty((min(size, K),) + us.shape[1:])
             for k0 in reversed(range(0, K, size)):
                 k1 = min(k0 + size, K)
-                x, forward, slopes = _linearized_block(policy, grid, xs, k0, k1)
+                x, forward, ux = _linearized_block(policy, times, xs, k0, k1)
                 for j in range(k1 - k0 - 1, -1, -1):
                     k, jx, ju, cdx, cdu = next(steps)
                     w = weights[k]
@@ -365,7 +428,7 @@ def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, 
                     if w:
                         cu = cu + w * cdu
                     cus[j] = cu
-                    pulled = policy.pull([s[j] for s in slopes], cu)[..., :n_x]
+                    pulled = np.einsum("...ub,...u->...b", ux[j], cu)
                     a = np.einsum("...ab,...a->...b", jx, a) + pulled
                     if w:
                         a = a + w * cdx
@@ -373,7 +436,7 @@ def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, 
                         lambdas[k] = a
                 cot = cus[: k1 - k0].reshape(-1, cus.shape[-1])
                 _add_layers(acc, policy.vjp_params_layers(x, cot, forward=forward)[1])
-                del x, forward, slopes  # freed before the next block is allocated
+                del x, forward, ux  # freed before the next block is allocated
         return acc, a, lambdas
 
     acc, a, lambdas = sweep(valid)
@@ -475,7 +538,8 @@ def _eval_cost_perturbed(system, policy, cost, x0, increments, grid, idx, h_sign
     )
     x = np.tile(np.asarray(x0, dtype=float), (len(idx), 1))
     with np.errstate(all="ignore"):
-        return _quadrature(cost, grid, _walk(system, perturbed, x, increments, grid))
+        points = _walk(system, perturbed, x, increments, grid)
+        return _quadrature(cost, grid, ((x[None], u[None]) for x, u in points))
 
 
 def finite_difference_gradient(system, policy, cost, x0, path, h_rel=1e-5) -> GradientReport:

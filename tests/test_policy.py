@@ -355,6 +355,24 @@ class TestLinearize:
                     terms = np.abs(cot[j]) @ np.abs(policy.jacobian_input(x[j]))
                     assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(terms))
 
+    def test_block_input_jacobian_from_the_basis_pull(self, hidden, output, with_time):
+        # pull_basis gives du/dx at every row of a linearized block, as the
+        # adjoint sweep reads it: jacobian_input's bits on one input row
+        # (batch ()), and within 1e-15 of its largest entry on a block of
+        # several rows, whose forward is one gemm over them.
+        policy = self._policy(hidden, output, with_time)
+        rng = np.random.Generator(np.random.Philox(key=35))
+        for batch in ((), (4,), (2, 3)):
+            x = 2.0 * rng.standard_normal(batch + (policy.n_in,))
+            ux = policy.pull_basis(policy.linearize(x)[1])
+            assert ux.shape == batch + (2, policy.n_in)
+            for row in np.ndindex(batch):
+                want = policy.jacobian_input(x[row])
+                if not batch:
+                    assert np.array_equal(ux[row], want)
+                else:
+                    assert np.max(np.abs(ux[row] - want)) <= 1e-15 * np.max(np.abs(want))
+
     def test_stored_slopes_give_the_inline_slope_bits(self, hidden, output, with_time):
         # vjp_input and jacobian_params (whose du/dx is jacobian_input's, see
         # test_jacobians_consistent_with_vjps) read the slopes that linearize

@@ -180,6 +180,30 @@ class TestBuildSystem:
         got = build_system(params).drift(t, x, u)
         assert got.shape == want.shape and np.array_equal(got, want)
 
+    @pytest.mark.parametrize("x_shape, u_shape", [((2,), (3, 2)), ((3, 2), (2,)), ((2,), (2,))])
+    @pytest.mark.parametrize(
+        "rates",
+        [{}, {"mu": lambda t: np.where(t < 0.5, 0.15, 0.3), "r": lambda t: 0.04 + 0.02 * t}],
+        ids=["constant rates", "callable rates"],
+    )
+    def test_drift_has_the_bits_of_the_output_sized_by_broadcast_shapes(
+        self, x_shape, u_shape, rates
+    ):
+        # The drift sizes its output from its first column; the formula it
+        # replaced sized it from np.broadcast_shapes of the batch axes.
+        params = MarketParams(**rates)
+        rng = np.random.Generator(np.random.Philox(key=32))
+        x = rng.standard_normal(x_shape)
+        u = rng.standard_normal(u_shape)
+        for t in (0.25, 0.75):
+            mu = params.mu(t) if callable(params.mu) else params.mu
+            r = params.r(t) if callable(params.r) else params.r
+            want = np.empty(np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (2,))
+            want[..., 0] = mu * x[..., 0] + u[..., 0] - u[..., 1]
+            want[..., 1] = r * x[..., 1] - u[..., 0] + (1.0 - params.alpha) * u[..., 1]
+            got = build_system(params).drift(t, x, u)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
     def test_zero_control_stock_matches_gbm(self):
         # with u = 0 the stock decouples and follows plain GBM
         system = build_system(MarketParams())

@@ -213,6 +213,107 @@ class TestEvalCost:
             eval_cost(system, policy, cost, np.array([1.0]), path)
 
 
+def per_point_cost(cost, grid, states, controls):
+    """The discretized cost by a per-point loop: ``cost.running`` once per
+    grid point of nonzero weight, at a float t, added in step order."""
+    weights = sensitivity._quadrature_weights(cost, grid)
+    total = 0.0
+    for k, (x, u) in enumerate(zip(states, controls)):
+        if weights[k]:
+            total = total + cost.running(grid.time(k), x, u) * weights[k]
+    return total + cost.terminal(states[-1], controls[-1])
+
+
+def nan_off_the_weights(cost, grid):
+    """The cost with a running value that is NaN at every grid point of zero
+    quadrature weight (t = T for the integral)."""
+    unweighted = grid.times()[sensitivity._quadrature_weights(cost, grid) == 0]
+
+    def running(t, x, u):
+        return np.where(np.isin(t, unweighted), np.nan, cost.running(t, x, u))
+
+    return dataclasses.replace(cost, running=running)
+
+
+QUADRATURE_CASES = [
+    pytest.param(nu, lanes, points, nan, id=f"nu={nu}-{lanes}-lane{'s' * (lanes > 1)}-{name}")
+    for nu, lanes, points, nan, name in [
+        (0.0, 1, None, False, "integral"),
+        (0.25, 1, None, False, "integral"),
+        (0.0, 50, None, False, "integral"),
+        (0.25, 50, None, False, "integral"),
+        (0.25, 1, (9, 9, 37), False, "repeat and T"),
+        (0.25, 50, (9, 9, 37), False, "repeat and T"),
+        (0.25, 1, None, True, "NaN at zero weight"),
+        (0.25, 50, (9, 9, 37), True, "NaN at zero weight"),
+    ]
+]
+
+
+class TestBlockQuadrature:
+    """``_quadrature`` calls ``cost.running`` once per block of stored points
+    and adds the weighted rows in step order: the cost has the bits of a
+    per-point loop, whatever the blocks, and through every evaluator."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("nu, lanes, points, nan", QUADRATURE_CASES)
+    def test_blocks_give_the_per_point_bits(self, monkeypatch, nu, lanes, points, nan):
+        # 37 steps: 50 lanes make 20-step blocks and 7 rows ragged ones.  At
+        # nu = 0 some of the 50 lanes cross the solvency line, and their
+        # cost is NaN.
+        market = MarketParams(nu=nu, barrier_weight=50.0, x0=(1.0, -0.85))
+        system, cost, x0, policy = build_grad_check_problem(
+            "portfolio", hidden_dims=(4,), market=market
+        )
+        grid = TimeGrid(0.0, 1.0, 37)
+        if points:
+            cost = dataclasses.replace(cost, pointwise_times=[grid.time(k) for k in points])
+        if nan:
+            cost = nan_off_the_weights(cost, grid)
+        paths = [generate_path(s, grid, 1).increments for s in range(lanes)]
+        increments = paths[0] if lanes == 1 else np.stack(paths, axis=1)
+        x0 = x0 if lanes == 1 else np.tile(x0, (lanes, 1))
+        states, controls = forward_states(system, policy, x0, increments, grid, "none")
+        want = per_point_cost(cost, grid, states, controls)
+        crossed = np.count_nonzero(~np.isfinite(want))
+        assert crossed == 0 if nu or lanes == 1 else 0 < crossed < lanes
+
+        def quadrature(blocks):
+            return sensitivity._quadrature(cost, grid, blocks)
+
+        got = [quadrature(sensitivity._stored_blocks(states, controls))]
+        got.append(quadrature((x[None], u[None]) for x, u in zip(states, controls)))
+        got.append(adjoint_core(system, policy, cost, x0, increments, grid, check="none")[1])
+        if lanes == 1:
+            got.append(eval_cost(system, policy, cost, x0, WienerPath(grid, 1, increments, 0)))
+        with monkeypatch.context() as m:
+            m.setattr(sensitivity, "_BLOCK_ROWS", 7)
+            got.append(quadrature(sensitivity._stored_blocks(states, controls)))
+        for value in got:
+            assert np.array_equal(value, want, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "name, estimators",
+    [
+        ("running", (eval_cost, adjoint_gradient, forward_sensitivity)),
+        ("running_dx", (adjoint_gradient, forward_sensitivity)),
+        ("running_du", (adjoint_gradient, forward_sensitivity)),
+    ],
+)
+def test_cost_callback_that_takes_only_a_float_time_rejected(name, estimators):
+    # The evaluators pass the running cost and its partials an array of grid
+    # times; a Python switch on t cannot take one.
+    system, cost, x0, policy = build_grad_check_problem("gbm", hidden_dims=(4,))
+    f = getattr(cost, name)
+    switched = lambda t, x, u: f(t, x, u) * (1.0 if t < 0.5 else 2.0)  # noqa: E731
+    cost = dataclasses.replace(cost, **{name: switched})
+    path = generate_path(0, TimeGrid(0.0, 1.0, 8), 1)
+    for estimator in estimators:
+        with pytest.raises(ConfigurationError, match=f"cost callback {name} must accept an array"):
+            estimator(system, policy, cost, x0, path)
+
+
 def test_divergence_reported_alike_by_every_entry_point():
     # x_{k+1} = (1 + u dt) x_k with u = 1e40 overflows after a few steps
     system = bilinear_system()
@@ -368,13 +469,15 @@ def test_one_derivative_pass_per_step(monkeypatch, estimator, times, terminal_pa
     K = 16
     path = generate_path(3, TimeGrid(0.0, 1.0, K), 1)
     passes = []
-    real_forward = MlpPolicy._forward
+    # eval runs the control's pass without _forward, which keeps every layer.
+    for name in ("_forward", "eval"):
+        real = getattr(MlpPolicy, name)
 
-    def counted_forward(self, x):
-        passes.append(x)
-        return real_forward(self, x)
+        def counted(self, x, real=real):
+            passes.append(x)
+            return real(self, x)
 
-    monkeypatch.setattr(MlpPolicy, "_forward", counted_forward)
+        monkeypatch.setattr(MlpPolicy, name, counted)
     estimator(system, policy, cost, x0, path)
     assert len(passes) <= (K + 1) + K + terminal_pass
 
