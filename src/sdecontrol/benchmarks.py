@@ -22,7 +22,11 @@ __all__ = [
 def _gbm(mu, sigma, n_u) -> ControlledSystem:
     """dx = (mu x + u) dt + (sigma x + c u) dB (Ito) with c = 0.1, and a
     scalar control u for n_u = 1 or none for n_u = 0.  The control enters as
-    the sum over its axis, so a zero-width one adds 0.0."""
+    the sum over its axis, so a zero-width one adds 0.0.  mu and sigma must
+    be finite (ConfigurationError)."""
+    for name, value in (("mu", mu), ("sigma", sigma)):
+        if not np.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
     c = 0.1
 
     def const(value, shape):

@@ -159,17 +159,6 @@ class MlpPolicy:
             )
         return x
 
-    def _forward(self, x):
-        acts = [self._checked_input(x)]
-        pres = []
-        last = len(self.weights) - 1
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w.T + b
-            pres.append(z)
-            phi = self.output if k == last else self.hidden
-            acts.append(phi.value(z))
-        return acts, pres
-
     def eval(self, x) -> np.ndarray:
         """Network output for input of shape (..., n_in).  Each layer's
         pre-activation is overwritten by its activation; nothing is kept."""
@@ -199,13 +188,14 @@ class MlpPolicy:
         """One forward pass at x (..., n_in), kept for reverse passes:
         (acts, slopes), each layer's input ``acts[k]`` (``acts[0]`` is x,
         ``acts[-1]`` the output) and its activation slope ``slopes[k]``,
-        phi'(z_k)."""
-        acts, pres = self._forward(x)
+        phi'(z_k), taken as the pass goes; no pre-activation is kept."""
+        acts, slopes = [self._checked_input(x)], []
         last = len(self.weights) - 1
-        slopes = [
-            (self.output if k == last else self.hidden).deriv(z, acts[k + 1])
-            for k, z in enumerate(pres)
-        ]
+        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = acts[-1] @ w.T + b
+            phi = self.output if k == last else self.hidden
+            acts.append(phi.value(z))
+            slopes.append(phi.deriv(z, acts[-1]))
         return acts, slopes
 
     def _backward(self, acts, slopes, cotangent, products=None):

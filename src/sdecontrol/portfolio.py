@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 Rate = Union[float, Callable[[float], float]]
+# Lattice points a policy grid may hold: resolution 2048, 128 MB of rows.
+_MAX_GRID_POINTS = 2**22
 
 
 def _at(value: Rate, t: float) -> float:
@@ -331,6 +333,8 @@ def _check_evaluation_sizes(n_paths, keep_trajectories):
 def _check_policy_grid(s_range, v_range, resolution):
     if resolution < 2:
         raise ConfigurationError("resolution must be >= 2")
+    if resolution * resolution > _MAX_GRID_POINTS:
+        raise ConfigurationError(f"resolution {resolution} makes over {_MAX_GRID_POINTS} lattice points")
     if not np.isfinite([*map(float, s_range), *map(float, v_range)]).all():
         raise ConfigurationError("grid ranges must be finite")
 

@@ -21,21 +21,21 @@ Both exact estimators step through the closed-loop step Jacobian
 Jx + Ju du/dx: forward sensitivity pushes S_{k+1} = (Jx + Ju du/dx) S_k +
 Ju du/dtheta, and the adjoint pulls the costate back through its transpose.
 
-Both exact estimators read the step Jacobians and the running-cost partials
-from ``_block_partials``.  Those depend only on the stored (t_k, x_k, u_k,
-dB_k), not on the sensitivity or the costate, so they are computed for a block
-of steps in one call each (``_BLOCK_ROWS`` steps x lanes per block), with t an
-array that broadcasts over the lanes; the sequential sweeps then read one step
-at a time.  Forward sensitivity reads the policy Jacobians (du/dx, du/dtheta)
-at the stored states the same way, one ``jacobian_params`` call per block of
-at most ``_JAC_BLOCK_DOUBLES`` doubles (steps x n_u x n_theta, at least one
-step).  The adjoint runs the policy in blocks of at most
-``_ADJOINT_BLOCK_DOUBLES`` doubles of stored layer inputs and slopes: one
-forward pass per block and one pull of the n_u basis cotangents over its
-slopes, which gives du/dx at every step of the block; per step only the
-control cotangent's (n_u, n_x) product with that step's du/dx; and one
-parameter VJP per block over the control cotangents the sweep has kept
-(``adjoint_core``).
+Both exact estimators walk the stored trajectory one way, a block of
+steps at a time (``_step_blocks``), forward or backward.  The step Jacobians
+and the running-cost partials depend only on the stored (t_k, x_k, u_k, dB_k),
+not on the sensitivity or the costate, so they are computed for a span of
+whole blocks in one call each, with t an array that broadcasts over the lanes;
+a span holds at least ``_BLOCK_ROWS`` steps x lanes.  Each block first computes
+its policy data at the stored states, at most ``_POLICY_BLOCK_DOUBLES``
+doubles of it (at least one step), then runs its steps one at a time.
+Forward sensitivity counts n_u x n_theta doubles per step: one
+``jacobian_params`` call per block gives du/dx and du/dtheta.  The adjoint
+counts the stored layer inputs and slopes: one forward pass per block and one
+pull of the n_u basis cotangents over its slopes, which gives du/dx at every
+step of the block; per step only the control cotangent's (n_u, n_x) product
+with that step's du/dx; and one parameter VJP per block over the control
+cotangents the sweep has kept (``adjoint_core``).
 
 Every evaluator converts a Stratonovich system to Ito form first
 (``_ito_form``), so the walk takes the Ito-Milstein steps that
@@ -87,10 +87,10 @@ __all__ = [
 ]
 
 _SENS_CAPACITY = 5 * 10**7  # entries allowed in the n_x * n_theta sensitivity matrix
-_BLOCK_ROWS = 1024  # steps x lanes whose step and running-cost partials share one call
-_JAC_BLOCK_DOUBLES = 2**14  # steps x n_u x n_theta doubles in one policy Jacobian block
-# Doubles of stored layer inputs and slopes in one adjoint policy block.
-_ADJOINT_BLOCK_DOUBLES = 2**15
+# Steps x lanes of stored points in one quadrature block, and at least in one
+# span whose step and running-cost partials share one call.
+_BLOCK_ROWS = 1024
+_POLICY_BLOCK_DOUBLES = 2**15  # doubles of policy data in one block of an exact sweep
 # Gradient magnitude below which a coordinate's relative error is not counted.
 _AGREEMENT_FLOOR = 1e-8
 
@@ -196,11 +196,18 @@ def _cost_rows(cost, name, t, x, u, shape):
         ) from exc
 
 
+def _ranges(n, size, backward=False):
+    """The (k0, k1) blocks of ``size`` consecutive indices that cover
+    range(n), the last one ragged; last block first when ``backward``."""
+    starts = range(0, n, size)
+    for k0 in reversed(starts) if backward else starts:
+        yield k0, min(k0 + size, n)
+
+
 def _stored_blocks(states, controls):
     """(xs, us) blocks of ``_block_steps`` consecutive stored grid points."""
-    size = _block_steps(states)
-    for k0 in range(0, len(states), size):
-        yield states[k0 : k0 + size], controls[k0 : k0 + size]
+    for k0, k1 in _ranges(len(states), _block_steps(states)):
+        yield states[k0:k1], controls[k0:k1]
 
 
 def _quadrature(cost, grid, blocks):
@@ -255,28 +262,27 @@ def _terminal_partials(cost, grid, weights, states, controls):
     return cx, cu
 
 
-def _block_partials(sys_i, cost, grid, xs, us, dbs, backward=False):
-    """Yield (k, Jx, Ju, running_dx, running_du) of every step k of the stored
-    trajectory, k = 0..K-1, or K-1..0 when ``backward``.
+def _step_blocks(sys_i, cost, grid, xs, us, dbs, size, backward=False):
+    """Yield (k0, k1, Jx, Ju, running_dx, running_du) for each block of at
+    most ``size`` steps k0..k1-1 of the stored trajectory, k = 0..K-1, last
+    block first when ``backward``; index j of each array is step k0 + j.
 
     These partials depend only on the stored (t_k, x_k, u_k, dB_k), so they
-    are computed for a block of steps in one call each, with t an array of
-    shape (steps,) + (1,) * lane axes that broadcasts over the lanes.  A block
-    holds ``_BLOCK_ROWS`` steps x lanes (at least one step), which bounds its
-    arrays on large batches.
+    are computed for a span of whole blocks in one call each, with t an array
+    of shape (steps,) + (1,) * lane axes that broadcasts over the lanes, and
+    each block gets views of them.  A span holds at least ``_BLOCK_ROWS``
+    steps x lanes, rounded up to whole blocks, which bounds its arrays on
+    large batches.
     """
-    K, size, times = grid.n_steps, _block_steps(xs), grid.times()
-    starts = range(0, K, size)
-    for k0 in reversed(starts) if backward else starts:
-        k1 = min(k0 + size, K)
-        x, u = xs[k0:k1], us[k0:k1]
-        t = _over_lanes(times[k0:k1], x)
-        jx, ju = step_partials(sys_i, t, x, u, grid.dt, dbs[k0:k1])
+    span = size * -(-_block_steps(xs) // size)
+    for s0, s1 in _ranges(grid.n_steps, span, backward):
+        x, u = xs[s0:s1], us[s0:s1]
+        t = _over_lanes(grid.times()[s0:s1], x)
+        jx, ju = step_partials(sys_i, t, x, u, grid.dt, dbs[s0:s1])
         cdx = _cost_rows(cost, "running_dx", t, x, u, x.shape)
         cdu = _cost_rows(cost, "running_du", t, x, u, u.shape)
-        steps = range(k1 - k0)
-        for j in reversed(steps) if backward else steps:
-            yield k0 + j, jx[j], ju[j], cdx[j], cdu[j]
+        for k0, k1 in _ranges(s1 - s0, size, backward):
+            yield s0 + k0, s0 + k1, jx[k0:k1], ju[k0:k1], cdx[k0:k1], cdu[k0:k1]
 
 
 # -- public cost evaluation -------------------------------------------------
@@ -311,21 +317,19 @@ def forward_sensitivity(system, policy, cost, x0, path) -> GradientReport:
         system, policy, cost, x0, path.increments, grid
     )
     K, times = grid.n_steps, grid.times()
-    size = max(1, _JAC_BLOCK_DOUBLES // (policy.n_out * n_theta))
+    size = max(1, _POLICY_BLOCK_DOUBLES // (policy.n_out * n_theta))
     S = np.zeros((n_x, n_theta))
     grad = np.zeros(n_theta)
-    steps = _block_partials(sys_i, cost, grid, states, controls, path.increments)
-    for k, jx, ju, cdx, cdu in steps:
-        j = k % size
-        if not j:
-            ux = ut = None  # the previous block is freed before the next one is allocated
-            rows = slice(k, min(k + size, K))
-            ux, ut = policy.jacobian_params(policy.net_input(times[rows], states[rows]))
-        uxj = ux[j, :, :n_x]
-        w = weights[k]
-        if w:
-            grad += w * ((cdx + cdu @ uxj) @ S + cdu @ ut[j])
-        S = (jx + ju @ uxj) @ S + ju @ ut[j]  # through the closed-loop step Jacobian
+    blocks = _step_blocks(sys_i, cost, grid, states, controls, path.increments, size)
+    for k0, k1, jx, ju, cdx, cdu in blocks:
+        ux, ut = policy.jacobian_params(policy.net_input(times[k0:k1], states[k0:k1]))
+        ux = ux[..., :n_x]
+        for j in range(k1 - k0):
+            w = weights[k0 + j]
+            if w:
+                grad += w * ((cdx[j] + cdu[j] @ ux[j]) @ S + cdu[j] @ ut[j])
+            S = (jx[j] + ju[j] @ ux[j]) @ S + ju[j] @ ut[j]  # the closed-loop step Jacobian
+        del ux, ut  # freed before the next block is allocated
     cx, cu = _terminal_partials(cost, grid, weights, states, controls)
     grad += cx @ S
     if cu is not None:
@@ -341,14 +345,6 @@ def _add_layers(acc, layers):
     for slot, (gw, gb) in zip(acc, layers):
         slot[0] += gw
         slot[1] += gb
-
-
-def _pull_back(policy, t, x, cu, acc):
-    """cu^T du/dx (time column dropped) from one policy VJP, whose per-layer
-    cu^T du/dtheta products, summed over the lanes, are added into ``acc``."""
-    cx, layers = policy.vjp_params_layers(policy.net_input(t, x), cu)
-    _add_layers(acc, layers)
-    return cx[..., : x.shape[-1]]
 
 
 def _linearized_block(policy, times, xs, k0, k1):
@@ -372,17 +368,17 @@ def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, 
     sweep.  A NaN that enters a costate only in the sweep reaches k = 0; the
     sweep is then rerun without those lanes, which would poison the sums.
 
-    The sweep runs the policy a block of steps at a time, at most
-    ``_ADJOINT_BLOCK_DOUBLES`` doubles of stored layer inputs and slopes per
-    block (at least one step): one ``MlpPolicy.linearize`` of the block's
-    steps x lanes rows and one ``MlpPolicy.pull_basis`` over its slopes,
-    which gives du/dx at every (step, lane) of the block, shaped (steps,
-    lanes..., n_u, n_x).  At each step the costate is pulled back through
-    the closed-loop step, Jx^T a + du/dx^T cu_k, where cu_k = Ju^T a (plus
-    the running cost's u partial) is the control cotangent, a (n_u, n_x)
-    product in place of a pull through every layer; cu_k is kept in a
-    block-sized buffer.  When the sweep leaves the block, one
-    ``vjp_params_layers`` on the kept forward sums each layer's parameter
+    The sweep walks ``_step_blocks`` backward, blocks of at most
+    ``_POLICY_BLOCK_DOUBLES`` doubles of stored layer inputs and slopes (at
+    least one step).  Each block first runs the policy: one
+    ``MlpPolicy.linearize`` of its steps x lanes rows and one
+    ``MlpPolicy.pull_basis`` over its slopes, which gives du/dx at every
+    (step, lane) of the block, shaped (steps, lanes..., n_u, n_x).  Then, at
+    each step, the costate is pulled back through the closed-loop step,
+    Jx^T a + du/dx^T cu_k, where cu_k = Ju^T a (plus the running cost's u
+    partial) is the control cotangent, a (n_u, n_x) product in place of a
+    pull through every layer; cu_k is kept in a block-sized buffer.  Last,
+    one ``vjp_params_layers`` on the kept forward sums each layer's parameter
     products over the block's rows in one gemm, added into one (out, in)
     accumulator per layer.  The block's forward and sums round differently
     from a one-step VJP, so gradients and costates depend on the block size
@@ -400,7 +396,7 @@ def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, 
     valid = np.asarray(np.isfinite(costs) & np.all(np.isfinite(states), axis=(0, -1)))
     K, times = grid.n_steps, grid.times()
     lanes = max(1, int(np.prod(states.shape[1:-1])))
-    size = max(1, _ADJOINT_BLOCK_DOUBLES // (2 * sum(policy.layer_dims) * lanes))
+    size = max(1, _POLICY_BLOCK_DOUBLES // (2 * sum(policy.layer_dims) * lanes))
 
     def sweep(keep):
         # With every lane kept the stored arrays are swept as they are.
@@ -413,27 +409,27 @@ def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, 
             a = np.broadcast_to(cx, xs[K].shape)
             if keep_lambda:
                 lambdas[K] = a
-            if cu is not None:
-                a = a + _pull_back(policy, grid.time(K), xs[K], cu, acc)
+            if cu is not None:  # the control at T: one VJP through every layer
+                pulled, layers = policy.vjp_params_layers(policy.net_input(grid.time(K), xs[K]), cu)
+                _add_layers(acc, layers)
+                a = a + pulled[..., : xs.shape[-1]]
 
-            steps = _block_partials(sys_i, cost, grid, xs, us, dbs, backward=True)
             cus = np.empty((min(size, K),) + us.shape[1:])
-            for k0 in reversed(range(0, K, size)):
-                k1 = min(k0 + size, K)
+            blocks = _step_blocks(sys_i, cost, grid, xs, us, dbs, size, backward=True)
+            for k0, k1, jx, ju, cdx, cdu in blocks:
                 x, forward, ux = _linearized_block(policy, times, xs, k0, k1)
                 for j in range(k1 - k0 - 1, -1, -1):
-                    k, jx, ju, cdx, cdu = next(steps)
-                    w = weights[k]
-                    cu = np.einsum("...au,...a->...u", ju, a)
+                    w = weights[k0 + j]
+                    cu = np.einsum("...au,...a->...u", ju[j], a)
                     if w:
-                        cu = cu + w * cdu
+                        cu = cu + w * cdu[j]
                     cus[j] = cu
                     pulled = np.einsum("...ub,...u->...b", ux[j], cu)
-                    a = np.einsum("...ab,...a->...b", jx, a) + pulled
+                    a = np.einsum("...ab,...a->...b", jx[j], a) + pulled
                     if w:
-                        a = a + w * cdx
+                        a = a + w * cdx[j]
                     if keep_lambda:
-                        lambdas[k] = a
+                        lambdas[k0 + j] = a
                 cot = cus[: k1 - k0].reshape(-1, cus.shape[-1])
                 _add_layers(acc, policy.vjp_params_layers(x, cot, forward=forward)[1])
                 del x, forward, ux  # freed before the next block is allocated
@@ -594,12 +590,14 @@ def gradient_agreement(a, b):
 
     The relative error is the largest ``_coordinate_errors`` over the
     coordinates that count (magnitude above ``_AGREEMENT_FLOOR``); a NaN
-    coordinate makes both values NaN.
+    coordinate makes both values NaN.  The cosine with a zero vector is 1.0
+    when both vectors are zero and 0.0 when only one is.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    cosine = float(a @ b / (na * nb)) if na != 0 and nb != 0 else 1.0
+    # na * nb is NaN with a NaN coordinate; a zero vector is parallel only to another one.
+    cosine = float(a @ b / (na * nb)) if na * nb else float(na == nb)
     rel, counted = _coordinate_errors(a, b)
     max_rel = float(np.max(rel[counted])) if counted.any() else 0.0
     return cosine, max_rel

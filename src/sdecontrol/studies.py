@@ -48,15 +48,15 @@ def fit_order(n_steps_list, errors) -> float:
     return float(slope)
 
 
-def _fine_paths(seed, n_paths, mu, sigma, t_end, min_exp, max_exp):
+def _fine_paths(seed, n_paths, t_end, min_exp, max_exp):
     """The levels min_exp..max_exp, the fine grid and the increments of one
     fine Brownian path per seed, stacked as (n_paths, n_steps, 1).
 
     A study needs at least one path, as a median of none is NaN, at least
     two levels, as neither a trend nor an order has fewer points, levels of
-    at least one step, finite GBM constants, and at most
-    ``_MAX_FINE_INCREMENTS`` fine increments; all are checked before anything
-    is allocated.
+    at least one step, and at most ``_MAX_FINE_INCREMENTS`` fine increments;
+    all are checked, and the fine grid is built (``TimeGrid`` rejects a
+    non-finite t_end), before anything is allocated.
     """
     if n_paths < 1:
         raise ConfigurationError(f"a study needs at least one path, got {n_paths}")
@@ -64,9 +64,6 @@ def _fine_paths(seed, n_paths, mu, sigma, t_end, min_exp, max_exp):
         raise ConfigurationError(f"a study needs at least two levels, got 2^{min_exp}..2^{max_exp}")
     if min_exp < 0:
         raise ConfigurationError(f"the coarsest level needs at least one step, got 2^{min_exp}")
-    for name, value in (("mu", mu), ("sigma", sigma), ("t_end", t_end)):
-        if not np.isfinite(value):
-            raise ConfigurationError(f"{name} must be finite, got {value}")
     if n_paths > _MAX_FINE_INCREMENTS >> max_exp:  # n_paths * 2**max_exp above the limit
         raise ConfigurationError(
             f"{n_paths} paths of 2^{max_exp} steps exceed the study limit of "
@@ -109,7 +106,7 @@ def strong_convergence_study(
     Returns {scheme: {"n_steps": [...], "median_error": [...], "order": p}}.
     """
     system = gbm_system(mu=mu, sigma=sigma)
-    levels, fine, fine_paths = _fine_paths(seed, n_paths, mu, sigma, t_end, min_exp, max_exp)
+    levels, fine, fine_paths = _fine_paths(seed, n_paths, t_end, min_exp, max_exp)
     errors = {s: np.zeros((len(levels), n_paths)) for s in _STRONG_SCHEMES}
     x0v = np.array([_X0])
     b_totals = [float(increments.sum()) for increments in fine_paths]
@@ -150,7 +147,7 @@ def calculus_equivalence_study(
     ito = gbm_system(mu=mu, sigma=sigma)
     strat = convert_calculus(ito)
     max_exp = min_exp + n_halvings
-    levels, fine, fine_paths = _fine_paths(seed, n_paths, mu, sigma, t_end, min_exp, max_exp)
+    levels, fine, fine_paths = _fine_paths(seed, n_paths, t_end, min_exp, max_exp)
     gaps = np.zeros((len(levels), n_paths))
     x0v = np.array([_X0])
     for li, exp in enumerate(levels):
@@ -176,7 +173,7 @@ def reversibility_study(
     initial state.  Returns (n_steps_list, median_errors)."""
     system = gbm_system(mu=mu, sigma=sigma)
     max_exp = min_exp + n_halvings
-    levels, fine, fine_paths = _fine_paths(seed, n_paths, mu, sigma, t_end, min_exp, max_exp)
+    levels, fine, fine_paths = _fine_paths(seed, n_paths, t_end, min_exp, max_exp)
     errs = np.zeros((len(levels), n_paths))
     x0v = np.array([_X0])
     for li, exp in enumerate(levels):

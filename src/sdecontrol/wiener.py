@@ -38,6 +38,9 @@ class TimeGrid:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ConfigurationError(f"n_steps must be >= 1, got {self.n_steps}")
+        for name in ("t_start", "t_end"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.t_end > self.t_start:
             raise ConfigurationError(
                 f"grid span must be positive, got [{self.t_start}, {self.t_end}]"

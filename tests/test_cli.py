@@ -221,6 +221,49 @@ class TestCliContract:
         assert code == 1
         assert "FAIL adjoint/fd: cosine=-1.000000000 max_rel=0.000e+00\n" in err
 
+    def test_grad_check_zero_adjoint_against_a_tiny_fd_gradient_fails(
+        self, smoke_cfg, tmp_path, capsys, monkeypatch
+    ):
+        # Every coordinate is below the floor, and a zero vector is parallel
+        # to no other: the adjoint/fd cosine is 0.
+        grads = {
+            "forward_sensitivity": np.zeros(2),
+            "adjoint_gradient": np.zeros(2),
+            "finite_difference_gradient": np.array([1e-9, -1e-9]),
+        }
+        for name, grad in grads.items():
+            report = GradientReport(grad=grad, cost_value=0.0)
+            monkeypatch.setattr(cli, name, lambda *args, report=report, **kwargs: report)
+        code = main(["grad-check", "--config", smoke_cfg, "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "ok forward/adjoint: cosine=1.000000000" in captured.out
+        assert "FAIL adjoint/fd: cosine=0.000000000 max_rel=0.000e+00\n" in captured.err
+
+    @pytest.mark.parametrize(
+        "line, shown",
+        [
+            ("horizon = inf", "t_end must be finite, got inf"),
+            ("sigma = inf", "sigma must be finite, got inf"),
+            ("mu = nan", "mu must be finite, got nan"),
+        ],
+    )
+    def test_grad_check_non_finite_gbm_input_exits_2_before_estimators(
+        self, smoke_cfg, tmp_path, capsys, monkeypatch, line, shown
+    ):
+        def no_estimator(*args, **kwargs):
+            raise AssertionError("an estimator ran")
+
+        for name in ("forward_sensitivity", "adjoint_gradient", "finite_difference_gradient"):
+            monkeypatch.setattr(cli, name, no_estimator)
+        with open(smoke_cfg, "a") as fh:
+            fh.write(line + "\n")
+        out = tmp_path / "gc"
+        assert main(["grad-check", "--config", smoke_cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {shown}" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -239,6 +282,7 @@ class TestCliContract:
             "horizon = inf",
             "s0 = nan",
             "trajectory_dumps = 3",
+            "grid_resolution = 1000000",
         ],
     )
     def test_bad_experiment_size_exits_2_before_training(self, smoke_cfg, tmp_path, capsys, line):
@@ -470,6 +514,21 @@ class TestCliContract:
         assert lines[0] == "S,V,u_i,u_d"
         assert len(lines) == 1 + 4
         capsys.readouterr()
+
+    def test_policy_grid_above_the_lattice_limit_exits_2(self, smoke_cfg, tmp_path, capsys):
+        # 10^12 lattice points would ask for 29.1 TiB of rows.
+        from sdecontrol.policy import init_params, save_policy
+
+        ckpt = tmp_path / "policy.txt"
+        save_policy(init_params([2, 4, 2], seed=0), ckpt)
+        with open(smoke_cfg, "a") as fh:
+            fh.write("grid_resolution = 1000000\n")
+        out = tmp_path / "grid"
+        args = ["policy-grid", "--config", smoke_cfg, "--out", str(out), "--checkpoint", str(ckpt)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "lattice points" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_rerun_bit_identical_outputs(self, smoke_cfg, tmp_path, capsys):
         out_a = tmp_path / "a"

@@ -469,8 +469,9 @@ def test_one_derivative_pass_per_step(monkeypatch, estimator, times, terminal_pa
     K = 16
     path = generate_path(3, TimeGrid(0.0, 1.0, K), 1)
     passes = []
-    # eval runs the control's pass without _forward, which keeps every layer.
-    for name in ("_forward", "eval"):
+    # eval runs the control's pass; linearize, which keeps every layer, the
+    # derivative passes.
+    for name in ("linearize", "eval"):
         real = getattr(MlpPolicy, name)
 
         def counted(self, x, real=real):
@@ -616,12 +617,15 @@ def test_stratonovich_system_is_converted_to_the_ito_results(name):
 
 class TestBlockPartials:
     """The exact estimators compute the step and running-cost partials a
-    block of steps at a time, ``sensitivity._BLOCK_ROWS`` steps x lanes per
-    block.  A budget of 1 row is one step per block; 7 rows gives ragged
-    blocks on one path.  No result may depend on the block length."""
+    span of whole policy blocks at a time, at least ``sensitivity._BLOCK_ROWS``
+    steps x lanes per span.  The policy blocks are held small here
+    (``sensitivity._POLICY_BLOCK_DOUBLES``), so a span holds several of them;
+    a budget of 1 row is one block per span, and 7 rows gives ragged spans
+    on one path.  No result may depend on the span length."""
 
     @staticmethod
-    def _at_each_budget(monkeypatch, run):
+    def _at_each_budget(monkeypatch, policy_doubles, run):
+        monkeypatch.setattr(sensitivity, "_POLICY_BLOCK_DOUBLES", policy_doubles)
         outs = [run()]
         for rows in (1, 7):
             with monkeypatch.context() as m:
@@ -645,12 +649,14 @@ class TestBlockPartials:
             ad, lambdas = adjoint_gradient(system, policy, cost, x0, path, return_adjoint=True)
             return fw.grad, fw.cost_value, ad.grad, ad.cost_value, lambdas
 
-        self._at_each_budget(monkeypatch, run)
+        # 2-step forward blocks (44 doubles a step), 6-step adjoint blocks (16).
+        self._at_each_budget(monkeypatch, 100, run)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_batch_with_lanes_dropped_before_the_sweep(self, monkeypatch):
         # nu = 0 near the solvency line: the log barrier drops crossing lanes.
-        # 50 lanes make 20-step blocks, so 47 steps end in a ragged block.
+        # 50 lanes make 20-step spans of 1024 rows, rounded up to 21 steps of
+        # 3-step blocks, so 47 steps end in a ragged span and a ragged block.
         market = MarketParams(nu=0.0, barrier_weight=50.0, x0=(1.0, -0.85))
         system, cost, x0, policy = build_grad_check_problem(
             "portfolio", hidden_dims=(4,), market=market
@@ -662,14 +668,16 @@ class TestBlockPartials:
         def run():
             return adjoint_core(system, policy, cost, x0b, increments, grid, True, "none")
 
-        _, _, valid, _ = self._at_each_budget(monkeypatch, run)
+        per_step = 2 * sum(policy.layer_dims) * 50
+        _, _, valid, _ = self._at_each_budget(monkeypatch, 3 * per_step, run)
         assert 0 < np.count_nonzero(~valid) < 50
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_lane_that_turns_nan_in_the_sweep(self, monkeypatch):
         # Every cost is finite, but the terminal partial is NaN on the lowest
         # lane, so the sweep is rerun without it.  4 lanes make 256-step
-        # blocks, so 300 steps end in a ragged block.
+        # spans, rounded up to 259 steps of 7-step blocks, so 300 steps end
+        # in a ragged span and a ragged block.
         system, _, x0, policy = build_grad_check_problem("gbm", hidden_dims=(4,))
         grid = TimeGrid(0.0, 1.0, 300)
         increments = np.stack([generate_path(s, grid, 1).increments for s in range(4)], axis=1)
@@ -684,14 +692,15 @@ class TestBlockPartials:
         def run():
             return adjoint_core(system, policy, cost, x0b, increments, grid, True, "none")
 
-        grad, costs, valid, _ = self._at_each_budget(monkeypatch, run)
+        per_step = 2 * sum(policy.layer_dims) * 4
+        grad, costs, valid, _ = self._at_each_budget(monkeypatch, 7 * per_step, run)
         assert np.all(np.isfinite(costs)) and np.count_nonzero(~valid) == 1
         assert np.all(np.isfinite(grad))
 
 
 class TestAdjointPolicyBlocks:
     """The adjoint sweep runs the policy a block of steps at a time, at most
-    ``sensitivity._ADJOINT_BLOCK_DOUBLES`` doubles of stored layer inputs and
+    ``sensitivity._POLICY_BLOCK_DOUBLES`` doubles of stored layer inputs and
     slopes per block.  Budgets of one step, of 7 steps (which divides no K
     below) and of the whole path may change only the rounding: gradients and
     costates agree with the default within 1e-14 of their largest entry, and
@@ -703,7 +712,7 @@ class TestAdjointPolicyBlocks:
         per_step = 2 * sum(policy.layer_dims) * lanes
         for steps in (1, 7, n_steps):
             with monkeypatch.context() as m:
-                m.setattr(sensitivity, "_ADJOINT_BLOCK_DOUBLES", steps * per_step)
+                m.setattr(sensitivity, "_POLICY_BLOCK_DOUBLES", steps * per_step)
                 grad, costs, valid, lambdas = run()
             assert np.array_equal(costs, want[1], equal_nan=True)
             assert np.array_equal(valid, want[2])
@@ -796,7 +805,7 @@ class TestAdjointPolicyBlocks:
 
 class TestPolicyJacobianBlocks:
     """Forward sensitivity computes the policy Jacobians a block of stored
-    states at a time, at most ``sensitivity._JAC_BLOCK_DOUBLES`` doubles
+    states at a time, at most ``sensitivity._POLICY_BLOCK_DOUBLES`` doubles
     (steps x n_u x n_theta) per block.  No result may depend on the block."""
 
     def test_result_does_not_depend_on_the_block(self, monkeypatch):
@@ -822,7 +831,7 @@ class TestPolicyJacobianBlocks:
         for steps, blocks in ((1, [(1,)] * 10), (3, [(3,), (3,), (3,), (1,)])):
             calls.clear()
             with monkeypatch.context() as m:
-                m.setattr(sensitivity, "_JAC_BLOCK_DOUBLES", steps * per_step)
+                m.setattr(sensitivity, "_POLICY_BLOCK_DOUBLES", steps * per_step)
                 got = forward_sensitivity(system, policy, cost, x0, path)
             assert calls == blocks + [()]
             assert got.cost_value == want.cost_value
@@ -842,6 +851,47 @@ class TestPolicyJacobianBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestStepBlockCalls:
+    """Both exact sweeps walk ``sensitivity._step_blocks``: one
+    ``step_partials`` call per span of whole policy blocks, and one policy
+    pass per block."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_gradient_check_shape(self, monkeypatch):
+        # 1024 steps of the [2, 32, 32, 32, 2] policy: one span per sweep,
+        # 7-step forward blocks (2 x 2274 doubles a step), so 147 of them.
+        system, cost, x0, policy = build_grad_check_problem("portfolio", hidden_dims=(32, 32, 32))
+        path = generate_path(3, TimeGrid(0.0, 1.0, 1024), 1)
+        partials = self._count(monkeypatch, sensitivity, "step_partials")
+        jacobians = self._count(monkeypatch, policy, "jacobian_params")
+        forward_sensitivity(system, policy, cost, x0, path)
+        assert (len(partials), len(jacobians)) == (1, 147)
+        partials.clear()
+        adjoint_gradient(system, policy, cost, x0, path)
+        assert len(partials) == 1
+
+    def test_training_shape(self, monkeypatch):
+        # 50 lanes x 200 steps: 20-step spans of 1024 rows, rounded up to 21
+        # steps of 3-step adjoint blocks, so 10 spans.
+        system, cost, x0, policy = build_grad_check_problem("portfolio", hidden_dims=(32, 32, 32))
+        grid = TimeGrid(0.0, 1.0, 200)
+        increments = np.stack([generate_path(s, grid, 1).increments for s in range(50)], axis=1)
+        partials = self._count(monkeypatch, sensitivity, "step_partials")
+        adjoint_core(system, policy, cost, np.tile(x0, (50, 1)), increments, grid)
+        assert len(partials) == 10
 
 
 class TestFiniteDifference:
@@ -973,6 +1023,13 @@ class TestAgreementHelpers:
         assert worst_coordinate([1.0, 5e-9], [1.01, 0.0]) == 0
         assert worst_coordinate([1.0, np.nan, 2.0], [1.0, 1.0, 2.0]) == 1
         assert worst_coordinate([1e-9, 0.0], [-1e-9, 0.0]) is None
+
+    def test_cosine_with_a_zero_vector(self):
+        zero, ones = np.zeros(3), np.ones(3)
+        assert gradient_agreement(zero, zero)[0] == 1.0
+        assert gradient_agreement(zero, ones)[0] == 0.0
+        assert gradient_agreement(ones, zero)[0] == 0.0
+        assert np.isnan(gradient_agreement(zero, np.array([np.nan, 0.0, 0.0]))[0])
 
     def test_nan_coordinate_gives_nan_agreement(self):
         a = np.array([np.nan, 1.0, 2.0])

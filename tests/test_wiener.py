@@ -43,6 +43,18 @@ class TestTimeGrid:
         with pytest.raises(ConfigurationError):
             TimeGrid(2.0, 1.0, 4)
 
+    @pytest.mark.parametrize(
+        "start, end, shown",
+        [
+            (0.0, np.inf, "t_end must be finite, got inf"),
+            (0.0, np.nan, "t_end must be finite, got nan"),
+            (-np.inf, 1.0, "t_start must be finite, got -inf"),
+        ],
+    )
+    def test_non_finite_ends_rejected(self, start, end, shown):
+        with pytest.raises(ConfigurationError, match=shown):
+            TimeGrid(start, end, 4)
+
 
 class TestGeneratePath:
     def test_deterministic_in_seed(self):
