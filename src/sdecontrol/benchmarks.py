@@ -6,6 +6,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .policy import init_params
+from .portfolio import _check_sigma
 from .sdecore import Calculus, ControlledSystem
 from .sensitivity import CostFunctional
 
@@ -22,11 +23,15 @@ __all__ = [
 def _gbm(mu, sigma, n_u) -> ControlledSystem:
     """dx = (mu x + u) dt + (sigma x + c u) dB (Ito) with c = 0.1, and a
     scalar control u for n_u = 1 or none for n_u = 0.  The control enters as
-    the sum over its axis, so a zero-width one adds 0.0.  mu and sigma must
-    be finite (ConfigurationError)."""
+    the sum over its axis, so a zero-width one adds 0.0.  mu must be finite,
+    and sigma finite and > 0 with a finite sigma^2 / 2, as a constant
+    ``MarketParams`` sigma (ConfigurationError)."""
     for name, value in (("mu", mu), ("sigma", sigma)):
         if not np.isfinite(value):
             raise ConfigurationError(f"{name} must be finite, got {value}")
+    if sigma <= 0:
+        raise ConfigurationError("sigma must be > 0")
+    _check_sigma("sigma", sigma, f"got {sigma}")
     c = 0.1
 
     def const(value, shape):

@@ -120,8 +120,7 @@ def _train_config(cfg):
     )
 
 
-def cmd_train(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def cmd_train(cfg, args) -> int:
     results = run_experiment(
         _market_params(cfg),
         _train_config(cfg),
@@ -145,8 +144,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_grad_check(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def cmd_grad_check(cfg, args) -> int:
     for key in ("grad_tol", "cosine_tol"):
         if not np.isfinite(cfg[key]):
             raise ConfigurationError(f"{key} must be finite, got {cfg[key]}")
@@ -190,8 +188,7 @@ def cmd_grad_check(args) -> int:
     return EXIT_OK if ok else EXIT_FAILURE
 
 
-def cmd_convergence(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def cmd_convergence(cfg, args) -> int:
     tic = time.perf_counter()
     study = strong_convergence_study(
         mu=cfg["mu"],
@@ -258,8 +255,7 @@ def _load_checkpoint_policy(path, expected_inputs):
     return policy
 
 
-def cmd_simulate(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def cmd_simulate(cfg, args) -> int:
     n = cfg["n_paths"]
     if n < 1:
         raise ConfigurationError(f"n_paths must be >= 1, got {n}")
@@ -274,8 +270,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_policy_grid(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def cmd_policy_grid(cfg, args) -> int:
     policy = _load_checkpoint_policy(args.checkpoint, 2)
     rows = policy_grid(
         policy,
@@ -304,7 +299,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.verb](args)
+        cfg = _apply_overrides(load_config(args.config), args)
+        return _COMMANDS[args.verb](cfg, args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -50,12 +50,23 @@ def _at(value: Rate, t: float) -> float:
     return value(t) if callable(value) else value
 
 
+def _check_sigma(label: str, values, at: str) -> None:
+    """sigma's Milstein coefficient sigma^2 / 2 must be finite at ``values``
+    (ConfigurationError).  It is formed with overflow warnings off, so a
+    sigma near the float limit is reported here and not as a warning."""
+    with np.errstate(over="ignore"):
+        half_square = 0.5 * np.square(np.asarray(values, dtype=float))
+    if not np.isfinite(half_square).all():
+        raise ConfigurationError(f"{label} must have a finite sigma^2 / 2, {at}")
+
+
 def _check_rate(name: str, rate: Rate, horizon: float) -> None:
     """A callable rate must take an array of times and return values that
     broadcast to its shape: the exact estimators evaluate the system and cost
     callbacks a block of steps at a time (see ``ControlledSystem``).  Its
     values at the start, middle and end of the horizon must be finite, and
-    sigma's must not be negative (zero switches the noise off)."""
+    sigma's must be >= 0 (zero switches the noise off) with a finite
+    sigma^2 / 2."""
     if not callable(rate):
         return
     t = np.linspace(0.0, horizon, 3).reshape(3, 1)
@@ -69,8 +80,10 @@ def _check_rate(name: str, rate: Rate, horizon: float) -> None:
     at = f"got {values.ravel()} at t = {t.ravel()}"
     if not np.isfinite(values).all():
         raise ConfigurationError(f"rate {name} must be finite, {at}")
-    if name == "sigma" and (values < 0).any():
-        raise ConfigurationError(f"rate sigma must be >= 0, {at}")
+    if name == "sigma":
+        if (values < 0).any():
+            raise ConfigurationError(f"rate sigma must be >= 0, {at}")
+        _check_sigma("rate sigma", values, at)
 
 
 @dataclass
@@ -100,8 +113,10 @@ class MarketParams:
             raise ConfigurationError(f"x0 must be finite, got {self.x0}")
         if self.alpha < 0:
             raise ConfigurationError("alpha must be >= 0")
-        if not callable(self.sigma) and self.sigma <= 0:
-            raise ConfigurationError("sigma must be > 0")
+        if not callable(self.sigma):
+            if self.sigma <= 0:
+                raise ConfigurationError("sigma must be > 0")
+            _check_sigma("sigma", self.sigma, f"got {self.sigma}")
         if self.nu < 0:
             raise ConfigurationError("nu must be >= 0")
         if self.horizon <= 0:
@@ -373,8 +388,8 @@ def evaluate_policy(
     controls = np.stack([traj.controls for traj in trajs])
     blocks = _stored_blocks(states.swapaxes(0, 1), controls.swapaxes(0, 1))
     objective = _quadrature(cost, grid, blocks)
-    sigmas = np.array([_at(params.sigma, t) for t in grid.times()])
-    penalty = np.sum(sigmas[:-1] * states[:, :-1, 0] ** 2, axis=-1) * grid.dt
+    sigma = _at(params.sigma, grid.times()[:-1])
+    penalty = np.sum(sigma * states[:, :-1, 0] ** 2, axis=-1) * grid.dt
     crossed = np.any(solvency_gap(states, params.alpha) < 0, axis=-1)
     stats = PolicyStats(
         mean_terminal_stock=float(np.mean(states[:, -1, 0])),

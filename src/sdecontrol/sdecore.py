@@ -12,14 +12,16 @@ a float, or an array that broadcasts over the batch axes, see
     drift_du(t, x, u)     (..., n_x, n_u)
     diffusion_dx(t, x, u) (..., n_xi, n_x, n_x)  [i] = Jacobian of noise column i
     diffusion_du(t, x, u) (..., n_xi, n_x, n_u)
+    milstein_dx(t, x, u)  (..., n_xi, n_x, n_x)  [i] = Jacobian of Milstein term i
+    milstein_du(t, x, u)  (..., n_xi, n_x, n_u)
 
 Calculus conversion follows the identity that a Stratonovich integral equals
 the Ito integral plus half the sum over noise channels of (dg_i/dx) g_i
 integrated in time; equivalently the Ito drift minus that correction is the
 Stratonovich drift.  The per-channel correction m_i = (1/2) (dg_i/dx) g_i is
-also the Milstein term, so systems may supply analytic partials of it
-(``milstein_dx`` / ``milstein_du``); otherwise central finite differences of
-the correction are used.
+also the Milstein term, and every system supplies its analytic partials
+(``milstein_dx`` / ``milstein_du``): the exact gradient estimators
+differentiate the step the integrators take, with no finite differences.
 
 The step is Milstein's method in the system's own calculus: Ito-Milstein for
 Ito systems, derivative-free Stratonovich-Milstein for Stratonovich ones; the
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from types import SimpleNamespace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -63,10 +65,10 @@ class Calculus(Enum):
 class ControlledSystem:
     """Drift/diffusion callbacks with analytic first partials.
 
-    ``milstein_dx`` / ``milstein_du`` are optional analytic partials of the
-    per-channel Milstein term m_i = (1/2)(dg_i/dx) g_i with shapes
-    (..., n_xi, n_x, n_x) and (..., n_xi, n_x, n_u); when absent they are
-    approximated by central finite differences of the term itself.
+    ``milstein_dx`` / ``milstein_du`` are the analytic partials of the
+    per-channel Milstein term m_i = (1/2)(dg_i/dx) g_i, so they involve second
+    derivatives of g.  Every system supplies them: one without them fails at
+    construction with TypeError.
 
     ``commutative_noise`` declares that multi-channel noise is diagonal or
     commutative, which is what the diagonal Milstein correction assumes.
@@ -88,8 +90,8 @@ class ControlledSystem:
     diffusion_dx: Callable
     diffusion_du: Callable
     calculus: Calculus
-    milstein_dx: Optional[Callable] = None
-    milstein_du: Optional[Callable] = None
+    milstein_dx: Callable
+    milstein_du: Callable
     commutative_noise: bool = False
 
 
@@ -140,21 +142,6 @@ def central_difference(fun, z):
         diff = np.asarray(fun(zp) - fun(zm))
         cols.append(diff / (2.0 * h).reshape(h.shape + (1,) * (diff.ndim - h.ndim)))
     return np.stack(cols, axis=-1)
-
-
-def milstein_term_partials(system, t, x, u):
-    """(dm/dx, dm/du), analytic when the system supplies them, FD otherwise."""
-    mdx = (
-        system.milstein_dx(t, x, u)
-        if system.milstein_dx is not None
-        else central_difference(lambda z: milstein_terms(system, t, z, u), x)
-    )
-    mdu = (
-        system.milstein_du(t, x, u)
-        if system.milstein_du is not None
-        else central_difference(lambda z: milstein_terms(system, t, x, z), u)
-    )
-    return mdx, mdu
 
 
 def _check_scheme(system, euler):
@@ -224,10 +211,9 @@ def step_partials(system, t, x, u, dt, dB):
     eye = np.eye(system.state_dim)
     jx = eye + fdx * dt + np.einsum("...i,...iab->...ab", dB, gdx)
     ju = fdu * dt + np.einsum("...i,...iau->...au", dB, gdu)
-    mdx, mdu = milstein_term_partials(system, t, x, u)
     w = dB**2 - dt
-    jx = jx + np.einsum("...i,...iab->...ab", w, mdx)
-    ju = ju + np.einsum("...i,...iau->...au", w, mdu)
+    jx = jx + np.einsum("...i,...iab->...ab", w, system.milstein_dx(t, x, u))
+    ju = ju + np.einsum("...i,...iau->...au", w, system.milstein_du(t, x, u))
     return jx, ju
 
 
@@ -362,26 +348,19 @@ def convert_calculus(system: ControlledSystem) -> ControlledSystem:
     """Equivalent system under the opposite calculus.
 
     Ito -> Stratonovich subtracts the correction sum_i m_i from the drift;
-    Stratonovich -> Ito adds it back.  Partials of the correction come from
-    the analytic Milstein partials when supplied, otherwise from central
-    finite differences; the diffusion and its partials are unchanged.
+    Stratonovich -> Ito adds it back.  Partials of the correction are the
+    system's Milstein partials; the diffusion and its partials are unchanged.
     """
     sign = -1.0 if system.calculus is Calculus.ITO else 1.0
-    base_drift = system.drift
-    base_dx = system.drift_dx
-    base_du = system.drift_du
-    src = system
 
     def drift(t, x, u):
-        return base_drift(t, x, u) + sign * milstein_terms(src, t, x, u).sum(axis=-2)
+        return system.drift(t, x, u) + sign * milstein_terms(system, t, x, u).sum(axis=-2)
 
     def drift_dx(t, x, u):
-        mdx, _ = milstein_term_partials(src, t, x, u)
-        return base_dx(t, x, u) + sign * mdx.sum(axis=-3)
+        return system.drift_dx(t, x, u) + sign * system.milstein_dx(t, x, u).sum(axis=-3)
 
     def drift_du(t, x, u):
-        _, mdu = milstein_term_partials(src, t, x, u)
-        return base_du(t, x, u) + sign * mdu.sum(axis=-3)
+        return system.drift_du(t, x, u) + sign * system.milstein_du(t, x, u).sum(axis=-3)
 
     return replace(
         system,

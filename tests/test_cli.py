@@ -246,6 +246,8 @@ class TestCliContract:
             ("horizon = inf", "t_end must be finite, got inf"),
             ("sigma = inf", "sigma must be finite, got inf"),
             ("mu = nan", "mu must be finite, got nan"),
+            ("sigma = 1e300", "sigma must have a finite sigma^2 / 2, got 1e+300"),
+            ("sigma = 0", "sigma must be > 0"),
         ],
     )
     def test_grad_check_non_finite_gbm_input_exits_2_before_estimators(
@@ -280,6 +282,7 @@ class TestCliContract:
             "barrier_weight = nan",
             "barrier_weight = -1",
             "horizon = inf",
+            "sigma = 1e300",
             "s0 = nan",
             "trajectory_dumps = 3",
             "grid_resolution = 1000000",
@@ -427,6 +430,8 @@ class TestCliContract:
             ("conv_min_exp = -1", "at least one step"),
             ("mu = nan", "mu must be finite"),
             ("sigma = nan", "sigma must be finite"),
+            ("sigma = 1e300", "sigma must have a finite sigma^2 / 2"),
+            ("sigma = 0", "sigma must be > 0"),
             ("horizon = inf", "t_end must be finite"),
             # 50 paths x 2^40 steps: 8 TiB of increments, refused before allocating.
             ("conv_max_exp = 40", "study limit"),

@@ -87,6 +87,8 @@ class TestMarketParams:
             MarketParams(alpha=-0.1)
         with pytest.raises(ConfigurationError):
             MarketParams(sigma=0.0)
+        with pytest.raises(ConfigurationError, match="sigma must have a finite sigma"):
+            MarketParams(sigma=1e300)
         with pytest.raises(ConfigurationError):
             MarketParams(nu=-1.0)
         with pytest.raises(ConfigurationError):
@@ -103,8 +105,16 @@ class TestMarketParams:
                 ("nan values", lambda t: np.full_like(t, np.nan), "must be finite"),
             )
         ]
-        # r and mu may be negative; a volatility may not.
-        + [pytest.param("sigma", lambda t: -0.2 + 0 * t, "must be >= 0", id="sigma-negative values")],
+        # r and mu may be negative; a volatility may not, nor overflow sigma^2 / 2.
+        + [
+            pytest.param("sigma", lambda t: -0.2 + 0 * t, "must be >= 0", id="sigma-negative values"),
+            pytest.param(
+                "sigma",
+                lambda t: 1e300 + 0 * t,
+                r"must have a finite sigma\^2 / 2",
+                id="sigma-overflowing coefficient",
+            ),
+        ],
     )
     def test_rate_that_does_not_broadcast_over_times_rejected(self, name, rate, reason):
         with pytest.raises(ConfigurationError, match=f"rate {name} {reason}"):

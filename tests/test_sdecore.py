@@ -1,7 +1,7 @@
 """Tests for controlled systems, integration schemes, and calculus conversion."""
 
 import io
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -39,7 +39,13 @@ from sdecontrol.wiener import TimeGrid, WienerPath, generate_path
 
 
 def scalar_system(f, g, fdx, fdu, gdx, gdu, calculus=Calculus.ITO):
-    """Scalar (n_x = n_u = n_xi = 1) system from scalar-valued lambdas."""
+    """Scalar (n_x = n_u = n_xi = 1) system from scalar-valued lambdas.
+
+    The Milstein partials assume g affine in x with a u-free slope g_x, as in
+    every caller: m = g_x g / 2, so m_x = g_x^2 / 2 and m_u = g_x g_u / 2.
+    """
+    g_x = lambda t, x, u: gdx(t, x[..., 0], u[..., 0])[..., None, None, None]  # noqa: E731
+    g_u = lambda t, x, u: gdu(t, x[..., 0], u[..., 0])[..., None, None, None]  # noqa: E731
     return ControlledSystem(
         state_dim=1,
         control_dim=1,
@@ -48,9 +54,11 @@ def scalar_system(f, g, fdx, fdu, gdx, gdu, calculus=Calculus.ITO):
         diffusion=lambda t, x, u: g(t, x[..., 0], u[..., 0])[..., None, None],
         drift_dx=lambda t, x, u: fdx(t, x[..., 0], u[..., 0])[..., None, None],
         drift_du=lambda t, x, u: fdu(t, x[..., 0], u[..., 0])[..., None, None],
-        diffusion_dx=lambda t, x, u: gdx(t, x[..., 0], u[..., 0])[..., None, None, None],
-        diffusion_du=lambda t, x, u: gdu(t, x[..., 0], u[..., 0])[..., None, None, None],
+        diffusion_dx=g_x,
+        diffusion_du=g_u,
         calculus=calculus,
+        milstein_dx=lambda t, x, u: 0.5 * g_x(t, x, u) ** 2,
+        milstein_du=lambda t, x, u: 0.5 * g_x(t, x, u) * g_u(t, x, u),
     )
 
 
@@ -155,6 +163,8 @@ class TestMilsteinStep:
             diffusion_dx=lambda t, x, u: np.zeros(x.shape[:-1] + (2, 1, 1)),
             diffusion_du=lambda t, x, u: np.zeros(x.shape[:-1] + (2, 1, 0)),
             calculus=Calculus.ITO,
+            milstein_dx=lambda t, x, u: np.zeros(x.shape[:-1] + (2, 1, 1)),
+            milstein_du=lambda t, x, u: np.zeros(x.shape[:-1] + (2, 1, 0)),
         )
         with pytest.raises(UnsupportedSchemeError):
             integrate(system, None, np.array([1.0]), zero_path(1, dims=2))
@@ -432,9 +442,9 @@ def assert_partials_match_fd(pairs):
 
 
 def system_partial_pairs(system, t, x, u):
-    """(analytic partial, central difference) of the drift, the diffusion and,
-    when the system supplies them, the Milstein terms at the points
-    (t, x, u), batched over their leading axis."""
+    """(analytic partial, central difference) of the drift, the diffusion and
+    the Milstein terms at the points (t, x, u), batched over their leading
+    axis."""
     fd = central_difference
     # The noise channel first, as in diffusion_dx / diffusion_du.
     g_t = lambda t, x, u: np.swapaxes(system.diffusion(t, x, u), -1, -2)  # noqa: E731
@@ -442,10 +452,8 @@ def system_partial_pairs(system, t, x, u):
     yield system.drift_du(t, x, u), fd(lambda z: system.drift(t, x, z), u)
     yield system.diffusion_dx(t, x, u), fd(lambda z: g_t(t, z, u), x)
     yield system.diffusion_du(t, x, u), fd(lambda z: g_t(t, x, z), u)
-    if system.milstein_dx is not None:
-        yield system.milstein_dx(t, x, u), fd(lambda z: milstein_terms(system, t, z, u), x)
-    if system.milstein_du is not None:
-        yield system.milstein_du(t, x, u), fd(lambda z: milstein_terms(system, t, x, z), u)
+    yield system.milstein_dx(t, x, u), fd(lambda z: milstein_terms(system, t, z, u), x)
+    yield system.milstein_du(t, x, u), fd(lambda z: milstein_terms(system, t, x, z), u)
 
 
 class TestSelfCheckPartials:
@@ -467,6 +475,44 @@ class TestSelfCheckPartials:
     def test_controlled_gbm_passes(self):
         system = controlled_gbm_system()
         assert_partials_match_fd(system_partial_pairs(system, *self.points(system)))
+
+    # The converted drift partials add each Milstein partial once.
+    @pytest.mark.parametrize(
+        "build",
+        [gbm_system, controlled_gbm_system, lambda: build_system(MarketParams())],
+        ids=["gbm", "controlled_gbm", "portfolio"],
+    )
+    def test_converted_system_passes(self, build):
+        system = convert_calculus(build())
+        assert_partials_match_fd(system_partial_pairs(system, *self.points(system)))
+
+    def test_scalar_system_milstein_partials_pass(self):
+        # g = 0.4 x + 0.3 u + 0.1: both Milstein partials are nonzero.
+        const = lambda value: lambda t, x, u: np.full_like(x, value)  # noqa: E731
+        system = scalar_system(
+            lambda t, x, u: -x,
+            lambda t, x, u: 0.4 * x + 0.3 * u + 0.1,
+            const(-1.0),
+            const(0.0),
+            const(0.4),
+            const(0.3),
+        )
+        assert_partials_match_fd(system_partial_pairs(system, *self.points(system)))
+
+    @pytest.mark.parametrize("name", ["bilinear_system", "frozen_system", "noncommutative_system"])
+    def test_sensitivity_test_systems_pass(self, name):
+        import test_sensitivity  # imports this module, so not at the top
+
+        system = getattr(test_sensitivity, name)()
+        assert_partials_match_fd(system_partial_pairs(system, *self.points(system)))
+
+
+def test_system_without_milstein_partials_fails_at_construction():
+    system = gbm_system()
+    kwargs = {f.name: getattr(system, f.name) for f in fields(ControlledSystem)}
+    del kwargs["milstein_dx"], kwargs["milstein_du"]
+    with pytest.raises(TypeError, match="milstein_dx"):
+        ControlledSystem(**kwargs)
 
 
 def test_central_difference_batch_axes_and_zero_width():

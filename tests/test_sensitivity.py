@@ -68,6 +68,8 @@ def bilinear_system():
         diffusion_dx=zero3,
         diffusion_du=zero3,
         calculus=Calculus.ITO,
+        milstein_dx=zero3,
+        milstein_du=zero3,
     )
 
 
@@ -86,12 +88,15 @@ def frozen_system():
         diffusion_dx=zero3,
         diffusion_du=zero3,
         calculus=Calculus.ITO,
+        milstein_dx=zero3,
+        milstein_du=zero3,
     )
 
 
 def noncommutative_system():
     """Two noise channels, g = (x, x^2) u-free, not declared commutative: the
-    Ito-Milstein step the evaluators integrate does not support it."""
+    Ito-Milstein step the evaluators integrate does not support it.  Its
+    Milstein terms are m = (x/2, x^3)."""
     return ControlledSystem(
         state_dim=1,
         control_dim=1,
@@ -103,6 +108,8 @@ def noncommutative_system():
         diffusion_dx=lambda t, x, u: np.stack([np.ones_like(x), 2 * x], axis=-2)[..., None],
         diffusion_du=lambda t, x, u: np.zeros(x.shape[:-1] + (2, 1, 1)),
         calculus=Calculus.ITO,
+        milstein_dx=lambda t, x, u: np.stack([np.full_like(x, 0.5), 3 * x**2], axis=-2)[..., None],
+        milstein_du=lambda t, x, u: np.zeros(x.shape[:-1] + (2, 1, 1)),
     )
 
 
