@@ -145,9 +145,11 @@ def cmd_train(cfg, args) -> int:
 
 
 def cmd_grad_check(cfg, args) -> int:
-    for key in ("grad_tol", "cosine_tol"):
-        if not np.isfinite(cfg[key]):
-            raise ConfigurationError(f"{key} must be finite, got {cfg[key]}")
+    # Gates that no gradient pair can pass are rejected before any estimator.
+    if not 0 <= cfg["grad_tol"] < np.inf:
+        raise ConfigurationError(f"grad_tol must be >= 0 and finite, got {cfg['grad_tol']}")
+    if not -1 <= cfg["cosine_tol"] <= 1:
+        raise ConfigurationError(f"cosine_tol must lie in [-1, 1], got {cfg['cosine_tol']}")
     if not 0 < cfg["fd_step"] < np.inf:
         raise ConfigurationError(f"fd_step must be positive and finite, got {cfg['fd_step']}")
     nu = cfg["nu"][0] if cfg["nu"] else 0.25

@@ -99,15 +99,19 @@ def sgd_update(state: OptimizerState, theta, grad) -> np.ndarray:
 
 
 def adam_update(state: OptimizerState, theta, grad) -> np.ndarray:
-    """Standard Adam with bias correction; moments start at zero."""
+    """Standard Adam with bias correction; moments start at zero.  A moment
+    that overflows rejects the update and leaves ``state`` unchanged."""
     theta, grad = _check_update(theta, grad)
-    if state.adam_m is None:
-        state.adam_m = np.zeros_like(theta)
-        state.adam_v = np.zeros_like(theta)
+    m = np.zeros_like(theta) if state.adam_m is None else state.adam_m
+    v = np.zeros_like(theta) if state.adam_v is None else state.adam_v
+    with np.errstate(over="ignore"):
+        m = _ADAM_BETA1 * m + (1 - _ADAM_BETA1) * grad
+        v = _ADAM_BETA2 * v + (1 - _ADAM_BETA2) * grad**2
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v))):
+        raise ConfigurationError("update rejected: non-finite Adam moment")
+    state.adam_m, state.adam_v = m, v
     state.step_count += 1
     t = state.step_count
-    state.adam_m = _ADAM_BETA1 * state.adam_m + (1 - _ADAM_BETA1) * grad
-    state.adam_v = _ADAM_BETA2 * state.adam_v + (1 - _ADAM_BETA2) * grad**2
     m_hat = state.adam_m / (1 - _ADAM_BETA1**t)
     v_hat = state.adam_v / (1 - _ADAM_BETA2**t)
     return theta + state.sign * state.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)

@@ -23,11 +23,12 @@ also the Milstein term, and every system supplies its analytic partials
 (``milstein_dx`` / ``milstein_du``): the exact gradient estimators
 differentiate the step the integrators take, with no finite differences.
 
-The step is Milstein's method in the system's own calculus: Ito-Milstein for
-Ito systems, derivative-free Stratonovich-Milstein for Stratonovich ones; the
-inverse flow takes it with -dt over the reversed increments.  One switch,
-``euler=True``, drops the correction and takes an Euler-Maruyama step instead
-(Ito systems only); the strong-convergence study sets it.  ``_walk``, the one
+The step is Ito-Milstein, the one step the gradient estimators
+differentiate: a Stratonovich system steps in its Ito form (``_ito_form``),
+converted once per walk, and the inverse flow takes the same step with -dt
+over the reversed increments.  One switch, ``euler=True``, drops the
+correction and takes an Euler-Maruyama step instead (for systems specified
+in Ito form only); the strong-convergence study sets it.  ``_walk``, the one
 loop over grid steps, checks its inputs before the first step.
 """
 
@@ -156,38 +157,21 @@ def _check_scheme(system, euler):
         )
 
 
-def step_control(system, control_fn, t, x, u, dt, dB, euler=False):
-    """One Milstein step in the system's calculus, or an Euler-Maruyama step
-    with ``euler=True``, with the control already evaluated at x.
+def step_control(system, t, x, u, dt, dB, euler=False):
+    """One Ito-Milstein step of the Ito-form ``system``, or an Euler-Maruyama
+    step with ``euler=True``, with the control already evaluated at x.
 
-    ``control_fn`` is only consulted by Stratonovich-Milstein, which needs
-    coefficient values at its derivative-free support points; it may be None
-    for open-loop/no-control systems.  ``_walk`` checks the system against
-    the step.
+    ``_walk`` converts a Stratonovich system to its Ito form and checks the
+    system against the step before the first one.
     """
     f = system.drift(t, x, u)
     g = system.diffusion(t, x, u)
     x_euler = x + f * dt + np.einsum("...xi,...i->...x", g, dB)
     if euler:
         return x_euler
-    if system.calculus is Calculus.ITO:
-        m = _milstein_product(system, t, x, u, g)
-        w = np.asarray(dB) ** 2 - dt
-        return x_euler + np.einsum("...ia,...i->...a", m, w)
-    # Stratonovich-Milstein, derivative-free: the correction is formed from
-    # diffusion values at per-channel support points, re-evaluating the feedback
-    # control there so closed-loop coefficients are differenced correctly.
-    sq = np.copysign(np.sqrt(abs(dt)), dt)
-    out = x_euler
-    for i in range(system.noise_dim):
-        support = x + f * dt + g[..., :, i] * sq
-        u_sup = u if control_fn is None else control_fn(t, support)
-        g_sup = system.diffusion(t, support, u_sup)
-        corr = (g_sup[..., :, i] - g[..., :, i]) * (
-            np.asarray(dB)[..., i] ** 2 / (2.0 * sq)
-        )[..., None]
-        out = out + corr
-    return out
+    m = _milstein_product(system, t, x, u, g)
+    w = np.asarray(dB) ** 2 - dt
+    return x_euler + np.einsum("...ia,...i->...a", m, w)
 
 
 def step_partials(system, t, x, u, dt, dB):
@@ -256,25 +240,27 @@ def _validate_dims(system, policy, x0, increments, grid):
 
 def _walk(system, policy, x0, increments, grid, euler=False):
     """Yield (x_k, u_k) for k = 0..n_steps and store nothing: the one loop
-    over grid steps.  Before the first point it checks the system against the
-    step (``euler`` or Milstein) and x0, the increments and the policy against
-    the system, the grid and each other, the one place these are checked.  x0
-    is broadcast against the increments' batch axes and u_0 is the control at
-    x0 as given.  The grid times are read once, and the policy's ``control``
-    is called at each point.  The caller sets ``np.errstate`` and consumes
-    (x_k, u_k) before asking for the next point."""
+    over grid steps.  Before the first point it checks the system as given
+    against the step (``euler`` or Milstein), converts it to its Ito form,
+    and checks x0, the increments and the policy against the system, the grid
+    and each other, the one place these are checked.  x0 is broadcast against
+    the increments' batch axes and u_0 is the control at x0 as given.  The
+    grid times are read once, and the policy's ``control`` is called at each
+    point.  The caller sets ``np.errstate`` and consumes (x_k, u_k) before
+    asking for the next point."""
     _check_scheme(system, euler)
+    system = _ito_form(system)
     x0, batch = _validate_dims(system, policy, x0, increments, grid)
     if policy is None:
-        control_fn, control = None, lambda t, x: control_value(None, t, x, system.control_dim)
+        control = lambda t, x: control_value(None, t, x, system.control_dim)  # noqa: E731
     else:
-        control_fn = control = policy.control
+        control = policy.control
     dt, times = grid.dt, grid.times()
     u = control(times[0], x0)
     x = np.broadcast_to(x0, batch + (system.state_dim,)).copy()
     for k in range(grid.n_steps):
         yield x, u
-        x = step_control(system, control_fn, times[k], x, u, dt, increments[k], euler)
+        x = step_control(system, times[k], x, u, dt, increments[k], euler)
         u = control(times[k + 1], x)
     yield x, u
 
@@ -326,10 +312,11 @@ def _reverse_walk(grid, increments):
 
 def integrate_backward(system, policy, xT, path: WienerPath) -> Trajectory:
     """Integrate the inverse flow from xT back to t_start along the forward
-    ``path`` by the system's own Milstein step over the reversed walk.
+    ``path`` by the Ito-Milstein step over the reversed walk; a Stratonovich
+    system steps in its Ito form, as it does forward.
 
-    For an Ito system, the step with -dt and increments -dB is x - (f - m) dt
-    - g dB + m dB^2, the Stratonovich-Milstein step of the backward flow.
+    With -dt and increments -dB the step is x - (f - m) dt - g dB + m dB^2,
+    the Stratonovich-Milstein step of the backward flow.
     Returned states are in forward time order (states[-1] == xT), and a
     DivergenceError names the forward step k, from grid point k to k + 1,
     whose reverse step left a non-finite state.
@@ -371,6 +358,11 @@ def convert_calculus(system: ControlledSystem) -> ControlledSystem:
             Calculus.STRATONOVICH if system.calculus is Calculus.ITO else Calculus.ITO
         ),
     )
+
+
+def _ito_form(system):
+    """The system in Ito form, the form every integrator steps."""
+    return system if system.calculus is Calculus.ITO else convert_calculus(system)
 
 
 def dump_trajectory_csv(traj: Trajectory, fileobj, state_names=None, control_names=None):

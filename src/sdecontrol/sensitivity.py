@@ -37,9 +37,10 @@ step of the block; per step only the control cotangent's (n_u, n_x) product
 with that step's du/dx; and one parameter VJP per block over the control
 cotangents the sweep has kept (``adjoint_core``).
 
-Every evaluator converts a Stratonovich system to Ito form first
-(``_ito_form``), so the walk takes the Ito-Milstein steps that
-``step_partials`` differentiates.
+The walk steps a Stratonovich system in its Ito form (``sdecore._ito_form``),
+so every evaluator integrates the Ito-Milstein steps that ``step_partials``
+differentiates; ``_forward_pass`` also hands the Ito form to the exact
+estimators, whose ``step_partials`` calls need it.
 
 Quadrature convention: all estimators and the evaluators weight the running
 cost at grid point k by the same ``_quadrature_weights(cost, grid)[k]``: dt on
@@ -65,13 +66,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, DivergenceError
-from .sdecore import (
-    Calculus,
-    _walk,
-    convert_calculus,
-    forward_states,
-    step_partials,
-)
+from .sdecore import _ito_form, _walk, forward_states, step_partials
 from .wiener import WienerPath
 
 __all__ = [
@@ -129,11 +124,6 @@ class GradientReport:
 
 
 # -- plumbing ---------------------------------------------------------------
-
-
-def _ito_form(system):
-    """The system in Ito form, which every estimator integrates."""
-    return system if system.calculus is Calculus.ITO else convert_calculus(system)
 
 
 def _one_path_x0(system, x0):
@@ -551,7 +541,6 @@ def finite_difference_gradient(system, policy, cost, x0, path, h_rel=1e-5) -> Gr
     _require_policy(policy)
     if not 0 < h_rel < np.inf:
         raise ConfigurationError(f"h_rel must be positive and finite, got {h_rel}")
-    sys_i = _ito_form(system)
     theta0 = policy.get_params()
     n_theta = theta0.size
     h = h_rel * np.maximum(1.0, np.abs(theta0))
@@ -565,7 +554,7 @@ def finite_difference_gradient(system, policy, cost, x0, path, h_rel=1e-5) -> Gr
         idx2 = np.repeat(idx, 2)
         h2 = np.repeat(h[idx], 2)
         h2[1::2] *= -1.0
-        vals = _eval_cost_perturbed(sys_i, policy, cost, x0, path.increments, path.grid, idx2, h2)
+        vals = _eval_cost_perturbed(system, policy, cost, x0, path.increments, path.grid, idx2, h2)
         if not np.all(np.isfinite(vals)):
             raise DivergenceError("divergence during finite-difference evaluation")
         grad[idx] = (vals[2 * rows] - vals[2 * rows + 1]) / (2.0 * h[idx])

@@ -1,19 +1,19 @@
 """Numerical verification studies: strong-convergence orders against the
-closed-form GBM solution, the Ito/Stratonovich scheme equivalence gap, and
-inverse-flow reversibility.  Shared by the CLI and the test suite.
+closed-form GBM solution, and inverse-flow reversibility.  Shared by the CLI
+and the test suite.
 
-Every study integrates GBM from x0 = 1 with Milstein steps in the system's
-calculus; the strong-convergence study also takes Euler-Maruyama steps, through
-the one switch ``euler=True``, and labels the two ``euler_maruyama`` and
-``milstein_ito`` (``_STRONG_SCHEMES``).  All studies reuse one fine Brownian path
-per seed, so errors at every resolution are driven by the same noise
+Every study integrates GBM from x0 = 1 with Ito-Milstein steps; the
+strong-convergence study also takes Euler-Maruyama steps, through the one
+switch ``euler=True``, and labels the two ``euler_maruyama`` and
+``milstein_ito`` (``_STRONG_SCHEMES``).  Both studies reuse one fine Brownian
+path per seed, so errors at every resolution are driven by the same noise
 realization.  The fine increments are stacked paths-first, as (n_paths,
 n_steps, 1), and each level sums adjacent groups of them in one
-reshape-and-sum.  All three studies are batched over paths: at each level
-they integrate every path in one ``forward_states`` call per scheme (the
-inverse flow runs the Ito system's own step over the reversed walk), whose
-walk checks the inputs.  The systems have no policy, so every step is
-elementwise and each lane gets the bits a one-path integration would.
+reshape-and-sum.  Both studies are batched over paths: at each level they
+integrate every path in one ``forward_states`` call per scheme (the inverse
+flow runs the same step over the reversed walk), whose walk checks the
+inputs.  The systems have no policy, so every step is elementwise and each
+lane gets the bits a one-path integration would.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ import numpy as np
 
 from .benchmarks import gbm_exact_path, gbm_system
 from .errors import ConfigurationError
-from .sdecore import _reverse_walk, convert_calculus, forward_states
+from .sdecore import _reverse_walk, forward_states
 from .wiener import TimeGrid, generate_path
 
 __all__ = [
     "fit_order",
     "strong_convergence_study",
-    "calculus_equivalence_study",
     "reversibility_study",
     "write_convergence_csv",
 ]
@@ -127,35 +126,6 @@ def strong_convergence_study(
             "order": fit_order([2**e for e in levels], med),
         }
     return out
-
-
-def calculus_equivalence_study(
-    mu=0.23,
-    sigma=0.18,
-    t_end=1.0,
-    min_exp=4,
-    n_halvings=4,
-    n_paths=50,
-    seed=0,
-):
-    """Median endpoint gap, from x0 = 1, between the Ito system under
-    Ito-Milstein and its Stratonovich conversion under (derivative-free)
-    Stratonovich-Milstein.
-
-    Returns (n_steps_list, median_gaps); the gap should shrink with the step.
-    """
-    ito = gbm_system(mu=mu, sigma=sigma)
-    strat = convert_calculus(ito)
-    max_exp = min_exp + n_halvings
-    levels, fine, fine_paths = _fine_paths(seed, n_paths, t_end, min_exp, max_exp)
-    gaps = np.zeros((len(levels), n_paths))
-    x0v = np.array([_X0])
-    for li, exp in enumerate(levels):
-        grid, increments = _level_increments(fine, fine_paths, 2 ** (max_exp - exp))
-        end_i = _end_states(ito, x0v, grid, increments)
-        end_s = _end_states(strat, x0v, grid, increments)
-        gaps[li] = np.abs(end_i - end_s)
-    return [2**e for e in levels], np.median(gaps, axis=1).tolist()
 
 
 def reversibility_study(

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
-from sdecontrol.benchmarks import build_grad_check_problem
+from sdecontrol.benchmarks import build_grad_check_problem, gbm_exact_path, gbm_system
 from sdecontrol.cli import main
 from sdecontrol.optim import TrainConfig, train
 from sdecontrol.policy import init_params
 from sdecontrol.portfolio import MarketParams, build_cost, build_system, evaluate_policy
+from sdecontrol.sdecore import convert_calculus
 from sdecontrol.sensitivity import (
     CostFunctional,
     adjoint_gradient,
@@ -23,7 +24,10 @@ from sdecontrol.sensitivity import (
     gradient_agreement,
 )
 from sdecontrol.studies import (
-    calculus_equivalence_study,
+    _end_states,
+    _fine_paths,
+    _level_increments,
+    fit_order,
     reversibility_study,
     strong_convergence_study,
 )
@@ -87,13 +91,32 @@ def test_2_strong_convergence_orders():
 
 
 def test_3_calculus_conversion_equivalence():
-    _, gaps = calculus_equivalence_study(min_exp=4, n_halvings=4, n_paths=50)
-    ok = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
+    # The Stratonovich form of GBM steps in its Ito form: on acceptance 2's
+    # paths it converges to the exact solution at Milstein's order, and its
+    # endpoints are the Ito system's up to roundoff in the converted drift.
+    mu, sigma, min_exp, max_exp = 0.23, 0.18, 4, 10
+    ito = gbm_system(mu=mu, sigma=sigma)
+    strat = convert_calculus(ito)
+    levels, fine, fine_paths = _fine_paths(0, 200, 1.0, min_exp, max_exp)
+    exact = np.array(
+        [gbm_exact_path(1.0, mu, sigma, [0.0, 1.0], [0.0, float(p.sum())])[-1] for p in fine_paths]
+    )
+    x0 = np.array([1.0])
+    errors, worst_gap = [], 0.0
+    for exp in levels:
+        grid, increments = _level_increments(fine, fine_paths, 2 ** (max_exp - exp))
+        end_s = _end_states(strat, x0, grid, increments)
+        end_i = _end_states(ito, x0, grid, increments)
+        errors.append(np.median(np.abs(end_s - exact)))
+        worst_gap = max(worst_gap, float(np.max(np.abs(end_s - end_i) / np.abs(end_i))))
+    order = fit_order([2**e for e in levels], errors)
+    ok = abs(order - 1.0) <= 0.15 and worst_gap <= 1e-12
     report(
         3,
         "calculus-conversion equivalence",
         ok,
-        "median gaps " + ", ".join(f"{g:.2e}" for g in gaps),
+        f"stratonovich order {order:.3f} (1.0+-0.15), "
+        f"max rel endpoint gap to ito {worst_gap:.1e} (<= 1e-12)",
     )
 
 

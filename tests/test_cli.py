@@ -297,6 +297,14 @@ class TestCliContract:
         assert not list(tmp_path.glob("**/trainlog_*.csv"))
         assert not out.exists()
 
+    def test_overflowing_adam_moment_exits_2(self, smoke_cfg, tmp_path, capsys):
+        # The barrier gradient squared overflows Adam's second moment: the
+        # run stops with exit 2 rather than take a step zeroed where it did.
+        with open(smoke_cfg, "a") as fh:
+            fh.write("barrier_weight = 1e300\n")
+        assert main(["train", "--config", smoke_cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "non-finite Adam moment" in capsys.readouterr().err
+
     def test_iterations_reaching_the_evaluation_stream_exit_2(self, smoke_cfg, tmp_path, capsys):
         with open(smoke_cfg, "a") as fh:
             fh.write(f"iterations = {2**20}\n")
@@ -316,6 +324,9 @@ class TestCliContract:
             "fd_step = inf",
             "fd_step = 0",
             "fd_step = -1e-5",
+            "grad_tol = -1e-3",
+            "cosine_tol = 1.5",
+            "cosine_tol = -2",
         ],
     )
     def test_grad_check_bad_tolerance_or_step_exits_2_before_estimators(

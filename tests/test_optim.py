@@ -110,6 +110,18 @@ class TestAdamUpdate:
         adam_update(state, np.zeros(1), np.ones(1))
         assert state.step_count == 2
 
+    def test_overflowing_moment_rejects_the_update(self):
+        # grad^2 overflows the second moment, and an inf moment would zero
+        # the step on that coordinate: the update is rejected, the state kept.
+        state = OptimizerState(kind="adam")
+        adam_update(state, np.zeros(2), np.ones(2))
+        before = (state.step_count, state.adam_m.copy(), state.adam_v.copy())
+        with pytest.raises(ConfigurationError, match="update rejected"):
+            adam_update(state, np.zeros(2), np.array([1e200, 0.0]))
+        assert state.step_count == before[0]
+        assert np.array_equal(state.adam_m, before[1])
+        assert np.array_equal(state.adam_v, before[2])
+
     def test_invalid_kind_and_direction(self):
         with pytest.raises(ConfigurationError):
             OptimizerState(kind="lbfgs")

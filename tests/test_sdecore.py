@@ -15,6 +15,7 @@ from sdecontrol.errors import (
 from sdecontrol.sdecore import (
     Calculus,
     ControlledSystem,
+    _ito_form,
     _walk,
     central_difference,
     control_value,
@@ -30,7 +31,6 @@ from sdecontrol.sdecore import (
 from sdecontrol.policy import init_params
 from sdecontrol.portfolio import MarketParams, build_system
 from sdecontrol.studies import (
-    calculus_equivalence_study,
     fit_order,
     reversibility_study,
     strong_convergence_study,
@@ -75,13 +75,13 @@ def zero_path(n_steps, t_end=1.0, dims=1):
 def euler_step(system, x, dt, dB):
     """One uncontrolled Euler-Maruyama step of ``step_control`` at t = 0."""
     u = np.zeros(x.shape[:-1] + (system.control_dim,))
-    return step_control(system, None, 0.0, x, u, dt, dB, euler=True)
+    return step_control(system, 0.0, x, u, dt, dB, euler=True)
 
 
 def milstein_step(system, x, dt, dB):
     """One uncontrolled Ito-Milstein step of ``step_control`` at t = 0."""
     u = np.zeros(x.shape[:-1] + (system.control_dim,))
-    return step_control(system, None, 0.0, x, u, dt, dB)
+    return step_control(system, 0.0, x, u, dt, dB)
 
 
 def euler_states(system, x0, path):
@@ -189,9 +189,9 @@ def test_milstein_step_calls_diffusion_once():
     system = replace(base, diffusion=diffusion)
     x, u = np.array([1.2, -0.1]), np.array([0.3, 0.4])
     dt, dB = 0.01, np.array([0.07])
-    out = step_control(system, None, 0.2, x, u, dt, dB)
+    out = step_control(system, 0.2, x, u, dt, dB)
     assert len(calls) == 1
-    euler = step_control(base, None, 0.2, x, u, dt, dB, euler=True)
+    euler = step_control(base, 0.2, x, u, dt, dB, euler=True)
     m = milstein_terms(base, 0.2, x, u)
     assert np.array_equal(out, euler + np.einsum("...ia,...i->...a", m, dB**2 - dt))
 
@@ -203,7 +203,7 @@ def per_step_divergence(system, x0, increments, grid):
     u = np.zeros(x.shape[:-1] + (system.control_dim,))
     with np.errstate(all="ignore"):
         for k in range(grid.n_steps):
-            x = step_control(system, None, grid.time(k), x, u, grid.dt, increments[k], euler=True)
+            x = step_control(system, grid.time(k), x, u, grid.dt, increments[k], euler=True)
             if not np.all(np.isfinite(x)):
                 return k, f"non-finite state encountered at step {k}"
     return None, None
@@ -352,6 +352,30 @@ class TestConvertCalculus:
         assert np.array_equal(a.states, b.states)
 
 
+@pytest.mark.parametrize(
+    "build, policy",
+    [(gbm_system, None), (controlled_gbm_system, init_params([2, 8, 1], seed=3, with_time=True))],
+    ids=["gbm", "controlled_gbm"],
+)
+def test_stratonovich_system_steps_in_its_ito_form(build, policy):
+    # Forward and backward, a Stratonovich system takes the Ito-Milstein
+    # steps of its Ito form: the bits of integrating that form, and the Ito
+    # system it was converted from up to roundoff in the drift.
+    system = build()
+    strat = convert_calculus(system)
+    path = generate_path(7, TimeGrid(0.0, 1.0, 64), 1)
+    x0 = np.array([1.0])
+    results = []
+    for s in (strat, convert_calculus(strat), system):
+        states, controls = forward_states(s, policy, x0, path.increments, path.grid)
+        back = integrate_backward(s, policy, states[-1], path)
+        results.append((states, controls, back.states, back.controls))
+    got, ito_form, ito = results
+    for a, b, c in zip(got, ito_form, ito):
+        assert np.array_equal(a, b)
+        assert np.allclose(a, c, rtol=1e-12, atol=0)
+
+
 class TestIntegrateBackward:
     def test_zero_system_constant(self):
         path = zero_path(16)
@@ -413,11 +437,11 @@ class TestIntegrateBackward:
 
 
 def reverse_step_loop(system, policy, xT, path):
-    """The inverse flow stepped one Milstein step of the system's calculus at
-    a time from t_end, checked after every step: (states, controls, first
+    """The inverse flow stepped one Ito-Milstein step of the system's Ito form
+    at a time from t_end, checked after every step: (states, controls, first
     non-finite step or None)."""
     grid, n = path.grid, path.grid.n_steps
-    control_fn = None if policy is None else policy.control
+    system = _ito_form(system)
     states = np.zeros((n + 1, system.state_dim))
     controls = np.zeros((n + 1, system.control_dim))
     x = np.array(xT, dtype=float)
@@ -426,7 +450,7 @@ def reverse_step_loop(system, policy, xT, path):
     with np.errstate(all="ignore"):
         for k in range(n, 0, -1):
             dB = -path.increments[k - 1]
-            x = step_control(system, control_fn, grid.time(k), x, u, -grid.dt, dB)
+            x = step_control(system, grid.time(k), x, u, -grid.dt, dB)
             if not np.all(np.isfinite(x)):
                 return states, controls, k - 1
             u = control_value(policy, grid.time(k - 1), x, system.control_dim)
@@ -540,7 +564,7 @@ def test_step_partials_differentiate_step_control(build, batch):
     jx, ju = step_partials(system, t, x, u, dt, dB)
 
     def step(z, v):
-        return step_control(system, None, t, z, v, dt, dB)
+        return step_control(system, t, z, v, dt, dB)
 
     assert jx.shape == batch + (system.state_dim, system.state_dim)
     assert ju.shape == batch + (system.state_dim, system.control_dim)
@@ -552,23 +576,17 @@ def test_step_partials_differentiate_step_control(build, batch):
     "study, kwargs",
     [
         (strong_convergence_study, {"n_paths": 0}),
-        (calculus_equivalence_study, {"n_paths": 0}),
         (reversibility_study, {"n_paths": 0}),
         (strong_convergence_study, {"min_exp": 9, "max_exp": 8}),
         (strong_convergence_study, {"min_exp": 8, "max_exp": 8}),
-        (calculus_equivalence_study, {"n_halvings": -1}),
-        (calculus_equivalence_study, {"n_halvings": 0}),
         (reversibility_study, {"n_halvings": -1}),
         (reversibility_study, {"n_halvings": 0}),
     ],
     ids=[
         "strong_convergence_study",
-        "calculus_equivalence_study",
         "reversibility_study",
         "strong_convergence_study-no_level",
         "strong_convergence_study-one_level",
-        "calculus_equivalence_study-no_level",
-        "calculus_equivalence_study-one_level",
         "reversibility_study-no_level",
         "reversibility_study-one_level",
     ],
@@ -583,7 +601,7 @@ def test_batched_studies_equal_path_by_path_integration():
     # One integration per path and level, as the studies ran before they
     # were batched over paths: the same bits at every level.
     n_paths, min_exp, max_exp = 5, 2, 5
-    system, strat = gbm_system(), convert_calculus(gbm_system())
+    system = gbm_system()
     fine = [generate_path(p, TimeGrid(0.0, 1.0, 2**max_exp), 1) for p in range(n_paths)]
 
     def coarsen(path, factor):
@@ -593,7 +611,7 @@ def test_batched_studies_equal_path_by_path_integration():
 
     x0 = np.array([1.0])
     errors = {"euler_maruyama": [], "milstein_ito": []}
-    gaps, round_trips = [], []
+    round_trips = []
     for exp in range(min_exp, max_exp + 1):
         paths = [coarsen(f, 2 ** (max_exp - exp)) for f in fine]
         for scheme in errors:
@@ -606,17 +624,6 @@ def test_batched_studies_equal_path_by_path_integration():
                 exact = gbm_exact_path(1.0, 0.23, 0.18, [0.0, 1.0], [0.0, float(f.increments.sum())])
                 errs.append(abs(float(end) - exact[-1]))
             errors[scheme].append(np.median(errs))
-        gaps.append(
-            np.median(
-                [
-                    abs(
-                        float(integrate(system, None, x0, path).states[-1, 0])
-                        - float(integrate(strat, None, x0, path).states[-1, 0])
-                    )
-                    for path in paths
-                ]
-            )
-        )
         starts = [
             integrate_backward(
                 system,
@@ -630,10 +637,6 @@ def test_batched_studies_equal_path_by_path_integration():
     study = strong_convergence_study(min_exp=min_exp, max_exp=max_exp, n_paths=n_paths)
     for scheme, med in errors.items():
         assert np.array_equal(study[scheme]["median_error"], med)
-    _, got = calculus_equivalence_study(
-        min_exp=min_exp, n_halvings=max_exp - min_exp, n_paths=n_paths
-    )
-    assert np.array_equal(got, gaps)
     _, got = reversibility_study(min_exp=min_exp, n_halvings=max_exp - min_exp, n_paths=n_paths)
     assert np.array_equal(got, round_trips)
 

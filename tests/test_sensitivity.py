@@ -955,9 +955,9 @@ class TestFiniteDifference:
 
         real, rows = sdecore.step_control, []
 
-        def counting(system, control_fn, t, x, *args):
+        def counting(system, t, x, *args):
             rows.append(np.shape(x)[0] if np.ndim(x) > 1 else None)
-            return real(system, control_fn, t, x, *args)
+            return real(system, t, x, *args)
 
         monkeypatch.setattr(sdecore, "step_control", counting)
         system, cost, x0, policy = build_grad_check_problem("gbm", hidden_dims=(4,))
