@@ -150,8 +150,11 @@ def cmd_grad_check(cfg, args) -> int:
         raise ConfigurationError(f"grad_tol must be >= 0 and finite, got {cfg['grad_tol']}")
     if not -1 <= cfg["cosine_tol"] <= 1:
         raise ConfigurationError(f"cosine_tol must lie in [-1, 1], got {cfg['cosine_tol']}")
-    if not 0 < cfg["fd_step"] < np.inf:
-        raise ConfigurationError(f"fd_step must be positive and finite, got {cfg['fd_step']}")
+    eps = np.finfo(float).eps
+    if not eps <= cfg["fd_step"] < np.inf:
+        raise ConfigurationError(
+            f"fd_step must be finite and at least the float epsilon {eps:.3g}, got {cfg['fd_step']}"
+        )
     nu = cfg["nu"][0] if cfg["nu"] else 0.25
     system, cost, x0, policy = build_grad_check_problem(
         cfg["system"],

@@ -161,11 +161,14 @@ class MlpPolicy:
 
     def eval(self, x) -> np.ndarray:
         """Network output for input of shape (..., n_in).  Each layer's
-        pre-activation is overwritten by its activation; nothing is kept."""
+        pre-activation is overwritten by its activation; nothing is kept.
+        A layer of one or two axes is ``np.dot``, the bits of ``@`` and
+        faster on one row (0.86 against 1.44 us, 32 x 32); more axes keep
+        ``@``, since ``np.dot`` on them uses no gemm."""
         a = self._checked_input(x)
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T
+            z = np.dot(a, w.T) if a.ndim <= 2 else a @ w.T
             z += b
             a = (self.output if k == last else self.hidden).value(z, out=z)
         return a

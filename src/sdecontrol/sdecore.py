@@ -337,7 +337,13 @@ def convert_calculus(system: ControlledSystem) -> ControlledSystem:
     Ito -> Stratonovich subtracts the correction sum_i m_i from the drift;
     Stratonovich -> Ito adds it back.  Partials of the correction are the
     system's Milstein partials; the diffusion and its partials are unchanged.
+    Converting back a system that this function built, and that has not been
+    changed since, returns the system it was built from, so the round trip
+    steps with the original callbacks and bits.
     """
+    source, built = getattr(system, "_converted_from", (None, None))
+    if source is not None and system == built:
+        return source
     sign = -1.0 if system.calculus is Calculus.ITO else 1.0
 
     def drift(t, x, u):
@@ -349,7 +355,7 @@ def convert_calculus(system: ControlledSystem) -> ControlledSystem:
     def drift_du(t, x, u):
         return system.drift_du(t, x, u) + sign * system.milstein_du(t, x, u).sum(axis=-3)
 
-    return replace(
+    converted = replace(
         system,
         drift=drift,
         drift_dx=drift_dx,
@@ -358,6 +364,8 @@ def convert_calculus(system: ControlledSystem) -> ControlledSystem:
             Calculus.STRATONOVICH if system.calculus is Calculus.ITO else Calculus.ITO
         ),
     )
+    converted._converted_from = (system, replace(converted))
+    return converted
 
 
 def _ito_form(system):

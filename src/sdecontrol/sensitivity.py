@@ -18,8 +18,11 @@ copy of the Euler/Milstein update.  Three estimators differentiate the cost:
   the same Brownian path, all +-h coordinate perturbations in one batch.
 
 Both exact estimators step through the closed-loop step Jacobian
-Jx + Ju du/dx: forward sensitivity pushes S_{k+1} = (Jx + Ju du/dx) S_k +
-Ju du/dtheta, and the adjoint pulls the costate back through its transpose.
+M_k = Jx + Ju du/dx, and nothing else happens in their per-step loops:
+forward sensitivity runs grad += c_k S_k; S_{k+1} = M_k S_k + B_k, with the
+injection B_k = Ju du/dtheta, and the adjoint runs a_k = M_k^T a_{k+1} + c_k,
+where c_k = w_k (cdx + du/dx^T cdu) is the running cost's x partial through
+the control as well.
 
 Both exact estimators walk the stored trajectory one way, a block of
 steps at a time (``_step_blocks``), forward or backward.  The step Jacobians
@@ -28,14 +31,17 @@ not on the sensitivity or the costate, so they are computed for a span of
 whole blocks in one call each, with t an array that broadcasts over the lanes;
 a span holds at least ``_BLOCK_ROWS`` steps x lanes.  Each block first computes
 its policy data at the stored states, at most ``_POLICY_BLOCK_DOUBLES``
-doubles of it (at least one step), then runs its steps one at a time.
+doubles of it (at least one step), and from it, batched over the block's
+steps x lanes, M_k and c_k (``_closed_loop``); then it runs its steps.
 Forward sensitivity counts n_u x n_theta doubles per step: one
-``jacobian_params`` call per block gives du/dx and du/dtheta.  The adjoint
-counts the stored layer inputs and slopes: one forward pass per block and one
-pull of the n_u basis cotangents over its slopes, which gives du/dx at every
-step of the block; per step only the control cotangent's (n_u, n_x) product
-with that step's du/dx; and one parameter VJP per block over the control
-cotangents the sweep has kept (``adjoint_core``).
+``jacobian_params`` call per block gives du/dx and du/dtheta, from which
+the block's B_k are written into one buffer allocated once per call, and the
+control cost's direct term sum_k w_k cdu_k du/dtheta_k is one gemv.  The
+adjoint counts the stored layer inputs and slopes: one forward pass per
+block and one pull of the n_u basis cotangents over its slopes give du/dx at
+every step of the block; after the steps, the control cotangents
+Ju^T a_{k+1} + w_k cdu of the whole block are one batched product, and one
+parameter VJP per block sums their products (``adjoint_core``).
 
 The walk steps a Stratonovich system in its Ito form (``sdecore._ito_form``),
 so every evaluator integrates the Ito-Milstein steps that ``step_partials``
@@ -85,7 +91,13 @@ _SENS_CAPACITY = 5 * 10**7  # entries allowed in the n_x * n_theta sensitivity m
 # Steps x lanes of stored points in one quadrature block, and at least in one
 # span whose step and running-cost partials share one call.
 _BLOCK_ROWS = 1024
-_POLICY_BLOCK_DOUBLES = 2**15  # doubles of policy data in one block of an exact sweep
+# Doubles of policy data in one block of an exact sweep: du/dtheta for
+# forward sensitivity (n_u x n_theta a step), the stored layer inputs and
+# slopes for the adjoint (2 x sum(layer_dims) a row).  Not counted: forward
+# sensitivity's B_k buffer (n_x x n_theta a step, allocated once per call),
+# and the block's M_k, c_k, stored costates and control cotangents
+# (n_x (n_x + 2) + n_u doubles a row, outweighed by the layer data).
+_POLICY_BLOCK_DOUBLES = 2**15
 # Gradient magnitude below which a coordinate's relative error is not counted.
 _AGREEMENT_FLOOR = 1e-8
 
@@ -252,10 +264,12 @@ def _terminal_partials(cost, grid, weights, states, controls):
     return cx, cu
 
 
-def _step_blocks(sys_i, cost, grid, xs, us, dbs, size, backward=False):
-    """Yield (k0, k1, Jx, Ju, running_dx, running_du) for each block of at
-    most ``size`` steps k0..k1-1 of the stored trajectory, k = 0..K-1, last
-    block first when ``backward``; index j of each array is step k0 + j.
+def _step_blocks(sys_i, cost, grid, weights, xs, us, dbs, size, backward=False):
+    """Yield (k0, k1, Jx, Ju, cx, cu) for each block of at most ``size`` steps
+    k0..k1-1 of the stored trajectory, k = 0..K-1, last block first when
+    ``backward``; index j of each array is step k0 + j.  cx and cu are the
+    running cost's x and u partials times the quadrature weight w_k, and 0
+    at points of zero weight, where the partials are computed but not used.
 
     These partials depend only on the stored (t_k, x_k, u_k, dB_k), so they
     are computed for a span of whole blocks in one call each, with t an array
@@ -269,10 +283,24 @@ def _step_blocks(sys_i, cost, grid, xs, us, dbs, size, backward=False):
         x, u = xs[s0:s1], us[s0:s1]
         t = _over_lanes(grid.times()[s0:s1], x)
         jx, ju = step_partials(sys_i, t, x, u, grid.dt, dbs[s0:s1])
-        cdx = _cost_rows(cost, "running_dx", t, x, u, x.shape)
-        cdu = _cost_rows(cost, "running_du", t, x, u, u.shape)
+        w = _over_lanes(weights[s0:s1], x)[..., None]
+        cx = np.multiply(
+            w, _cost_rows(cost, "running_dx", t, x, u, x.shape), out=np.zeros(x.shape), where=w != 0
+        )
+        cu = np.multiply(
+            w, _cost_rows(cost, "running_du", t, x, u, u.shape), out=np.zeros(u.shape), where=w != 0
+        )
         for k0, k1 in _ranges(s1 - s0, size, backward):
-            yield s0 + k0, s0 + k1, jx[k0:k1], ju[k0:k1], cdx[k0:k1], cdu[k0:k1]
+            yield s0 + k0, s0 + k1, jx[k0:k1], ju[k0:k1], cx[k0:k1], cu[k0:k1]
+
+
+def _closed_loop(jx, ju, ux, cx, cu):
+    """(M, c) of a block of steps: the closed-loop step Jacobians M_k = Jx +
+    Ju du/dx, shape (..., n_x, n_x), and the cost rows c_k = cx + du/dx^T cu,
+    shape (..., n_x), from the weighted running-cost partials of
+    ``_step_blocks``: the x partial of the running cost at step k, through
+    the control as well.  Both exact sweeps step through M_k and add c_k."""
+    return jx + ju @ ux, cx + (cu[..., None, :] @ ux)[..., 0, :]
 
 
 # -- public cost evaluation -------------------------------------------------
@@ -293,7 +321,16 @@ def eval_cost(system, policy, cost, x0, path: WienerPath) -> float:
 
 def forward_sensitivity(system, policy, cost, x0, path) -> GradientReport:
     """Gradient via the parameter sensitivity S_k = dx_k/dtheta, pushed
-    forward through the step Jacobians of the stored trajectory."""
+    forward through the closed-loop step Jacobians M_k of the stored
+    trajectory.
+
+    Each block of ``_step_blocks`` computes, before its steps: M_k and the
+    cost rows c_k (``_closed_loop``); the control cost's direct term
+    sum_k w_k cdu_k du/dtheta_k, one gemv; and the injections B_k = Ju
+    du/dtheta_k, written into one buffer allocated once per call.  Each step
+    is then grad += c_k S_k, S_{k+1} = M_k S_k + B_k, written into buffers
+    allocated once per call as well.
+    """
     x0 = _one_path_x0(system, x0)
     _require_policy(policy)
     n_x, n_theta = system.state_dim, policy.n_params
@@ -308,18 +345,26 @@ def forward_sensitivity(system, policy, cost, x0, path) -> GradientReport:
     )
     K, times = grid.n_steps, grid.times()
     size = max(1, _POLICY_BLOCK_DOUBLES // (policy.n_out * n_theta))
-    S = np.zeros((n_x, n_theta))
-    grad = np.zeros(n_theta)
-    blocks = _step_blocks(sys_i, cost, grid, states, controls, path.increments, size)
-    for k0, k1, jx, ju, cdx, cdu in blocks:
+    # S, the injections Ju du/dtheta of a block and the step's temporaries
+    # live in buffers allocated once per call: with fresh arrays per step or
+    # per block, some processes, depending on the state of their heap,
+    # faulted in 2900-8600 pages per call on the 1024-step, 2274-parameter check.
+    S, S_next = np.zeros((n_x, n_theta)), np.empty((n_x, n_theta))
+    grad, row = np.zeros(n_theta), np.empty(n_theta)
+    inject = np.empty((min(size, K), n_x, n_theta))
+    blocks = _step_blocks(sys_i, cost, grid, weights, states, controls, path.increments, size)
+    for k0, k1, jx, ju, cx, cu in blocks:
         ux, ut = policy.jacobian_params(policy.net_input(times[k0:k1], states[k0:k1]))
-        ux = ux[..., :n_x]
-        for j in range(k1 - k0):
-            w = weights[k0 + j]
-            if w:
-                grad += w * ((cdx[j] + cdu[j] @ ux[j]) @ S + cdu[j] @ ut[j])
-            S = (jx[j] + ju[j] @ ux[j]) @ S + ju[j] @ ut[j]  # the closed-loop step Jacobian
+        m, c = _closed_loop(jx, ju, ux[..., :n_x], cx, cu)
+        grad += cu.reshape(-1) @ ut.reshape(-1, n_theta)  # the control cost's direct term
+        b = np.matmul(ju, ut, out=inject[: k1 - k0])
         del ux, ut  # freed before the next block is allocated
+        for j in range(k1 - k0):
+            if weights[k0 + j]:
+                grad += np.dot(c[j], S, out=row)
+            np.matmul(m[j], S, out=S_next)
+            S_next += b[j]
+            S, S_next = S_next, S
     cx, cu = _terminal_partials(cost, grid, weights, states, controls)
     grad += cx @ S
     if cu is not None:
@@ -363,12 +408,13 @@ def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, 
     least one step).  Each block first runs the policy: one
     ``MlpPolicy.linearize`` of its steps x lanes rows and one
     ``MlpPolicy.pull_basis`` over its slopes, which gives du/dx at every
-    (step, lane) of the block, shaped (steps, lanes..., n_u, n_x).  Then, at
-    each step, the costate is pulled back through the closed-loop step,
-    Jx^T a + du/dx^T cu_k, where cu_k = Ju^T a (plus the running cost's u
-    partial) is the control cotangent, a (n_u, n_x) product in place of a
-    pull through every layer; cu_k is kept in a block-sized buffer.  Last,
-    one ``vjp_params_layers`` on the kept forward sums each layer's parameter
+    (step, lane) of the block, shaped (steps, lanes..., n_u, n_x), and from
+    it the closed-loop matrices M_k and cost rows c_k (``_closed_loop``).
+    Each step then stores a_{k+1} and pulls the costate back, a_k = M_k^T
+    a_{k+1} + c_k, which is Jx^T a + du/dx^T cu_k + w cdx with the control
+    cotangent cu_k = Ju^T a_{k+1} + w cdu.  After the steps the block's cu_k
+    are one batched product of the stored costates, and one
+    ``vjp_params_layers`` on the kept forward sums each layer's parameter
     products over the block's rows in one gemm, added into one (out, in)
     accumulator per layer.  The block's forward and sums round differently
     from a one-step VJP, so gradients and costates depend on the block size
@@ -396,33 +442,31 @@ def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, 
         lambdas = np.zeros_like(xs) if keep_lambda else None
         with np.errstate(all="ignore"):
             cx, cu = _terminal_partials(cost, grid, weights, xs, us)
-            a = np.broadcast_to(cx, xs[K].shape)
-            if keep_lambda:
-                lambdas[K] = a
+            a = a_T = np.broadcast_to(cx, xs[K].shape)
             if cu is not None:  # the control at T: one VJP through every layer
                 pulled, layers = policy.vjp_params_layers(policy.net_input(grid.time(K), xs[K]), cu)
                 _add_layers(acc, layers)
                 a = a + pulled[..., : xs.shape[-1]]
-
-            cus = np.empty((min(size, K),) + us.shape[1:])
-            blocks = _step_blocks(sys_i, cost, grid, xs, us, dbs, size, backward=True)
-            for k0, k1, jx, ju, cdx, cdu in blocks:
+            a = a[..., None, :]  # a row, so that a @ M_k is M_k^T a
+            blocks = _step_blocks(sys_i, cost, grid, weights, xs, us, dbs, size, backward=True)
+            for k0, k1, jx, ju, cx, cu in blocks:
                 x, forward, ux = _linearized_block(policy, times, xs, k0, k1)
+                m, c = _closed_loop(jx, ju, ux, cx, cu)
+                c = c[..., None, :]
+                after = np.empty(c.shape)  # a_{k+1}, the costate after step k
                 for j in range(k1 - k0 - 1, -1, -1):
-                    w = weights[k0 + j]
-                    cu = np.einsum("...au,...a->...u", ju[j], a)
-                    if w:
-                        cu = cu + w * cdu[j]
-                    cus[j] = cu
-                    pulled = np.einsum("...ub,...u->...b", ux[j], cu)
-                    a = np.einsum("...ab,...a->...b", jx[j], a) + pulled
-                    if w:
-                        a = a + w * cdx[j]
-                    if keep_lambda:
-                        lambdas[k0 + j] = a
-                cot = cus[: k1 - k0].reshape(-1, cus.shape[-1])
+                    after[j] = a
+                    a = a @ m[j] + c[j]
+                if keep_lambda:
+                    lambdas[k0 + 1 : k1 + 1] = after[..., 0, :]
+                # The control cotangents Ju^T a_{k+1} + w_k cdu.
+                cot = (after @ ju)[..., 0, :] + cu
+                cot = cot.reshape(-1, cot.shape[-1])
                 _add_layers(acc, policy.vjp_params_layers(x, cot, forward=forward)[1])
                 del x, forward, ux  # freed before the next block is allocated
+        a = a[..., 0, :]
+        if keep_lambda:  # lambdas[K] is the partial in x_T at fixed u_T
+            lambdas[0], lambdas[K] = a, a_T
         return acc, a, lambdas
 
     acc, a, lambdas = sweep(valid)
@@ -535,12 +579,16 @@ def finite_difference_gradient(system, policy, cost, x0, path, h_rel=1e-5) -> Gr
     Step per coordinate: h_j = h_rel * max(1, |theta_j|).  The +-h
     perturbations are evaluated as one batch, one row each, through per-layer
     buffers preallocated once per block, so the network layers allocate
-    nothing per step.
+    nothing per step.  ``h_rel`` must be finite and at least the float
+    epsilon: below it theta_j +- h_j rounds to theta_j when |theta_j| >= 1.
     """
     x0 = _one_path_x0(system, x0)
     _require_policy(policy)
-    if not 0 < h_rel < np.inf:
-        raise ConfigurationError(f"h_rel must be positive and finite, got {h_rel}")
+    eps = np.finfo(float).eps
+    if not eps <= h_rel < np.inf:
+        raise ConfigurationError(
+            f"h_rel must be finite and at least the float epsilon {eps:.3g}, got {h_rel}"
+        )
     theta0 = policy.get_params()
     n_theta = theta0.size
     h = h_rel * np.maximum(1.0, np.abs(theta0))

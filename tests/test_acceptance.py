@@ -91,9 +91,9 @@ def test_2_strong_convergence_orders():
 
 
 def test_3_calculus_conversion_equivalence():
-    # The Stratonovich form of GBM steps in its Ito form: on acceptance 2's
-    # paths it converges to the exact solution at Milstein's order, and its
-    # endpoints are the Ito system's up to roundoff in the converted drift.
+    # The Stratonovich form of GBM steps in its Ito form, the Ito system it
+    # was converted from: on acceptance 2's paths it converges to the exact
+    # solution at Milstein's order, and its endpoints are the Ito system's.
     mu, sigma, min_exp, max_exp = 0.23, 0.18, 4, 10
     ito = gbm_system(mu=mu, sigma=sigma)
     strat = convert_calculus(ito)

@@ -324,6 +324,7 @@ class TestCliContract:
             "fd_step = inf",
             "fd_step = 0",
             "fd_step = -1e-5",
+            "fd_step = 1e-300",
             "grad_tol = -1e-3",
             "cosine_tol = 1.5",
             "cosine_tol = -2",

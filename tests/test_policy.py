@@ -86,6 +86,18 @@ class TestEval:
             x = rng.standard_normal(2)
             assert np.allclose(policy.eval(x), reference_eval(policy, x), atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(2,), (50, 2), (4548, 2), (5, 10, 2)])
+    def test_bits_of_a_layer_by_layer_matmul(self, shape):
+        # One and two axes go through np.dot, more through @: the same bits.
+        policy = init_params([2, 32, 32, 32, 2], seed=5)
+        a = np.random.Generator(np.random.Philox(key=4)).standard_normal(shape)
+        want = a
+        for k, (w, b) in enumerate(zip(policy.weights, policy.biases)):
+            z = want @ w.T
+            z += b
+            want = (policy.output if k == len(policy.weights) - 1 else policy.hidden).value(z)
+        assert np.array_equal(policy.eval(a), want)
+
     def test_batched_eval(self):
         policy = init_params([2, 8, 2], seed=0)
         xs = np.random.Generator(np.random.Philox(key=2)).standard_normal((7, 3, 2))

@@ -214,6 +214,20 @@ class TestBuildSystem:
             got = build_system(params).drift(t, x, u)
             assert got.shape == want.shape and np.array_equal(got, want)
 
+    @pytest.mark.parametrize(
+        "rates", [{}, {"mu": lambda t: 0.2 + 0.1 * t}], ids=["constant", "callable"]
+    )
+    def test_one_row_callbacks_give_the_rows_of_a_batch(self, rates):
+        # At one row the callbacks work on scalars, not 0-d arrays.
+        system = build_system(MarketParams(**rates))
+        rng = np.random.Generator(np.random.Philox(key=33))
+        x, u = rng.standard_normal((50, 2)), rng.standard_normal((50, 2))
+        for name in ("drift", "diffusion"):
+            batch = getattr(system, name)(0.3, x, u)
+            rows = [getattr(system, name)(0.3, xi, ui) for xi, ui in zip(x, u)]
+            assert all(type(r) is np.ndarray for r in rows)
+            assert np.array_equal(np.stack(rows), batch), name
+
     def test_zero_control_stock_matches_gbm(self):
         # with u = 0 the stock decouples and follows plain GBM
         system = build_system(MarketParams())

@@ -359,21 +359,51 @@ class TestConvertCalculus:
 )
 def test_stratonovich_system_steps_in_its_ito_form(build, policy):
     # Forward and backward, a Stratonovich system takes the Ito-Milstein
-    # steps of its Ito form: the bits of integrating that form, and the Ito
-    # system it was converted from up to roundoff in the drift.
+    # steps of its Ito form, which for a system converted from an Ito one
+    # is that system: the bits of integrating it.
     system = build()
     strat = convert_calculus(system)
     path = generate_path(7, TimeGrid(0.0, 1.0, 64), 1)
     x0 = np.array([1.0])
     results = []
-    for s in (strat, convert_calculus(strat), system):
+    for s in (strat, system):
         states, controls = forward_states(s, policy, x0, path.increments, path.grid)
         back = integrate_backward(s, policy, states[-1], path)
         results.append((states, controls, back.states, back.controls))
-    got, ito_form, ito = results
-    for a, b, c in zip(got, ito_form, ito):
+    for a, b in zip(*results):
         assert np.array_equal(a, b)
-        assert np.allclose(a, c, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "build", [controlled_gbm_system, lambda: build_system(MarketParams())], ids=["gbm", "portfolio"]
+)
+def test_converting_back_returns_the_source_system(build):
+    # The Ito form of a system converted from an Ito one is that system: one
+    # diffusion and one diffusion_dx call per step, and its bits.
+    calls = {"diffusion": 0, "diffusion_dx": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    system = build()
+    system = replace(system, **{name: counted(name, getattr(system, name)) for name in calls})
+    strat = convert_calculus(system)
+    assert _ito_form(strat) is system and convert_calculus(strat) is system
+    path = generate_path(7, TimeGrid(0.0, 1.0, 64), 1)
+    x0 = np.ones((8, system.state_dim))
+    increments = np.repeat(path.increments[:, None], 8, axis=1)
+    want, _ = forward_states(system, None, x0, increments, path.grid)
+    calls.update(diffusion=0, diffusion_dx=0)
+    got, _ = forward_states(strat, None, x0, increments, path.grid)
+    assert calls == {"diffusion": 64, "diffusion_dx": 64}
+    assert np.array_equal(got, want)
+    # A converted system changed in place after its conversion converts afresh.
+    strat.drift_dx = system.drift_dx
+    assert convert_calculus(strat) is not system
 
 
 class TestIntegrateBackward:

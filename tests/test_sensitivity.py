@@ -24,10 +24,12 @@ from sdecontrol.portfolio import MarketParams
 from sdecontrol.sdecore import (
     Calculus,
     ControlledSystem,
+    _ito_form,
     central_difference,
     convert_calculus,
     forward_states,
     integrate,
+    step_partials,
 )
 from sdecontrol.sensitivity import (
     CostFunctional,
@@ -901,6 +903,105 @@ class TestStepBlockCalls:
         assert len(partials) == 10
 
 
+def per_step_sweeps(system, policy, cost, x0, increments, grid):
+    """(forward gradient, adjoint gradient, costates) of one path, one step
+    at a time in the per-step product form that the block sweeps hoist:
+    S <- (Jx + Ju du/dx) S + Ju du/dtheta, and a <- Jx^T a + du/dx^T cu +
+    w cdx with the control cotangent cu = Ju^T a + w cdu."""
+    sys_i = _ito_form(system)
+    states, controls = forward_states(sys_i, policy, x0, increments, grid)
+    weights = sensitivity._quadrature_weights(cost, grid)
+    K, n_x = grid.n_steps, system.state_dim
+
+    def at(k):
+        t, x, u = grid.time(k), states[k], controls[k]
+        ux, ut = policy.jacobian_params(policy.net_input(t, x))
+        if k == K:
+            return ux[:, :n_x], ut
+        jx, ju = step_partials(sys_i, t, x, u, grid.dt, increments[k])
+        return ux[:, :n_x], ut, jx, ju, cost.running_dx(t, x, u), cost.running_du(t, x, u)
+
+    cx, cu = sensitivity._terminal_partials(cost, grid, weights, states, controls)
+    S, fw = np.zeros((n_x, policy.n_params)), np.zeros(policy.n_params)
+    for k in range(K):
+        ux, ut, jx, ju, cdx, cdu = at(k)
+        if weights[k]:
+            fw += weights[k] * ((cdx + cdu @ ux) @ S + cdu @ ut)
+        S = (jx + ju @ ux) @ S + ju @ ut
+    fw += cx @ S
+    lambdas, ad = np.zeros_like(states), np.zeros(policy.n_params)
+    lambdas[K] = a = cx
+    if cu is not None:
+        ux, ut = at(K)
+        fw += cu @ (ux @ S + ut)
+        ad += cu @ ut
+        a = a + cu @ ux
+    for k in range(K - 1, -1, -1):
+        ux, ut, jx, ju, cdx, cdu = at(k)
+        cu = ju.T @ a + (weights[k] * cdu if weights[k] else 0.0)
+        ad += cu @ ut
+        a = jx.T @ a + ux.T @ cu + (weights[k] * cdx if weights[k] else 0.0)
+        lambdas[k] = a
+    return fw, ad, lambdas
+
+
+class TestHoistedSweeps:
+    """Both exact sweeps step through the closed-loop matrices and cost rows
+    of a block, computed before its per-step loop.  They match the per-step
+    product form (``per_step_sweeps``) to 1e-13 of the largest entry, at the
+    default block budget and at one of 100 doubles (several blocks)."""
+
+    @staticmethod
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def check_one_path(self, monkeypatch, system, policy, cost, x0, path):
+        fw, ad, lambdas = per_step_sweeps(system, policy, cost, x0, path.increments, path.grid)
+        for budget in (sensitivity._POLICY_BLOCK_DOUBLES, 100):
+            monkeypatch.setattr(sensitivity, "_POLICY_BLOCK_DOUBLES", budget)
+            self.assert_close(forward_sensitivity(system, policy, cost, x0, path).grad, fw)
+            got, got_lambdas = adjoint_gradient(system, policy, cost, x0, path, True)
+            self.assert_close(got.grad, ad)
+            self.assert_close(got_lambdas, lambdas)
+
+    def test_controlled_gbm(self, monkeypatch):
+        # The control enters the running cost, so cdu is nonzero.
+        system, cost, x0, policy = build_grad_check_problem("gbm", hidden_dims=(4,))
+        path = generate_path(5, TimeGrid(0.0, 1.0, 40), 1)
+        self.check_one_path(monkeypatch, system, policy, cost, x0, path)
+
+    def test_pointwise_times_terminal_du_and_time_input(self, monkeypatch):
+        system, cost, x0, _ = build_grad_check_problem("portfolio")
+        policy = init_params([3, 8, 2], seed=5, with_time=True)
+        grid = TimeGrid(0.0, 1.0, 37)
+        cost = dataclasses.replace(
+            cost,
+            pointwise_times=[grid.time(k) for k in (9, 9, 37)],
+            terminal=lambda x, u, f=cost.terminal: f(x, u) - 0.5 * np.sum(u**2, axis=-1),
+            terminal_du=lambda x, u: -u,
+        )
+        self.check_one_path(monkeypatch, system, policy, cost, x0, generate_path(4, grid, 1))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lanes_with_a_nan_lane_dropped(self, monkeypatch):
+        system, cost, x0, policy = build_grad_check_problem("gbm", hidden_dims=(4,))
+        grid = TimeGrid(0.0, 1.0, 40)
+        increments = np.stack([generate_path(s, grid, 1).increments for s in range(4)], axis=1)
+        x0b = np.tile(x0, (4, 1))
+        x0b[2] = np.nan
+        refs = [
+            per_step_sweeps(system, policy, cost, x0, increments[:, n], grid) for n in (0, 1, 3)
+        ]
+        for budget in (sensitivity._POLICY_BLOCK_DOUBLES, 100):
+            monkeypatch.setattr(sensitivity, "_POLICY_BLOCK_DOUBLES", budget)
+            grad, _, valid, lambdas = adjoint_core(
+                system, policy, cost, x0b, increments, grid, True, "none"
+            )
+            assert valid.tolist() == [True, True, False, True]
+            self.assert_close(grad, sum(ref[1] for ref in refs))
+            self.assert_close(lambdas, np.stack([ref[2] for ref in refs], axis=1))
+
+
 class TestFiniteDifference:
     def test_linear_cost_exact(self):
         # frozen state at x0 = 0: u = w*0 + b = b, J = 2.5 u_T, dJ/db = 2.5
@@ -940,6 +1041,14 @@ class TestFiniteDifference:
         system, cost, x0, policy = build_grad_check_problem("gbm")
         path = generate_path(0, TimeGrid(0.0, 1.0, 4), 1)
         with pytest.raises(ConfigurationError, match="finite"):
+            finite_difference_gradient(system, policy, cost, x0, path, h_rel=h_rel)
+
+    @pytest.mark.parametrize("h_rel", [1e-300, 1e-17])
+    def test_step_below_roundoff_rejected(self, h_rel):
+        # Below the float epsilon theta +- h == theta for |theta| >= 1.
+        system, cost, x0, policy = build_grad_check_problem("gbm")
+        path = generate_path(0, TimeGrid(0.0, 1.0, 4), 1)
+        with pytest.raises(ConfigurationError, match="epsilon"):
             finite_difference_gradient(system, policy, cost, x0, path, h_rel=h_rel)
 
     def test_initial_state_dimension_checked(self):
