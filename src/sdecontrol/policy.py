@@ -164,14 +164,18 @@ class MlpPolicy:
         pre-activation is overwritten by its activation; nothing is kept.
         A layer of one or two axes is ``np.dot``, the bits of ``@`` and
         faster on one row (0.86 against 1.44 us, 32 x 32); more axes keep
-        ``@``, since ``np.dot`` on them uses no gemm."""
+        ``@``, since ``np.dot`` on them uses no gemm.  The input is
+        converted and checked once; the hidden layers run in the loop and the
+        output layer after it."""
         a = self._checked_input(x)
-        last = len(self.weights) - 1
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = np.dot(a, w.T) if a.ndim <= 2 else a @ w.T
+        dot = np.dot if a.ndim <= 2 else np.matmul
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            z = dot(a, w.T)
             z += b
-            a = (self.output if k == last else self.hidden).value(z, out=z)
-        return a
+            a = self.hidden.value(z, out=z)
+        z = dot(a, self.weights[-1].T)
+        z += self.biases[-1]
+        return self.output.value(z, out=z)
 
     def net_input(self, t, x) -> np.ndarray:
         """Network input for state x at time t: x, with t appended as a last
@@ -184,8 +188,8 @@ class MlpPolicy:
         return x
 
     def control(self, t, x) -> np.ndarray:
-        """Feedback control at (t, x)."""
-        return self.eval(self.net_input(t, x))
+        """Feedback control at (t, x); t is read only by a with_time policy."""
+        return self.eval(self.net_input(t, x) if self.with_time else x)
 
     def linearize(self, x):
         """One forward pass at x (..., n_in), kept for reverse passes:
@@ -263,14 +267,19 @@ class MlpPolicy:
             off += b.size
         return slots
 
-    def jacobian_params(self, x):
+    def jacobian_params(self, x, out=None):
         """(d eval/d input (..., n_out, n_in), d eval/d theta (..., n_out,
         n_theta)), both from one forward and one backward pass of the n_out
         unit output cotangents.  Each layer's per-row products are written
-        straight into its slot of one preallocated d eval/d theta array
-        (``_param_slots``), so no per-layer temporary is concatenated."""
+        straight into its slot of one d eval/d theta array
+        (``_param_slots``), so no per-layer temporary is concatenated.  That
+        array is ``out`` when given, which must have that shape and a unit
+        stride along its last axis, and is returned; else it is allocated."""
         x = np.asarray(x, dtype=float)
-        jac = np.empty(x.shape[:-1] + (self.n_out, self.n_params))
+        shape = x.shape[:-1] + (self.n_out, self.n_params)
+        jac = np.empty(shape) if out is None else out
+        if jac.shape != shape or jac.strides[-1] != jac.itemsize:  # slots must be views
+            raise ConfigurationError(f"out must have shape {shape} and a unit last stride")
         slots = self._param_slots(jac)
 
         def write(k, delta, act):

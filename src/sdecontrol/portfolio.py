@@ -328,7 +328,7 @@ class PolicyStats:
 
     mean_terminal_stock: float
     mean_terminal_bank: float
-    mean_objective: float
+    mean_objective: float  # over the paths whose objective is finite
     mean_stock_penalty: float
     solvency_crossing_fraction: float
     n_paths: int
@@ -367,7 +367,11 @@ def evaluate_policy(
     """Simulate fresh evaluation paths and report portfolio statistics.
 
     Seeds come from the evaluation stream, disjoint from all training seeds.
-    The objective is the training quadrature of the cost.  The stock penalty
+    The objective is the training quadrature of the cost, and its mean is
+    taken over the paths where it is finite: at nu = 0 a path whose gap
+    crosses the solvency line before T has a NaN log barrier, and
+    ``solvency_crossing_fraction`` counts it.  The mean is NaN only when no
+    path's objective is finite.  The stock penalty
     is the left-endpoint quadrature of sigma S^2 (without the nu weight, so
     policies trained at different nu are comparable).  A diverged path raises
     DivergenceError naming its evaluation seed and step.
@@ -393,10 +397,11 @@ def evaluate_policy(
     sigma = _at(params.sigma, grid.times()[:-1])
     penalty = np.sum(sigma * states[:, :-1, 0] ** 2, axis=-1) * grid.dt
     crossed = np.any(solvency_gap(states, params.alpha) < 0, axis=-1)
+    finite = objective[np.isfinite(objective)]
     stats = PolicyStats(
         mean_terminal_stock=float(np.mean(states[:, -1, 0])),
         mean_terminal_bank=float(np.mean(states[:, -1, 1])),
-        mean_objective=float(np.mean(objective)),
+        mean_objective=float(np.mean(finite)) if finite.size else float("nan"),
         mean_stock_penalty=float(np.mean(penalty)),
         solvency_crossing_fraction=float(np.mean(crossed)),
         n_paths=n_paths,

@@ -17,12 +17,15 @@ copy of the Euler/Milstein update.  Three estimators differentiate the cost:
 * ``finite_difference_gradient`` central-differences the discretized cost on
   the same Brownian path, all +-h coordinate perturbations in one batch.
 
-Both exact estimators step through the closed-loop step Jacobian
-M_k = Jx + Ju du/dx, and nothing else happens in their per-step loops:
-forward sensitivity runs grad += c_k S_k; S_{k+1} = M_k S_k + B_k, with the
-injection B_k = Ju du/dtheta, and the adjoint runs a_k = M_k^T a_{k+1} + c_k,
-where c_k = w_k (cdx + du/dx^T cdu) is the running cost's x partial through
-the control as well.
+Both exact estimators step one augmented matrix A_k = [M_k | Ju_k], with
+the closed-loop step Jacobian M_k = Jx + Ju du/dx, and one augmented cost row
+C_k = [c_k | w_k cdu_k], where c_k = w_k (cdx + du/dx^T cdu) is the running
+cost's x partial through the control as well (``_closed_loop``).  Nothing
+else happens in their per-step loops: forward sensitivity keeps z_k =
+[S_k; du/dtheta_k] and runs grad += C_k z_k; S_{k+1} = A_k z_k, and the
+adjoint runs [a_k | cu_k] = a_{k+1} A_k + C_k, which gives the costate
+a_k = M_k^T a_{k+1} + c_k and the control cotangent cu_k = Ju^T a_{k+1} +
+w_k cdu in one product.
 
 Both exact estimators walk the stored trajectory one way, a block of
 steps at a time (``_step_blocks``), forward or backward.  The step Jacobians
@@ -32,16 +35,15 @@ whole blocks in one call each, with t an array that broadcasts over the lanes;
 a span holds at least ``_BLOCK_ROWS`` steps x lanes.  Each block first computes
 its policy data at the stored states, at most ``_POLICY_BLOCK_DOUBLES``
 doubles of it (at least one step), and from it, batched over the block's
-steps x lanes, M_k and c_k (``_closed_loop``); then it runs its steps.
-Forward sensitivity counts n_u x n_theta doubles per step: one
-``jacobian_params`` call per block gives du/dx and du/dtheta, from which
-the block's B_k are written into one buffer allocated once per call, and the
-control cost's direct term sum_k w_k cdu_k du/dtheta_k is one gemv.  The
-adjoint counts the stored layer inputs and slopes: one forward pass per
-block and one pull of the n_u basis cotangents over its slopes give du/dx at
-every step of the block; after the steps, the control cotangents
-Ju^T a_{k+1} + w_k cdu of the whole block are one batched product, and one
-parameter VJP per block sums their products (``adjoint_core``).
+steps x lanes, A_k and C_k; then it runs its steps.  Forward sensitivity
+counts n_u x n_theta doubles per step: one ``jacobian_params`` call per block
+gives du/dx, and writes du/dtheta straight into the last n_u rows of the
+block's z_k, which live in one slab allocated once per call.  The adjoint
+counts the stored layer inputs and slopes: one forward pass per block and
+one pull of the n_u basis cotangents over its slopes give du/dx at every
+step of the block; its steps write [a_k | cu_k] into one block buffer, whose
+last n_u columns are the control cotangents of the block's one parameter
+VJP (``adjoint_core``).
 
 The walk steps a Stratonovich system in its Ito form (``sdecore._ito_form``),
 so every evaluator integrates the Ito-Milstein steps that ``step_partials``
@@ -93,10 +95,11 @@ _SENS_CAPACITY = 5 * 10**7  # entries allowed in the n_x * n_theta sensitivity m
 _BLOCK_ROWS = 1024
 # Doubles of policy data in one block of an exact sweep: du/dtheta for
 # forward sensitivity (n_u x n_theta a step), the stored layer inputs and
-# slopes for the adjoint (2 x sum(layer_dims) a row).  Not counted: forward
-# sensitivity's B_k buffer (n_x x n_theta a step, allocated once per call),
-# and the block's M_k, c_k, stored costates and control cotangents
-# (n_x (n_x + 2) + n_u doubles a row, outweighed by the layer data).
+# slopes for the adjoint (2 x sum(layer_dims) a row).  Forward sensitivity's
+# slab of the z_k = [S_k; du/dtheta_k], allocated once per call, adds n_x
+# rows of n_theta a step and one step.  Not counted: the block's A_k, C_k
+# and the adjoint's [a_k | cu_k] ((n_x + 2)(n_x + n_u) doubles a row,
+# outweighed by the layer data).
 _POLICY_BLOCK_DOUBLES = 2**15
 # Gradient magnitude below which a coordinate's relative error is not counted.
 _AGREEMENT_FLOOR = 1e-8
@@ -295,12 +298,17 @@ def _step_blocks(sys_i, cost, grid, weights, xs, us, dbs, size, backward=False):
 
 
 def _closed_loop(jx, ju, ux, cx, cu):
-    """(M, c) of a block of steps: the closed-loop step Jacobians M_k = Jx +
-    Ju du/dx, shape (..., n_x, n_x), and the cost rows c_k = cx + du/dx^T cu,
-    shape (..., n_x), from the weighted running-cost partials of
-    ``_step_blocks``: the x partial of the running cost at step k, through
-    the control as well.  Both exact sweeps step through M_k and add c_k."""
-    return jx + ju @ ux, cx + (cu[..., None, :] @ ux)[..., 0, :]
+    """(A, C) of a block of steps, the one augmented step of both exact
+    sweeps: A_k = [M_k | Ju_k], shape (..., n_x, n_x + n_u), with the
+    closed-loop step Jacobian M_k = Jx + Ju du/dx, and C_k = [c_k | cu_k],
+    shape (..., n_x + n_u), with the cost row c_k = cx + du/dx^T cu, the
+    running cost's x partial at step k through the control as well, from the
+    weighted running-cost partials cx, cu of ``_step_blocks``.  Forward
+    sensitivity steps z = [S; du/dtheta] as S <- A_k z and adds C_k z to the
+    gradient; the adjoint steps [a_k | control cotangent] = a_{k+1} A_k + C_k."""
+    m = jx + ju @ ux
+    c = cx + (cu[..., None, :] @ ux)[..., 0, :]
+    return np.concatenate((m, ju), axis=-1), np.concatenate((c, cu), axis=-1)
 
 
 # -- public cost evaluation -------------------------------------------------
@@ -324,12 +332,15 @@ def forward_sensitivity(system, policy, cost, x0, path) -> GradientReport:
     forward through the closed-loop step Jacobians M_k of the stored
     trajectory.
 
-    Each block of ``_step_blocks`` computes, before its steps: M_k and the
-    cost rows c_k (``_closed_loop``); the control cost's direct term
-    sum_k w_k cdu_k du/dtheta_k, one gemv; and the injections B_k = Ju
-    du/dtheta_k, written into one buffer allocated once per call.  Each step
-    is then grad += c_k S_k, S_{k+1} = M_k S_k + B_k, written into buffers
-    allocated once per call as well.
+    The sweep keeps z_j = [S_{k0+j}; du/dtheta_{k0+j}], shape (n_x + n_u,
+    n_theta), for the steps of a block, and the S after its last step, in
+    one slab allocated once per call.  Each block of ``_step_blocks`` writes
+    its du/dtheta straight into the slab's last n_u rows (one
+    ``jacobian_params`` call with ``out=``) and computes the augmented
+    A_k = [M_k | Ju_k] and C_k = [c_k | w_k cdu_k] (``_closed_loop``).  Each
+    step is then grad += C_k z_j (on steps of nonzero weight), which holds
+    the control cost's direct term, and S_{k+1} = A_k z_j, written into the
+    slab's next first n_x rows: M_k S_k + Ju du/dtheta_k in one product.
     """
     x0 = _one_path_x0(system, x0)
     _require_policy(policy)
@@ -345,26 +356,24 @@ def forward_sensitivity(system, policy, cost, x0, path) -> GradientReport:
     )
     K, times = grid.n_steps, grid.times()
     size = max(1, _POLICY_BLOCK_DOUBLES // (policy.n_out * n_theta))
-    # S, the injections Ju du/dtheta of a block and the step's temporaries
-    # live in buffers allocated once per call: with fresh arrays per step or
-    # per block, some processes, depending on the state of their heap,
-    # faulted in 2900-8600 pages per call on the 1024-step, 2274-parameter check.
-    S, S_next = np.zeros((n_x, n_theta)), np.empty((n_x, n_theta))
+    # The slab of the z_j and the gradient's row live in buffers allocated
+    # once per call: with fresh arrays per step or per block, some processes,
+    # depending on the state of their heap, faulted in 2900-8600 pages per
+    # call on the 1024-step, 2274-parameter check.  z[0, :n_x] = S_0 = 0.
+    z = np.zeros((min(size, K) + 1, n_x + policy.n_out, n_theta))
     grad, row = np.zeros(n_theta), np.empty(n_theta)
-    inject = np.empty((min(size, K), n_x, n_theta))
     blocks = _step_blocks(sys_i, cost, grid, weights, states, controls, path.increments, size)
     for k0, k1, jx, ju, cx, cu in blocks:
-        ux, ut = policy.jacobian_params(policy.net_input(times[k0:k1], states[k0:k1]))
-        m, c = _closed_loop(jx, ju, ux[..., :n_x], cx, cu)
-        grad += cu.reshape(-1) @ ut.reshape(-1, n_theta)  # the control cost's direct term
-        b = np.matmul(ju, ut, out=inject[: k1 - k0])
-        del ux, ut  # freed before the next block is allocated
-        for j in range(k1 - k0):
+        n = k1 - k0
+        x = policy.net_input(times[k0:k1], states[k0:k1])
+        ux = policy.jacobian_params(x, out=z[:n, n_x:])[0]
+        A, C = _closed_loop(jx, ju, ux[..., :n_x], cx, cu)
+        for j in range(n):
             if weights[k0 + j]:
-                grad += np.dot(c[j], S, out=row)
-            np.matmul(m[j], S, out=S_next)
-            S_next += b[j]
-            S, S_next = S_next, S
+                grad += np.dot(C[j], z[j], out=row)
+            np.matmul(A[j], z[j], out=z[j + 1, :n_x])
+        z[0, :n_x] = z[n, :n_x]  # S at the next block's first step
+    S = z[0, :n_x]
     cx, cu = _terminal_partials(cost, grid, weights, states, controls)
     grad += cx @ S
     if cu is not None:
@@ -409,16 +418,18 @@ def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, 
     ``MlpPolicy.linearize`` of its steps x lanes rows and one
     ``MlpPolicy.pull_basis`` over its slopes, which gives du/dx at every
     (step, lane) of the block, shaped (steps, lanes..., n_u, n_x), and from
-    it the closed-loop matrices M_k and cost rows c_k (``_closed_loop``).
-    Each step then stores a_{k+1} and pulls the costate back, a_k = M_k^T
-    a_{k+1} + c_k, which is Jx^T a + du/dx^T cu_k + w cdx with the control
-    cotangent cu_k = Ju^T a_{k+1} + w cdu.  After the steps the block's cu_k
-    are one batched product of the stored costates, and one
-    ``vjp_params_layers`` on the kept forward sums each layer's parameter
-    products over the block's rows in one gemm, added into one (out, in)
-    accumulator per layer.  The block's forward and sums round differently
-    from a one-step VJP, so gradients and costates depend on the block size
-    in the last bits; costs and valid masks do not.
+    it the augmented A_k = [M_k | Ju_k] and C_k = [c_k | w_k cdu_k]
+    (``_closed_loop``).  Each step then writes [a_k | cu_k] = a_{k+1} A_k +
+    C_k into one block buffer: the costate a_k = M_k^T a_{k+1} + c_k, which
+    is Jx^T a + du/dx^T cu_k + w cdx, and the control cotangent cu_k =
+    Ju^T a_{k+1} + w cdu, in one product.  After the steps, the buffer's
+    last n_u columns go to one ``vjp_params_layers`` on the kept forward,
+    which sums each layer's parameter products over the block's rows in one
+    gemm, added into one (out, in) accumulator per layer; with
+    ``keep_lambda`` the costates are copied from its first n_x columns.  The
+    block's forward and sums round differently from a one-step VJP, so
+    gradients and costates depend on the block size in the last bits; costs
+    and valid masks do not.
 
     Returns (gradient summed over the valid lanes (n_theta,), costs (N,),
     valid-lane mask (N,), costates of the valid lanes or None); without a
@@ -430,7 +441,7 @@ def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, 
     )
     costs = np.asarray(value, dtype=float)
     valid = np.asarray(np.isfinite(costs) & np.all(np.isfinite(states), axis=(0, -1)))
-    K, times = grid.n_steps, grid.times()
+    K, times, n_x = grid.n_steps, grid.times(), states.shape[-1]
     lanes = max(1, int(np.prod(states.shape[1:-1])))
     size = max(1, _POLICY_BLOCK_DOUBLES // (2 * sum(policy.layer_dims) * lanes))
 
@@ -446,27 +457,28 @@ def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, 
             if cu is not None:  # the control at T: one VJP through every layer
                 pulled, layers = policy.vjp_params_layers(policy.net_input(grid.time(K), xs[K]), cu)
                 _add_layers(acc, layers)
-                a = a + pulled[..., : xs.shape[-1]]
-            a = a[..., None, :]  # a row, so that a @ M_k is M_k^T a
+                a = a + pulled[..., :n_x]
+            a = a[..., None, :]  # a row, so that a @ A_k is [M_k^T a | Ju_k^T a]
             blocks = _step_blocks(sys_i, cost, grid, weights, xs, us, dbs, size, backward=True)
             for k0, k1, jx, ju, cx, cu in blocks:
                 x, forward, ux = _linearized_block(policy, times, xs, k0, k1)
-                m, c = _closed_loop(jx, ju, ux, cx, cu)
-                c = c[..., None, :]
-                after = np.empty(c.shape)  # a_{k+1}, the costate after step k
+                A, C = _closed_loop(jx, ju, ux, cx, cu)
+                C = C[..., None, :]
+                # [a_k | cu_k] of each step: the costate before the step and
+                # the control cotangent Ju^T a_{k+1} + w_k cdu.
+                steps = np.empty(C.shape)
                 for j in range(k1 - k0 - 1, -1, -1):
-                    after[j] = a
-                    a = a @ m[j] + c[j]
+                    np.matmul(a, A[j], out=steps[j])
+                    steps[j] += C[j]
+                    a = steps[j, ..., :n_x]
                 if keep_lambda:
-                    lambdas[k0 + 1 : k1 + 1] = after[..., 0, :]
-                # The control cotangents Ju^T a_{k+1} + w_k cdu.
-                cot = (after @ ju)[..., 0, :] + cu
-                cot = cot.reshape(-1, cot.shape[-1])
+                    lambdas[k0:k1] = steps[..., 0, :n_x]
+                cot = steps[..., 0, n_x:].reshape(-1, policy.n_out)
                 _add_layers(acc, policy.vjp_params_layers(x, cot, forward=forward)[1])
                 del x, forward, ux  # freed before the next block is allocated
         a = a[..., 0, :]
         if keep_lambda:  # lambdas[K] is the partial in x_T at fixed u_T
-            lambdas[0], lambdas[K] = a, a_T
+            lambdas[K] = a_T
         return acc, a, lambdas
 
     acc, a, lambdas = sweep(valid)

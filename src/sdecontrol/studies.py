@@ -23,7 +23,7 @@ import numpy as np
 from .benchmarks import gbm_exact_path, gbm_system
 from .errors import ConfigurationError
 from .sdecore import _reverse_walk, forward_states
-from .wiener import TimeGrid, generate_path
+from .wiener import _MAX_FINE_INCREMENTS, TimeGrid, generate_path
 
 __all__ = [
     "fit_order",
@@ -33,8 +33,6 @@ __all__ = [
 ]
 
 _X0 = 1.0  # initial state of every study's GBM
-# Fine increments (paths x steps) a study may allocate: 128 MB of doubles.
-_MAX_FINE_INCREMENTS = 2**24
 # The strong-convergence study's CSV label of each step -> ``euler`` switch.
 _STRONG_SCHEMES = {"euler_maruyama": True, "milstein_ito": False}
 

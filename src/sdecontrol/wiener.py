@@ -21,6 +21,10 @@ __all__ = [
     "generate_path",
 ]
 
+# Increments one grid may have, and that a study may allocate over all its
+# paths: 2^24 doubles, 128 MB.
+_MAX_FINE_INCREMENTS = 2**24
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -28,7 +32,8 @@ class TimeGrid:
 
     Grid points are always derived by index multiplication
     (``t_start + k * dt``), never by accumulation, so forward and backward
-    sweeps see bit-identical times.
+    sweeps see bit-identical times.  ``n_steps`` lies in [1,
+    ``_MAX_FINE_INCREMENTS``], so one path's increments fit in 128 MB.
     """
 
     t_start: float
@@ -36,8 +41,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise ConfigurationError(f"n_steps must be >= 1, got {self.n_steps}")
+        if not 1 <= self.n_steps <= _MAX_FINE_INCREMENTS:
+            raise ConfigurationError(
+                f"n_steps must lie in [1, {_MAX_FINE_INCREMENTS}], got {self.n_steps}"
+            )
         for name in ("t_start", "t_end"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")

@@ -503,6 +503,30 @@ class TestCliContract:
         assert code == 2
         assert "wrote" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "verb, line",
+        [
+            ("train", "n_steps = 100000000000000000000"),
+            ("grad-check", "grad_check_steps = 100000000000000000000"),
+            ("simulate", "n_steps = 100000000000000000000"),
+        ],
+    )
+    def test_grid_above_the_step_budget_exits_2(self, smoke_cfg, tmp_path, capsys, verb, line):
+        # numpy could not allocate these increments (it raised a raw
+        # ValueError); the grid rejects them first.
+        from sdecontrol.policy import init_params, save_policy
+
+        ckpt = tmp_path / "policy.txt"
+        save_policy(init_params([2, 4, 2], seed=0), ckpt)
+        with open(smoke_cfg, "a") as fh:
+            fh.write(line + "\n")
+        out = tmp_path / "out"
+        flags = ["--checkpoint", str(ckpt)] if verb == "simulate" else []
+        assert main([verb, "--config", smoke_cfg, "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "error: n_steps must lie in [1, 16777216]" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_simulate_missing_checkpoint_exit_2(self, smoke_cfg, tmp_path, capsys):
         code = main(
             ["simulate", "--config", smoke_cfg, "--out", str(tmp_path), "--checkpoint", "/no/ckpt"]

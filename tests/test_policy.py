@@ -233,6 +233,22 @@ class TestVjpParams:
             gw[...], gb[...] = w, b
         assert np.array_equal(jac, np.broadcast_to(policy.get_params(), jac.shape))
 
+    @pytest.mark.parametrize("batch", [(), (7,), (2, 3)])
+    def test_jacobian_params_into_a_given_array(self, batch):
+        # Forward sensitivity passes a strided view of its slab: rows n_x: of
+        # each step's [S; du/dtheta].  The call writes there and returns it,
+        # with the bits of the allocating call, and leaves the rest alone.
+        policy = init_params([3, 6, 5, 2], seed=18, with_time=True)
+        x = np.random.Generator(np.random.Philox(key=19)).standard_normal(batch + (3,))
+        slab = np.full(batch + (5, policy.n_params), 7.0)
+        buf = slab[..., 3:, :]
+        jx, jp = policy.jacobian_params(x, out=buf)
+        want_jx, want_jp = policy.jacobian_params(x)
+        assert jp is buf and np.array_equal(jp, want_jp) and np.array_equal(jx, want_jx)
+        assert np.all(slab[..., :3, :] == 7.0)
+        with pytest.raises(ConfigurationError, match="out must have shape"):
+            policy.jacobian_params(x, out=slab[..., :2, ::2])
+
     @pytest.mark.parametrize("lanes", [(), (3,)], ids=["rows", "rows-by-lanes"])
     def test_net_input_with_array_time(self, lanes):
         # A block of B stored states with its grid times, t of shape (B,) +

@@ -359,6 +359,24 @@ class TestEvaluatePolicy:
         assert a.mean_stock_penalty == b.mean_stock_penalty
         assert 0.0 <= a.solvency_crossing_fraction <= 1.0
 
+    def test_objective_at_nu_0_is_the_mean_over_the_solvent_paths(self):
+        # One of 20 paths started near the line crosses it, so its log
+        # barrier, and its objective, is NaN; the mean skips it.
+        params = MarketParams(nu=0.0, barrier_weight=50.0, x0=(1.0, -0.8))
+        system, cost = build_system(params), build_cost(params)
+        policy = init_params([2, 8, 2], seed=0)
+        grid = TimeGrid(0.0, 1.0, 50)
+        stats, _ = evaluate_policy(params, policy, grid, 20)
+        solvent = []
+        for i in range(20):
+            path = generate_path(evaluation_seed(0, i), grid, 1)
+            try:
+                solvent.append(eval_cost(system, policy, cost, np.array(params.x0), path))
+            except DivergenceError:
+                pass
+        assert len(solvent) == 19 and stats.solvency_crossing_fraction == 1 / 20
+        assert stats.mean_objective == np.mean(solvent)
+
     def test_diverged_path_names_seed_and_step(self):
         policy = init_params([2, 4, 2], seed=0)
         theta = policy.get_params()

@@ -196,6 +196,91 @@ def test_milstein_step_calls_diffusion_once():
     assert np.array_equal(out, euler + np.einsum("...ia,...i->...a", m, dB**2 - dt))
 
 
+def einsum_step(system, t, x, u, dt, dB, euler=False):
+    """The step with every sum over noise channels an ``einsum``, as
+    ``step_control`` takes it with more than one channel."""
+    g = system.diffusion(t, x, u)
+    out = x + system.drift(t, x, u) * dt + np.einsum("...xi,...i->...x", g, dB)
+    if euler:
+        return out
+    m = 0.5 * np.einsum("...iab,...bi->...ia", system.diffusion_dx(t, x, u), g)
+    return out + np.einsum("...ia,...i->...a", m, dB**2 - dt)
+
+
+def random_system(n_x, seed):
+    """A nonlinear one-channel Ito system of n_x states and two controls with
+    random coefficients: f = tanh(A x + B u), g = sin(C x) + d.  Only the
+    callbacks of the step are real; the other partials are zeros."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    a, b = rng.standard_normal((n_x, n_x)), rng.standard_normal((n_x, 2))
+    c, d = rng.standard_normal((n_x, n_x)), rng.standard_normal(n_x)
+    zeros = lambda t, x, u: np.zeros(x.shape[:-1] + (1, n_x, n_x))  # noqa: E731
+    return ControlledSystem(
+        state_dim=n_x,
+        control_dim=2,
+        noise_dim=1,
+        drift=lambda t, x, u: np.tanh(x @ a.T + u @ b.T),
+        diffusion=lambda t, x, u: (np.sin(x @ c.T) + d)[..., None],
+        drift_dx=zeros,
+        drift_du=zeros,
+        diffusion_dx=lambda t, x, u: (np.cos(x @ c.T)[..., None] * c)[..., None, :, :],
+        diffusion_du=zeros,
+        calculus=Calculus.ITO,
+        milstein_dx=zeros,
+        milstein_du=zeros,
+    )
+
+
+@pytest.mark.parametrize("n_x", [1, 2, 3, 4])
+@pytest.mark.parametrize("batch", [(), (50,), (4548,)], ids=["one row", "50 rows", "4548 rows"])
+@pytest.mark.parametrize("scheme", ["milstein", "euler", "-dt"])
+def test_one_channel_step_has_the_bits_of_the_einsum_step(n_x, batch, scheme):
+    # With one channel step_control forms each sum over channels as a plain
+    # product, which must give the bits of the one-term einsum.
+    system = random_system(n_x, seed=10 * n_x + len(batch))
+    rng = np.random.Generator(np.random.Philox(key=n_x))
+    x = rng.standard_normal(batch + (n_x,))
+    u = rng.standard_normal(batch + (2,))
+    dt = -0.01 if scheme == "-dt" else 0.01
+    dB = 0.1 * rng.standard_normal(batch + (1,))
+    euler = scheme == "euler"
+    got = step_control(system, 0.3, x, u, dt, dB, euler)
+    assert np.array_equal(got, einsum_step(system, 0.3, x, u, dt, dB, euler))
+
+
+@pytest.mark.parametrize("euler", [False, True], ids=["milstein", "euler"])
+def test_two_channel_step_is_the_einsum_step(euler):
+    # Diagonal noise g = diag(s * x + c) is commutative: the sums over its
+    # two channels stay einsums.
+    s, c = np.array([0.3, -0.7]), np.array([0.2, 0.5])
+    system = ControlledSystem(
+        state_dim=2,
+        control_dim=1,
+        noise_dim=2,
+        drift=lambda t, x, u: np.sin(x) * u,
+        diffusion=lambda t, x, u: (s * x + c)[..., None] * np.eye(2),
+        drift_dx=None,
+        drift_du=None,
+        diffusion_dx=lambda t, x, u: np.broadcast_to(
+            np.eye(2)[:, :, None] * np.eye(2) * s[:, None, None], x.shape[:-1] + (2, 2, 2)
+        ),
+        diffusion_du=None,
+        calculus=Calculus.ITO,
+        milstein_dx=None,
+        milstein_du=None,
+        commutative_noise=True,
+    )
+    rng = np.random.Generator(np.random.Philox(key=3))
+    x, u = rng.standard_normal((50, 2)), rng.standard_normal((50, 1))
+    dB = 0.1 * rng.standard_normal((50, 2))
+    got = step_control(system, 0.0, x, u, 0.01, dB, euler)
+    assert np.array_equal(got, einsum_step(system, 0.0, x, u, 0.01, dB, euler))
+    # The Milstein term of channel i moves state i only.
+    if not euler:
+        plain = x + np.sin(x) * u * 0.01 + (s * x + c) * dB
+        assert np.allclose(got, plain + 0.5 * s * (s * x + c) * (dB**2 - 0.01), rtol=1e-14)
+
+
 def per_step_divergence(system, x0, increments, grid):
     """Step index and message of the first non-finite Euler-Maruyama step,
     checked after every step as a loop that stops at once would report them."""

@@ -830,9 +830,9 @@ class TestPolicyJacobianBlocks:
         calls = []
         jacobian_params = policy.jacobian_params
 
-        def counted(x):
+        def counted(x, out=None):
             calls.append(x.shape[:-1])
-            return jacobian_params(x)
+            return jacobian_params(x, out)
 
         monkeypatch.setattr(policy, "jacobian_params", counted)
         want = forward_sensitivity(system, policy, cost, x0, path)

@@ -43,6 +43,14 @@ class TestTimeGrid:
         with pytest.raises(ConfigurationError):
             TimeGrid(2.0, 1.0, 4)
 
+    def test_step_budget_edge(self):
+        # One path's increments fit in 2^24 doubles (128 MB); a larger grid is
+        # rejected before anything is allocated.
+        assert TimeGrid(0.0, 1.0, 2**24).n_steps == 2**24
+        for n in (2**24 + 1, 10**20):
+            with pytest.raises(ConfigurationError, match=r"n_steps must lie in \[1, 16777216\]"):
+                TimeGrid(0.0, 1.0, n)
+
     @pytest.mark.parametrize(
         "start, end, shown",
         [
