@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import DEFAULTS
 from .errors import ConfigurationError
 from .policy import init_params
 from .portfolio import _check_sigma
@@ -56,12 +57,12 @@ def _gbm(mu, sigma, n_u) -> ControlledSystem:
     )
 
 
-def gbm_system(mu=0.23, sigma=0.18) -> ControlledSystem:
+def gbm_system(mu=DEFAULTS["mu"], sigma=DEFAULTS["sigma"]) -> ControlledSystem:
     """Uncontrolled geometric Brownian motion dx = mu x dt + sigma x dB (Ito)."""
     return _gbm(mu, sigma, 0)
 
 
-def controlled_gbm_system(mu=0.23, sigma=0.18) -> ControlledSystem:
+def controlled_gbm_system(mu=DEFAULTS["mu"], sigma=DEFAULTS["sigma"]) -> ControlledSystem:
     """GBM with a scalar control entering drift and diffusion:
     dx = (mu x + u) dt + (sigma x + c u) dB with c = 0.1."""
     return _gbm(mu, sigma, 1)
@@ -104,16 +105,18 @@ def controlled_gbm_cost() -> CostFunctional:
 
 def build_grad_check_problem(
     name,
-    hidden_dims=(16,),
-    policy_seed=0,
-    mu=0.23,
-    sigma=0.18,
+    hidden_dims=DEFAULTS["grad_check_hidden"],
+    policy_seed=DEFAULTS["policy_seed"],
+    mu=DEFAULTS["mu"],
+    sigma=DEFAULTS["sigma"],
     market=None,
 ):
     """(system, cost, x0, policy) for a registered gradient-check system.
 
     The GBM starts at x0 = 1.  The portfolio problem uses ``market`` (a
     ``MarketParams``), by default ``MarketParams(nu=0.25)``, and its x0.
+    That nu is not a config default: the benchmark's grad-check and
+    fd-check workloads build their market here, so it stays fixed.
     """
     if name == "gbm":
         system = controlled_gbm_system(mu=mu, sigma=sigma)

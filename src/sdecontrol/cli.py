@@ -155,14 +155,15 @@ def cmd_grad_check(cfg, args) -> int:
         raise ConfigurationError(
             f"fd_step must be finite and at least the float epsilon {eps:.3g}, got {cfg['fd_step']}"
         )
-    nu = cfg["nu"][0] if cfg["nu"] else 0.25
+    if cfg["system"] == "portfolio" and not cfg["nu"]:
+        raise ConfigurationError("nu needs at least one risk weight")
     system, cost, x0, policy = build_grad_check_problem(
         cfg["system"],
         hidden_dims=cfg["grad_check_hidden"],
         policy_seed=cfg["policy_seed"],
         mu=cfg["mu"],
         sigma=cfg["sigma"],
-        market=_market_params(cfg, nu=nu) if cfg["system"] == "portfolio" else None,
+        market=_market_params(cfg, nu=cfg["nu"][0]) if cfg["system"] == "portfolio" else None,
     )
     grid = TimeGrid(0.0, cfg["horizon"], cfg["grad_check_steps"])
     path = generate_path(cfg["base_seed"], grid, system.noise_dim)

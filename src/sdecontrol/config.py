@@ -1,18 +1,19 @@
 """Plain-text key=value configuration with documented defaults.
 
-Every key has a typed default below; unknown keys are hard errors so a typo
-in a hyperparameter name cannot silently fall back to a default.  Lines
-starting with '#' and blank lines are ignored; values may carry a trailing
-'# comment'.
+Every key has a typed default below, written only here (the library reads
+``DEFAULTS``); unknown keys are hard errors so a typo in a hyperparameter
+name cannot silently fall back to a default.  Lines starting with '#' and
+blank lines are ignored; values may carry a trailing '# comment'.
 """
 
 from __future__ import annotations
 
 import os
+from types import MappingProxyType
 
 from .errors import ConfigurationError
 
-__all__ = ["CONFIG_SPEC", "default_config", "parse_value", "load_config"]
+__all__ = ["CONFIG_SPEC", "DEFAULTS", "default_config", "parse_value", "load_config"]
 
 
 def _parse_float_list(text):
@@ -71,9 +72,11 @@ CONFIG_SPEC = {
     "n_paths": (int, 3, "trajectories written by the simulate command"),
 }
 
+DEFAULTS = MappingProxyType({key: default for key, (_, default, _) in CONFIG_SPEC.items()})
+
 
 def default_config() -> dict:
-    return {key: default for key, (_, default, _) in CONFIG_SPEC.items()}
+    return dict(DEFAULTS)
 
 
 def parse_value(key: str, text: str):

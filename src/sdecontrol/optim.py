@@ -15,6 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from .config import DEFAULTS
 from .errors import BatchFailureError, ConfigurationError
 from .policy import save_policy
 # forward_sensitivity is not called here; it stays a name of this module
@@ -57,8 +58,8 @@ def evaluation_seed(base_seed: int, index: int) -> int:
 
 @dataclass
 class OptimizerState:
-    kind: str = "adam"
-    learning_rate: float = 0.03
+    kind: str = DEFAULTS["optimizer"]
+    learning_rate: float = DEFAULTS["learning_rate"]
     direction: str = "minimize"
     step_count: int = 0
     adam_m: Optional[np.ndarray] = None
@@ -124,13 +125,13 @@ def apply_update(state: OptimizerState, theta, grad) -> np.ndarray:
 @dataclass
 class TrainConfig:
     grid: TimeGrid
-    batch_size: int = 50
-    iterations: int = 100
-    learning_rate: float = 0.03
-    optimizer: str = "adam"
+    batch_size: int = DEFAULTS["batch_size"]
+    iterations: int = DEFAULTS["iterations"]
+    learning_rate: float = DEFAULTS["learning_rate"]
+    optimizer: str = DEFAULTS["optimizer"]
     direction: str = "minimize"
-    base_seed: int = 0
-    checkpoint_every: int = 0
+    base_seed: int = DEFAULTS["base_seed"]
+    checkpoint_every: int = DEFAULTS["checkpoint_every"]
     checkpoint_dir: Optional[str] = None
 
     def __post_init__(self):
@@ -184,8 +185,9 @@ def batch_gradient(system, policy, cost, x0, base_seed, iteration, n_paths, grid
     steps inside one gemm per layer per block; the sum is divided by the
     number of valid paths.  Paths that diverge, or whose cost or costate
     comes out non-finite (e.g. a crossed log barrier), are dropped and
-    counted; more than 50% drops raise BatchFailureError, which names the
-    seeds of the dropped paths.
+    counted, so the mean is conditional on survival: a lane that crosses the
+    barrier costs the step nothing.  More than 50% drops raise
+    BatchFailureError, which names the seeds of the dropped paths.
 
     Returns (mean_grad, mean_cost, n_diverged).
     """

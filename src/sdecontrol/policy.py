@@ -43,6 +43,18 @@ def _summed_products(_layer, delta, act):
     return np.dot(d.T, act.reshape(-1, act.shape[-1])), d.sum(axis=0)
 
 
+def _layer_slots(layer_dims, flat):
+    """Per-layer (weight, bias) views of a (..., n_theta) array, shapes
+    (..., out, in) and (..., out), in the order of ``get_params``."""
+    slots, off = [], 0
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+        gw = flat[..., off : off + fan_out * fan_in].reshape(flat.shape[:-1] + (fan_out, fan_in))
+        off += fan_out * fan_in
+        slots.append((gw, flat[..., off : off + fan_out]))
+        off += fan_out
+    return slots
+
+
 def _basis_last(a):
     """(n_out, ..., width) -> (..., n_out, width), a view: the output basis
     of a basis backward pass moved next to the last axis."""
@@ -137,7 +149,7 @@ class MlpPolicy:
             raise ConfigurationError(
                 f"parameter vector has length {theta.shape}, expected ({self.n_params},)"
             )
-        for k, (w, b) in enumerate(self._param_slots(theta)):
+        for k, (w, b) in enumerate(_layer_slots(self.layer_dims, theta)):
             self.weights[k], self.biases[k] = w.copy(), b.copy()
 
     def flatten_layer_grads(self, grads) -> np.ndarray:
@@ -256,23 +268,12 @@ class MlpPolicy:
         """d eval/d input, shape (..., n_out, n_in)."""
         return self.pull_basis(self.linearize(x)[1])
 
-    def _param_slots(self, jac):
-        """Per-layer (weight, bias) views of a (..., n_theta) array, shapes
-        (..., out, in) and (..., out), in the order of ``get_params``."""
-        slots, off = [], 0
-        for w, b in zip(self.weights, self.biases):
-            gw = jac[..., off : off + w.size].reshape(jac.shape[:-1] + w.shape)
-            off += w.size
-            slots.append((gw, jac[..., off : off + b.size]))
-            off += b.size
-        return slots
-
     def jacobian_params(self, x, out=None):
         """(d eval/d input (..., n_out, n_in), d eval/d theta (..., n_out,
         n_theta)), both from one forward and one backward pass of the n_out
         unit output cotangents.  Each layer's per-row products are written
         straight into its slot of one d eval/d theta array
-        (``_param_slots``), so no per-layer temporary is concatenated.  That
+        (``_layer_slots``), so no per-layer temporary is concatenated.  That
         array is ``out`` when given, which must have that shape and a unit
         stride along its last axis, and is returned; else it is allocated."""
         x = np.asarray(x, dtype=float)
@@ -280,7 +281,7 @@ class MlpPolicy:
         jac = np.empty(shape) if out is None else out
         if jac.shape != shape or jac.strides[-1] != jac.itemsize:  # slots must be views
             raise ConfigurationError(f"out must have shape {shape} and a unit last stride")
-        slots = self._param_slots(jac)
+        slots = _layer_slots(self.layer_dims, jac)
 
         def write(k, delta, act):
             gw, gb = slots[k]
@@ -291,6 +292,11 @@ class MlpPolicy:
         acts, slopes = self.linearize(x)
         ux = self._backward(acts, slopes, self._basis(x.ndim), write)[0]
         return _basis_last(ux), jac
+
+
+def _check_layer_dims(layer_dims):
+    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
+        raise ConfigurationError(f"invalid layer_dims {layer_dims}")
 
 
 def init_params(
@@ -304,8 +310,7 @@ def init_params(
 
     Deterministic in `seed` (Philox counter-based generator).
     """
-    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
-        raise ConfigurationError(f"invalid layer_dims {layer_dims}")
+    _check_layer_dims(layer_dims)
     rng = philox_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
@@ -342,12 +347,14 @@ def save_policy(policy: MlpPolicy, path) -> None:
 
 
 def load_policy(path) -> MlpPolicy:
+    """The policy of a ``save_policy`` checkpoint.  The header and the count
+    of parameter lines are checked before any array is built, and the layers
+    are slices of the stored parameter vector."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != f"# {CHECKPOINT_MAGIC}":
         raise ConfigurationError(f"{path} is not a policy checkpoint")
-    header = {}
-    idx = 1
+    header, idx = {}, 1
     while idx < len(lines) and ":" in lines[idx]:
         key, _, val = lines[idx].partition(":")
         header[key.strip()] = val.strip()
@@ -359,24 +366,29 @@ def load_policy(path) -> MlpPolicy:
         n_params = int(header["n_params"])
         seed = int(header["seed"])
         activations = header["hidden_activation"], header["output_activation"]
-        with_time = bool(int(header["with_time"]))
+        with_time = {"0": False, "1": True}[header["with_time"]]
     except (KeyError, ValueError) as exc:
         raise ConfigurationError(f"malformed checkpoint header in {path}") from exc
+    _check_layer_dims(layer_dims)
+    philox_rng(max(seed, 0))  # rejects a seed outside the Philox key range
+    expected = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_dims, layer_dims[1:]))
+    if not n_params == expected == len(lines) - idx:
+        raise ConfigurationError(
+            f"checkpoint {path} holds {len(lines) - idx} parameter lines and declares "
+            f"n_params {n_params}; its layer_dims {layer_dims} need {expected}"
+        )
     try:
-        theta = np.array([float(v) for v in lines[idx : idx + n_params]])
+        theta = np.array([float(v) for v in lines[idx:]])
     except ValueError as exc:
         raise ConfigurationError(f"malformed parameter in checkpoint {path}") from exc
-    if theta.size != n_params:
-        raise ConfigurationError(f"checkpoint {path} truncated")
     if not np.all(np.isfinite(theta)):
         raise ConfigurationError(f"checkpoint {path} holds non-finite parameters")
-    policy = init_params(
-        layer_dims,
-        seed=max(seed, 0),
+    weights, biases = zip(*_layer_slots(layer_dims, theta))
+    return MlpPolicy(
+        weights,
+        biases,
         hidden_activation=activations[0],
         output_activation=activations[1],
         with_time=with_time,
+        seed=None if seed < 0 else seed,
     )
-    policy.seed = None if seed < 0 else seed
-    policy.set_params(theta)
-    return policy

@@ -18,6 +18,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .config import DEFAULTS
 from .errors import ConfigurationError, DivergenceError
 from .optim import TrainConfig, evaluation_seed, path_seed, train
 from .policy import MlpPolicy, init_params, save_policy
@@ -95,14 +96,14 @@ class MarketParams:
     only takes a scalar raises ConfigurationError here.
     """
 
-    alpha: float = 0.05
-    r: Rate = 0.04
-    mu: Rate = 0.23
-    sigma: Rate = 0.18
+    alpha: float = DEFAULTS["alpha"]
+    r: Rate = DEFAULTS["r"]
+    mu: Rate = DEFAULTS["mu"]
+    sigma: Rate = DEFAULTS["sigma"]
     nu: float = 0.0
-    barrier_weight: float = 1e-2
-    horizon: float = 1.0
-    x0: Tuple[float, float] = (1.0, 0.0)
+    barrier_weight: float = DEFAULTS["barrier_weight"]
+    horizon: float = DEFAULTS["horizon"]
+    x0: Tuple[float, float] = (DEFAULTS["s0"], DEFAULTS["v0"])
 
     def __post_init__(self):
         for name in ("alpha", "nu", "horizon", "barrier_weight", "r", "mu", "sigma"):
@@ -361,7 +362,7 @@ def evaluate_policy(
     policy: Optional[MlpPolicy],
     grid: TimeGrid,
     n_paths: int,
-    seed_base: int = 0,
+    seed_base: int = DEFAULTS["base_seed"],
     keep_trajectories: int = 0,
 ) -> Tuple[PolicyStats, List]:
     """Simulate fresh evaluation paths and report portfolio statistics.
@@ -420,22 +421,19 @@ class ExperimentResult:
     files: List[str] = field(default_factory=list)
 
 
-def _nu_tag(nu: float) -> str:
-    return f"{nu:g}"
-
-
 def run_experiment(
     params: MarketParams,
     train_config: TrainConfig,
-    nu_values=(0.0, 0.25, 0.5, 1.0),
+    *,
+    nu_values,
+    hidden_dims,
+    eval_paths: int,
+    trajectory_dumps: int,
+    grid_resolution: int,
     out_dir: str = ".",
-    hidden_dims=(32, 32, 32),
-    policy_seed: int = 0,
-    eval_paths: int = 50,
-    trajectory_dumps: int = 3,
-    grid_resolution: int = 21,
-    grid_s_range=(0.0, 2.0),
-    grid_v_range=(-1.0, 1.0),
+    policy_seed: int = DEFAULTS["policy_seed"],
+    grid_s_range=(DEFAULTS["grid_s_min"], DEFAULTS["grid_s_max"]),
+    grid_v_range=(DEFAULTS["grid_v_min"], DEFAULTS["grid_v_max"]),
 ):
     """Train one policy per nu, evaluate it on fresh paths, export artifacts.
 
@@ -462,7 +460,7 @@ def run_experiment(
         system = build_system(p)
         cost = build_cost(p)
         policy = init_params([2, *hidden_dims, 2], seed=policy_seed)
-        tag = _nu_tag(nu)
+        tag = f"{nu:g}"
         config = train_config
         if config.checkpoint_every:
             # One directory per nu, so one nu's checkpoints do not overwrite another's.

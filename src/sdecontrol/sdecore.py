@@ -52,7 +52,6 @@ __all__ = [
     "integrate_backward",
     "convert_calculus",
     "milstein_terms",
-    "central_difference",
     "dump_trajectory_csv",
 ]
 
@@ -121,28 +120,6 @@ def _milstein_product(system, t, x, u, g) -> np.ndarray:
 def milstein_terms(system: ControlledSystem, t, x, u) -> np.ndarray:
     """Per-channel Milstein term m_i = (1/2)(dg_i/dx) g_i, shape (..., n_xi, n_x)."""
     return _milstein_product(system, t, x, u, system.diffusion(t, x, u))
-
-
-def central_difference(fun, z):
-    """Central differences of ``fun`` at ``z`` of shape (..., n), stacked along
-    a new last axis: d fun(z)[..., *out] / d z[..., b] at [..., *out, b].
-
-    The step of coordinate b is h = 1e-6 * max(1, |z_b|), per batch element;
-    a zero-width ``z`` gives an empty last axis.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.shape[-1] == 0:
-        return np.zeros(np.shape(fun(z)) + (0,))
-    cols = []
-    for b in range(z.shape[-1]):
-        h = 1e-6 * np.maximum(1.0, np.abs(z[..., b]))
-        zp = z.copy()
-        zp[..., b] = z[..., b] + h
-        zm = z.copy()
-        zm[..., b] = z[..., b] - h
-        diff = np.asarray(fun(zp) - fun(zm))
-        cols.append(diff / (2.0 * h).reshape(h.shape + (1,) * (diff.ndim - h.ndim)))
-    return np.stack(cols, axis=-1)
 
 
 def _check_scheme(system, euler):

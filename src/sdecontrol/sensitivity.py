@@ -73,6 +73,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .config import DEFAULTS
 from .errors import CapacityError, ConfigurationError, DivergenceError
 from .sdecore import _ito_form, _walk, forward_states, step_partials
 from .wiener import WienerPath
@@ -584,7 +585,9 @@ def _eval_cost_perturbed(system, policy, cost, x0, increments, grid, idx, h_sign
         return _quadrature(cost, grid, ((x[None], u[None]) for x, u in points))
 
 
-def finite_difference_gradient(system, policy, cost, x0, path, h_rel=1e-5) -> GradientReport:
+def finite_difference_gradient(
+    system, policy, cost, x0, path, h_rel=DEFAULTS["fd_step"]
+) -> GradientReport:
     """Central finite differences of the discretized cost over all parameter
     coordinates, every evaluation on the same Wiener path.
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .benchmarks import gbm_exact_path, gbm_system
+from .config import DEFAULTS
 from .errors import ConfigurationError
 from .sdecore import _reverse_walk, forward_states
 from .wiener import _MAX_FINE_INCREMENTS, TimeGrid, generate_path
@@ -89,13 +90,13 @@ def _end_states(system, x0, grid, increments, euler=False):
 
 
 def strong_convergence_study(
-    mu=0.23,
-    sigma=0.18,
-    t_end=1.0,
-    min_exp=4,
-    max_exp=10,
-    n_paths=200,
-    seed=0,
+    mu=DEFAULTS["mu"],
+    sigma=DEFAULTS["sigma"],
+    t_end=DEFAULTS["horizon"],
+    min_exp=DEFAULTS["conv_min_exp"],
+    max_exp=DEFAULTS["conv_max_exp"],
+    n_paths=DEFAULTS["conv_paths"],
+    seed=DEFAULTS["base_seed"],
 ):
     """Median endpoint error vs the exact GBM solution from x0 = 1, under
     Euler-Maruyama and Ito-Milstein, per level.
@@ -127,13 +128,13 @@ def strong_convergence_study(
 
 
 def reversibility_study(
-    mu=0.23,
-    sigma=0.18,
-    t_end=1.0,
-    min_exp=4,
-    n_halvings=4,
-    n_paths=100,
-    seed=0,
+    mu=DEFAULTS["mu"],
+    sigma=DEFAULTS["sigma"],
+    t_end=DEFAULTS["horizon"],
+    min_exp=DEFAULTS["conv_min_exp"],
+    n_halvings=DEFAULTS["reversal_halvings"],
+    n_paths=DEFAULTS["reversal_paths"],
+    seed=DEFAULTS["base_seed"],
 ):
     """Median round-trip error of the inverse flow: integrate forward from
     x0 = 1 (Ito-Milstein), then backward over the reversed increments with the

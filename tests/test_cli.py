@@ -1,17 +1,52 @@
 """Tests for the config loader and the command-line interface."""
 
 import dataclasses
+import inspect
 import io
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sdecontrol import cli
+from sdecontrol.benchmarks import build_grad_check_problem, controlled_gbm_system, gbm_system
 from sdecontrol.cli import main
-from sdecontrol.config import default_config, load_config, parse_value
+from sdecontrol.config import DEFAULTS, default_config, load_config, parse_value
 from sdecontrol.errors import ConfigurationError
-from sdecontrol.sensitivity import GradientReport
+from sdecontrol.optim import OptimizerState, TrainConfig
+from sdecontrol.portfolio import MarketParams, evaluate_policy, run_experiment
+from sdecontrol.sensitivity import GradientReport, finite_difference_gradient
+from sdecontrol.studies import reversibility_study, strong_convergence_study
+from sdecontrol.wiener import TimeGrid
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+_GBM = {"mu": "mu", "sigma": "sigma"}
+# Function -> {parameter: the config key its default is}.
+SIGNATURE_DEFAULTS = {
+    gbm_system: _GBM,
+    controlled_gbm_system: _GBM,
+    build_grad_check_problem: {**_GBM, "hidden_dims": "grad_check_hidden", "policy_seed": "policy_seed"},
+    strong_convergence_study: {
+        **_GBM,
+        "t_end": "horizon",
+        "min_exp": "conv_min_exp",
+        "max_exp": "conv_max_exp",
+        "n_paths": "conv_paths",
+        "seed": "base_seed",
+    },
+    reversibility_study: {
+        **_GBM,
+        "t_end": "horizon",
+        "min_exp": "conv_min_exp",
+        "n_halvings": "reversal_halvings",
+        "n_paths": "reversal_paths",
+        "seed": "base_seed",
+    },
+    finite_difference_gradient: {"h_rel": "fd_step"},
+    evaluate_policy: {"seed_base": "base_seed"},
+    run_experiment: {"policy_seed": "policy_seed"},
+}
 
 SMOKE = """
 # fast smoke settings
@@ -70,6 +105,53 @@ class TestConfig:
         path.write_text("mu 0.5\n")
         with pytest.raises(ConfigurationError):
             load_config(str(path))
+
+    def test_default_config_is_a_copy_of_the_read_only_table(self):
+        cfg = default_config()
+        cfg["mu"] = 0.5
+        assert DEFAULTS["mu"] == default_config()["mu"] != 0.5
+        with pytest.raises(TypeError):
+            DEFAULTS["mu"] = 0.5
+
+    def test_market_and_training_defaults_are_the_table(self):
+        cfg = default_config()
+        market = MarketParams()
+        for key in ("alpha", "r", "mu", "sigma", "barrier_weight", "horizon"):
+            assert getattr(market, key) == cfg[key], key
+        assert market.x0 == (cfg["s0"], cfg["v0"])
+        train = TrainConfig(TimeGrid(0.0, 1.0, 4))
+        for key in ("batch_size", "iterations", "learning_rate", "optimizer", "base_seed", "checkpoint_every"):
+            assert getattr(train, key) == cfg[key], key
+        state = OptimizerState()
+        assert (state.kind, state.learning_rate) == (cfg["optimizer"], cfg["learning_rate"])
+
+    @pytest.mark.parametrize("fn", SIGNATURE_DEFAULTS, ids=lambda fn: fn.__name__)
+    def test_signature_defaults_are_the_table(self, fn):
+        params = inspect.signature(fn).parameters
+        got = {name: params[name].default for name in SIGNATURE_DEFAULTS[fn]}
+        assert got == {name: default_config()[key] for name, key in SIGNATURE_DEFAULTS[fn].items()}
+
+    def test_run_experiment_takes_the_grid_ranges_from_the_table(self):
+        cfg, params = default_config(), inspect.signature(run_experiment).parameters
+        assert params["grid_s_range"].default == (cfg["grid_s_min"], cfg["grid_s_max"])
+        assert params["grid_v_range"].default == (cfg["grid_v_min"], cfg["grid_v_max"])
+        # Sizes every caller passes have no default to drift from the table.
+        for name in ("nu_values", "hidden_dims", "eval_paths", "trajectory_dumps", "grid_resolution"):
+            assert params[name].default is inspect.Parameter.empty, name
+
+    def test_readme_key_table_matches_the_defaults(self):
+        # Each row's keys and defaults are backquoted, in the same order.
+        table = README.read_text().split("| key | default | meaning |\n| --- | --- | --- |\n")[1]
+        rows = []
+        for line in table.splitlines():
+            if not line.startswith("|"):
+                break
+            keys, defaults = (re.findall(r"`([^`]*)`", cell) for cell in line.split("|")[1:3])
+            assert len(keys) == len(defaults), line
+            rows += zip(keys, defaults)
+        assert len(rows) >= 10
+        wrong = [(key, text) for key, text in rows if parse_value(key, text) != default_config()[key]]
+        assert wrong == []
 
     def test_parse_value_types(self):
         assert parse_value("nu", "0,0.5") == (0.0, 0.5)
@@ -169,6 +251,17 @@ class TestCliContract:
         )
         assert default == buf.getvalue()
         capsys.readouterr()
+
+    def test_grad_check_portfolio_needs_a_nu(self, smoke_cfg, tmp_path, capsys):
+        # The portfolio market is built at the first nu; with none, grad-check
+        # exits 2 before any estimator runs, as train does.
+        with open(smoke_cfg, "a") as fh:
+            fh.write("system = portfolio\nnu =\n")
+        out = tmp_path / "gc"
+        assert main(["grad-check", "--config", smoke_cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: nu needs at least one risk weight" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_grad_check_negative_control(self, smoke_cfg, tmp_path, capsys, monkeypatch):
         real_adjoint = cli.adjoint_gradient

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from sdecontrol import policy as policy_module
 from sdecontrol.errors import ConfigurationError
 from sdecontrol.policy import (
     Activation,
     MlpPolicy,
+    _layer_slots,
     init_params,
     load_policy,
     save_policy,
@@ -227,7 +229,7 @@ class TestVjpParams:
         # array; a slot that were a copy would leave that array unwritten.
         policy = init_params([3, 6, 5, 2], seed=15)
         jac = np.zeros((4, 2, policy.n_params))
-        slots = policy._param_slots(jac)
+        slots = _layer_slots(policy.layer_dims, jac)
         for (gw, gb), w, b in zip(slots, policy.weights, policy.biases):
             assert np.shares_memory(gw, jac) and np.shares_memory(gb, jac)
             gw[...], gb[...] = w, b
@@ -417,7 +419,7 @@ class TestLinearize:
             cx, deltas, acts = inline_slope_backward(policy, x, basis)
             jx, jp = policy.jacobian_params(x)
             assert np.array_equal(jx, np.moveaxis(cx, 0, -2))
-            for (gw, gb), delta, act in zip(policy._param_slots(jp), deltas, acts):
+            for (gw, gb), delta, act in zip(_layer_slots(policy.layer_dims, jp), deltas, acts):
                 assert np.array_equal(gb, np.moveaxis(delta, 0, -2))
                 products = delta[..., :, None] * act[..., None, :]
                 assert np.array_equal(gw, np.moveaxis(products, 0, -3))
@@ -518,6 +520,50 @@ class TestCheckpoint:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigurationError):
             load_policy(path)
+
+    def test_rejects_lines_after_the_last_parameter(self, tmp_path):
+        path = tmp_path / "policy.txt"
+        save_policy(init_params([2, 4, 1], seed=0), path)
+        path.write_text(path.read_text() + "0.5\n")
+        with pytest.raises(ConfigurationError, match="parameter lines"):
+            load_policy(path)
+
+    @pytest.mark.parametrize("flag", ["2", "-1", "true"])
+    def test_rejects_with_time_other_than_0_or_1(self, tmp_path, flag):
+        path = tmp_path / "policy.txt"
+        save_policy(init_params([2, 4, 1], seed=0), path)
+        path.write_text(path.read_text().replace("with_time: 0", f"with_time: {flag}"))
+        with pytest.raises(ConfigurationError, match="malformed checkpoint header"):
+            load_policy(path)
+
+    @pytest.mark.parametrize("n_params", [34, 500000002])
+    def test_huge_layer_dims_rejected_before_allocating(self, tmp_path, monkeypatch, n_params):
+        # layer_dims 2,1e8,2 need 500000002 parameters (4 GB): a checkpoint
+        # that declares fewer, or holds fewer lines, is rejected from the
+        # header and the line count, with no weights drawn or built.
+        path = tmp_path / "policy.txt"
+        save_policy(init_params([2, 8, 2], seed=0), path)
+        text = path.read_text().replace("layer_dims: 2,8,2", "layer_dims: 2,100000000,2")
+        path.write_text(text.replace("n_params: 34", f"n_params: {n_params}"))
+
+        def no_weights(*args, **kwargs):
+            raise AssertionError("load_policy built weights before checking the header")
+
+        monkeypatch.setattr(policy_module, "init_params", no_weights)
+        monkeypatch.setattr(policy_module, "MlpPolicy", no_weights)
+        with pytest.raises(ConfigurationError, match="need 500000002"):
+            load_policy(path)
+
+    def test_layers_are_the_stored_parameters(self, tmp_path, monkeypatch):
+        # Loading draws no random weights: the layers come from the file.
+        policy = init_params([2, 5, 3, 2], seed=4)
+        path = tmp_path / "policy.txt"
+        save_policy(policy, path)
+        monkeypatch.setattr(policy_module, "init_params", None)
+        loaded = load_policy(path)
+        for a, b in zip(loaded.weights + loaded.biases, policy.weights + policy.biases):
+            assert np.array_equal(a, b)
+        assert loaded.seed == 4 and not loaded.with_time
 
     @pytest.mark.parametrize("weight", ["nan", "-inf", "0.5x"])
     def test_rejects_bad_weight(self, tmp_path, weight):

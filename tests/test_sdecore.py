@@ -17,7 +17,6 @@ from sdecontrol.sdecore import (
     ControlledSystem,
     _ito_form,
     _walk,
-    central_difference,
     control_value,
     convert_calculus,
     dump_trajectory_csv,
@@ -36,6 +35,7 @@ from sdecontrol.studies import (
     strong_convergence_study,
 )
 from sdecontrol.wiener import TimeGrid, WienerPath, generate_path
+from numdiff import central_difference
 
 
 def scalar_system(f, g, fdx, fdu, gdx, gdu, calculus=Calculus.ITO):

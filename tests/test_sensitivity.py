@@ -25,7 +25,6 @@ from sdecontrol.sdecore import (
     Calculus,
     ControlledSystem,
     _ito_form,
-    central_difference,
     convert_calculus,
     forward_states,
     integrate,
@@ -44,6 +43,7 @@ from sdecontrol.sensitivity import (
     write_gradient_check_csv,
 )
 from sdecontrol.wiener import TimeGrid, WienerPath, generate_path
+from numdiff import central_difference
 from test_sdecore import assert_partials_match_fd
 
 
