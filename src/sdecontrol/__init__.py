@@ -27,7 +27,6 @@ from .sdecore import (
     Trajectory,
     convert_calculus,
     integrate,
-    integrate_backward,
 )
 from .policy import Activation, MlpPolicy, init_params, load_policy, save_policy
 from .sensitivity import (

@@ -114,9 +114,8 @@ def build_grad_check_problem(
     """(system, cost, x0, policy) for a registered gradient-check system.
 
     The GBM starts at x0 = 1.  The portfolio problem uses ``market`` (a
-    ``MarketParams``), by default ``MarketParams(nu=0.25)``, and its x0.
-    That nu is not a config default: the benchmark's grad-check and
-    fd-check workloads build their market here, so it stays fixed.
+    ``MarketParams``), by default ``MarketParams(nu=0.25,
+    barrier_weight=0.01)``, and its x0.
     """
     if name == "gbm":
         system = controlled_gbm_system(mu=mu, sigma=sigma)
@@ -127,7 +126,9 @@ def build_grad_check_problem(
     if name == "portfolio":
         from .portfolio import MarketParams, build_cost, build_system
 
-        params = MarketParams(nu=0.25) if market is None else market
+        # Neither value is a config default: the benchmark's grad-check and
+        # fd-check workloads build their market here, so it stays fixed.
+        params = MarketParams(nu=0.25, barrier_weight=0.01) if market is None else market
         system = build_system(params)
         cost = build_cost(params)
         x0 = np.asarray(params.x0, dtype=float)

@@ -29,6 +29,7 @@ from .portfolio import (
 )
 from .sdecore import dump_trajectory_csv
 from .sensitivity import (
+    _check_fd_step,
     adjoint_gradient,
     finite_difference_gradient,
     forward_sensitivity,
@@ -150,11 +151,7 @@ def cmd_grad_check(cfg, args) -> int:
         raise ConfigurationError(f"grad_tol must be >= 0 and finite, got {cfg['grad_tol']}")
     if not -1 <= cfg["cosine_tol"] <= 1:
         raise ConfigurationError(f"cosine_tol must lie in [-1, 1], got {cfg['cosine_tol']}")
-    eps = np.finfo(float).eps
-    if not eps <= cfg["fd_step"] < np.inf:
-        raise ConfigurationError(
-            f"fd_step must be finite and at least the float epsilon {eps:.3g}, got {cfg['fd_step']}"
-        )
+    _check_fd_step(cfg["fd_step"], "fd_step")
     if cfg["system"] == "portfolio" and not cfg["nu"]:
         raise ConfigurationError("nu needs at least one risk weight")
     system, cost, x0, policy = build_grad_check_problem(
@@ -250,8 +247,6 @@ def cmd_convergence(cfg, args) -> int:
 
 
 def _load_checkpoint_policy(path, expected_inputs):
-    if not os.path.exists(path):
-        raise ConfigurationError(f"checkpoint not found: {path}")
     policy = load_policy(path)
     if policy.n_in != expected_inputs or policy.n_out != 2:
         raise ConfigurationError(
@@ -263,8 +258,6 @@ def _load_checkpoint_policy(path, expected_inputs):
 
 def cmd_simulate(cfg, args) -> int:
     n = cfg["n_paths"]
-    if n < 1:
-        raise ConfigurationError(f"n_paths must be >= 1, got {n}")
     policy = _load_checkpoint_policy(args.checkpoint, 2)
     grid = TimeGrid(0.0, cfg["horizon"], cfg["n_steps"])
     _, trajs = evaluate_policy(_market_params(cfg), policy, grid, n, cfg["base_seed"], n)

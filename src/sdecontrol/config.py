@@ -32,7 +32,7 @@ CONFIG_SPEC = {
     "mu": (float, 0.23, "expected stock rate of return"),
     "sigma": (float, 0.18, "stock volatility"),
     "nu": (_parse_float_list, (0.0, 0.25, 0.5, 1.0), "risk-aversion weights to train"),
-    "barrier_weight": (float, 1e-2, "solvency weight: log barrier at nu=0, softplus penalty at nu>0"),
+    "barrier_weight": (float, 50.0, "solvency weight: log barrier at nu=0, softplus penalty at nu>0"),
     "horizon": (float, 1.0, "time horizon T"),
     "n_steps": (int, 200, "time steps on [0, T]"),
     "s0": (float, 1.0, "initial stock value"),

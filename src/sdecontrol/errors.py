@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SdeControlError",
+    "ConfigurationError",
+    "DivergenceError",
+    "UnsupportedSchemeError",
+    "CapacityError",
+    "BatchFailureError",
+]
+
 
 class SdeControlError(Exception):
     """Base class for all package errors."""

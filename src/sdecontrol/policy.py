@@ -233,15 +233,9 @@ class MlpPolicy:
                 delta = delta @ self.weights[0]
         return delta, grads
 
-    def pull(self, slopes, cotangent) -> np.ndarray:
-        """cotangent^T @ d eval/d input, shape (..., n_in), through
-        ``slopes`` taken from ``linearize`` (all of them, or the same rows of
-        each), with no forward pass."""
-        return self._backward(None, slopes, cotangent)[0]
-
     def vjp_input(self, x, cotangent) -> np.ndarray:
         """cotangent^T @ d eval/d input, shape (..., n_in)."""
-        return self.pull(self.linearize(x)[1], cotangent)
+        return self._backward(None, self.linearize(x)[1], cotangent)[0]
 
     def vjp_params_layers(self, x, cotangent, forward=None):
         """Input cotangent (..., n_in) and per-layer (dW, db) cotangent
@@ -260,9 +254,10 @@ class MlpPolicy:
 
     def pull_basis(self, slopes) -> np.ndarray:
         """d eval/d input, shape (..., n_out, n_in), at every row of the
-        input that ``linearize`` gave ``slopes``: one ``pull`` of the n_out
-        unit output cotangents, with no forward pass."""
-        return _basis_last(self.pull(slopes, self._basis(slopes[0].ndim)))
+        input that ``linearize`` gave ``slopes`` (all of them, or the same
+        rows of each): one backward pass of the n_out unit output
+        cotangents, with no forward pass."""
+        return _basis_last(self._backward(None, slopes, self._basis(slopes[0].ndim))[0])
 
     def jacobian_input(self, x) -> np.ndarray:
         """d eval/d input, shape (..., n_out, n_in)."""
@@ -347,11 +342,14 @@ def save_policy(policy: MlpPolicy, path) -> None:
 
 
 def load_policy(path) -> MlpPolicy:
-    """The policy of a ``save_policy`` checkpoint.  The header and the count
-    of parameter lines are checked before any array is built, and the layers
-    are slices of the stored parameter vector."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    """The policy of a ``save_policy`` checkpoint.  A missing file, the
+    header and the count of parameter lines are checked before any array is
+    built, and the layers are slices of the stored parameter vector."""
+    try:
+        with open(path) as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except FileNotFoundError:
+        raise ConfigurationError(f"checkpoint not found: {path}") from None
     if not lines or lines[0] != f"# {CHECKPOINT_MAGIC}":
         raise ConfigurationError(f"{path} is not a policy checkpoint")
     header, idx = {}, 1

@@ -49,7 +49,6 @@ __all__ = [
     "ControlledSystem",
     "Trajectory",
     "integrate",
-    "integrate_backward",
     "convert_calculus",
     "milstein_terms",
     "dump_trajectory_csv",
@@ -102,13 +101,6 @@ class Trajectory:
     grid: TimeGrid
     states: np.ndarray  # (n_steps + 1, ..., n_x)
     controls: np.ndarray  # (n_steps + 1, ..., n_u)
-
-
-def control_value(policy, t, x, control_dim: int) -> np.ndarray:
-    """Evaluate the feedback policy, or a zero control when policy is None."""
-    if policy is None:
-        return np.zeros(np.shape(x)[:-1] + (control_dim,))
-    return policy.control(t, x)
 
 
 def _milstein_product(system, t, x, u, g) -> np.ndarray:
@@ -232,13 +224,14 @@ def _walk(system, policy, x0, increments, grid, euler=False):
     and each other, the one place these are checked.  x0 is broadcast against
     the increments' batch axes and u_0 is the control at x0 as given.  The
     grid times are read once, and the policy's ``control`` is called at each
-    point.  The caller sets ``np.errstate`` and consumes (x_k, u_k) before
-    asking for the next point."""
+    point, or a zero control without a policy.  The caller sets
+    ``np.errstate`` and consumes (x_k, u_k) before asking for the next
+    point."""
     _check_scheme(system, euler)
     system = _ito_form(system)
     x0, batch = _validate_dims(system, policy, x0, increments, grid)
     if policy is None:
-        control = lambda t, x: control_value(None, t, x, system.control_dim)  # noqa: E731
+        control = lambda t, x: np.zeros(x.shape[:-1] + (system.control_dim,))  # noqa: E731
     else:
         control = policy.control
     dt, times = grid.dt, grid.times()
@@ -289,32 +282,15 @@ def integrate(system, policy, x0, path: WienerPath) -> Trajectory:
 def _reverse_walk(grid, increments):
     """The (grid, increments) on which ``forward_states`` integrates the
     inverse flow from t_end: point k of the walk is point n - k of ``grid``,
-    the step is -dt and the increments are negated in reverse order.  States
-    and controls come out in reverse time order."""
+    the step is -dt and the increments are negated in reverse order.  With
+    -dt and -dB the Ito-Milstein step is x - (f - m) dt - g dB + m dB^2, the
+    Stratonovich-Milstein step of the backward flow.  States and controls
+    come out in reverse time order, and a DivergenceError names the step of
+    the reversed walk: walk step j runs from grid point n - j back to
+    n - 1 - j."""
     n = grid.n_steps
     walk = SimpleNamespace(n_steps=n, dt=-grid.dt, times=lambda: grid.times()[::-1])
     return walk, -np.asarray(increments)[::-1]
-
-
-def integrate_backward(system, policy, xT, path: WienerPath) -> Trajectory:
-    """Integrate the inverse flow from xT back to t_start along the forward
-    ``path`` by the Ito-Milstein step over the reversed walk; a Stratonovich
-    system steps in its Ito form, as it does forward.
-
-    With -dt and increments -dB the step is x - (f - m) dt - g dB + m dB^2,
-    the Stratonovich-Milstein step of the backward flow.
-    Returned states are in forward time order (states[-1] == xT), and a
-    DivergenceError names the forward step k, from grid point k to k + 1,
-    whose reverse step left a non-finite state.
-    """
-    grid = path.grid
-    walk, increments = _reverse_walk(grid, path.increments)
-    try:
-        states, controls = forward_states(system, policy, xT, increments, walk)
-    except DivergenceError as exc:
-        k = grid.n_steps - 1 - exc.step_index
-        raise DivergenceError(f"non-finite state encountered at step {k}", step_index=k) from None
-    return Trajectory(grid=grid, states=states[::-1], controls=controls[::-1])
 
 
 def convert_calculus(system: ControlledSystem) -> ControlledSystem:

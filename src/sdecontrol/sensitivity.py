@@ -585,6 +585,16 @@ def _eval_cost_perturbed(system, policy, cost, x0, increments, grid, idx, h_sign
         return _quadrature(cost, grid, ((x[None], u[None]) for x, u in points))
 
 
+def _check_fd_step(h_rel, key):
+    """Reject a relative FD step, named ``key`` in the message, that is not
+    finite or is below the float epsilon."""
+    eps = np.finfo(float).eps
+    if not eps <= h_rel < np.inf:
+        raise ConfigurationError(
+            f"{key} must be finite and at least the float epsilon {eps:.3g}, got {h_rel}"
+        )
+
+
 def finite_difference_gradient(
     system, policy, cost, x0, path, h_rel=DEFAULTS["fd_step"]
 ) -> GradientReport:
@@ -599,11 +609,7 @@ def finite_difference_gradient(
     """
     x0 = _one_path_x0(system, x0)
     _require_policy(policy)
-    eps = np.finfo(float).eps
-    if not eps <= h_rel < np.inf:
-        raise ConfigurationError(
-            f"h_rel must be finite and at least the float epsilon {eps:.3g}, got {h_rel}"
-        )
+    _check_fd_step(h_rel, "h_rel")
     theta0 = policy.get_params()
     n_theta = theta0.size
     h = h_rel * np.maximum(1.0, np.abs(theta0))

@@ -137,9 +137,10 @@ def reversibility_study(
     seed=DEFAULTS["base_seed"],
 ):
     """Median round-trip error of the inverse flow: integrate forward from
-    x0 = 1 (Ito-Milstein), then backward over the reversed increments with the
-    same Ito-Milstein step, as ``integrate_backward``, and compare with the
-    initial state.  Returns (n_steps_list, median_errors)."""
+    x0 = 1 (Ito-Milstein), then backward with the same Ito-Milstein step, as
+    ``forward_states`` over the reversed walk (``sdecore._reverse_walk``),
+    and compare with the initial state.  Returns (n_steps_list,
+    median_errors)."""
     system = gbm_system(mu=mu, sigma=sigma)
     max_exp = min_exp + n_halvings
     levels, fine, fine_paths = _fine_paths(seed, n_paths, t_end, min_exp, max_exp)

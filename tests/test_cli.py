@@ -199,6 +199,19 @@ class TestCliContract:
         assert len(log) == 1 + 2  # header + one row per iteration
         capsys.readouterr()
 
+    def test_default_barrier_weight_keeps_the_nu0_batch_solvent(self, tmp_path, capsys):
+        # Every key at its default (50 paths x 200 steps) but nu and the
+        # iteration count.  At a barrier weight of 0.01, 26 of 50 lanes
+        # crossed the log barrier by iteration 19 and the run ended with
+        # BatchFailureError (exit 1, nothing written).
+        cfg = tmp_path / "nu0.cfg"
+        cfg.write_text("nu = 0\niterations = 25\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "error" not in capsys.readouterr().err
+        log = (out / "trainlog_nu0.csv").read_text().splitlines()
+        assert len(log) == 1 + 25
+
     def test_every_nu_keeps_its_checkpoints(self, smoke_cfg, tmp_path, capsys):
         # Two nu values trained with the same checkpoint names: each keeps
         # its own, and its last one is the policy it exported.
@@ -593,8 +606,11 @@ class TestCliContract:
         code = main(
             ["simulate", "--config", smoke_cfg, "--out", str(tmp_path / "sim"), "--checkpoint", str(ckpt)]
         )
+        # evaluate_policy rejects the count before any path is integrated.
         assert code == 2
-        assert "wrote" not in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "wrote" not in out and "at least one path, got -1" in err
+        assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize(
         "verb, line",
@@ -625,7 +641,7 @@ class TestCliContract:
             ["simulate", "--config", smoke_cfg, "--out", str(tmp_path), "--checkpoint", "/no/ckpt"]
         )
         assert code == 2
-        capsys.readouterr()
+        assert "checkpoint not found: /no/ckpt" in capsys.readouterr().err
 
     def test_simulate_architecture_mismatch_exit_2(self, smoke_cfg, tmp_path, capsys):
         from sdecontrol.policy import init_params, save_policy

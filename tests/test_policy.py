@@ -1,5 +1,7 @@
 """Tests for the MLP policy: evaluation, VJPs, init, and checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -341,7 +343,7 @@ LINEARIZED = [
 )
 class TestLinearize:
     """``linearize`` keeps one forward pass, each layer's input and slope;
-    ``vjp_params_layers(forward=)`` and ``pull`` reuse it."""
+    ``vjp_params_layers(forward=)`` and ``pull_basis`` reuse it."""
 
     @staticmethod
     def _policy(hidden, output, with_time):
@@ -365,25 +367,25 @@ class TestLinearize:
             for (gw, gb), (ww, wb) in zip(layers, want_layers):
                 assert np.array_equal(gw, ww) and np.array_equal(gb, wb)
 
-    def test_row_pull_equals_the_row_vjp(self, hidden, output, with_time):
-        # On a one-row block the pull is the row's VJP bit for bit; a block's
-        # forward is one gemm over its rows, whose last bits may differ.
+    def test_row_slopes_give_the_row_input_jacobian(self, hidden, output, with_time):
+        # pull_basis over one row of each slope is that row's input Jacobian:
+        # bit for bit on a one-row block; a block's forward is one gemm over
+        # its rows, whose last bits may differ.
         policy = self._policy(hidden, output, with_time)
         rng = np.random.Generator(np.random.Philox(key=33))
         for rows in (1, 9):
             x = 2.0 * rng.standard_normal((rows, policy.n_in))
-            cot = rng.standard_normal((rows, 2))
             _, slopes = policy.linearize(x)
             for j in range(rows):
-                got = policy.pull([s[j] for s in slopes], cot[j])
-                want = policy.vjp_input(x[j], cot[j])
+                got = policy.pull_basis([s[j] for s in slopes])
+                want = policy.jacobian_input(x[j])
                 if rows == 1:
                     assert np.array_equal(got, want)
                 else:
-                    # The terms that round are those of |c|^T |du/dx|; with
-                    # identity layers the VJP itself can cancel well below them.
-                    terms = np.abs(cot[j]) @ np.abs(policy.jacobian_input(x[j]))
-                    assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(terms))
+                    # The terms that round are those of |c|^T |du/dx| for each
+                    # unit output cotangent c, that is, each row of |du/dx|.
+                    terms = np.max(np.abs(want), axis=-1, keepdims=True)
+                    assert np.all(np.abs(got - want) <= 4 * np.spacing(terms))
 
     def test_block_input_jacobian_from_the_basis_pull(self, hidden, output, with_time):
         # pull_basis gives du/dx at every row of a linearized block, as the
@@ -496,6 +498,11 @@ class TestCheckpoint:
         assert loaded.hidden.tag == policy.hidden.tag
         assert loaded.output.tag == policy.output.tag
         assert np.array_equal(loaded.get_params(), policy.get_params())
+
+    def test_missing_file_is_a_configuration_error(self, tmp_path):
+        path = tmp_path / "absent.txt"
+        with pytest.raises(ConfigurationError, match=f"checkpoint not found: {re.escape(str(path))}"):
+            load_policy(path)
 
     def test_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "junk.txt"

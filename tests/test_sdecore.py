@@ -16,13 +16,12 @@ from sdecontrol.sdecore import (
     Calculus,
     ControlledSystem,
     _ito_form,
+    _reverse_walk,
     _walk,
-    control_value,
     convert_calculus,
     dump_trajectory_csv,
     forward_states,
     integrate,
-    integrate_backward,
     milstein_terms,
     step_control,
     step_partials,
@@ -453,8 +452,7 @@ def test_stratonovich_system_steps_in_its_ito_form(build, policy):
     results = []
     for s in (strat, system):
         states, controls = forward_states(s, policy, x0, path.increments, path.grid)
-        back = integrate_backward(s, policy, states[-1], path)
-        results.append((states, controls, back.states, back.controls))
+        results.append((states, controls, *reversed_walk(s, policy, states[-1], path)))
     for a, b in zip(*results):
         assert np.array_equal(a, b)
 
@@ -491,25 +489,36 @@ def test_converting_back_returns_the_source_system(build):
     assert convert_calculus(strat) is not system
 
 
-class TestIntegrateBackward:
+def reversed_walk(system, policy, xT, path):
+    """The inverse flow from xT as the reversibility study integrates it:
+    (states, controls) of ``forward_states`` over ``_reverse_walk``, in
+    reverse time order."""
+    walk, increments = _reverse_walk(path.grid, path.increments)
+    return forward_states(system, policy, xT, increments, walk)
+
+
+class TestInverseFlow:
+    """``forward_states`` over the reversed walk, one lane at a time."""
+
     def test_zero_system_constant(self):
         path = zero_path(16)
-        back = integrate_backward(zero_system(), None, np.array([2.0]), path)
-        assert np.all(back.states == 2.0)
+        states, _ = reversed_walk(zero_system(), None, np.array([2.0]), path)
+        assert np.all(states == 2.0)
 
     def test_gbm_round_trip_small_error(self):
         system = gbm_system()
         path = generate_path(5, TimeGrid(0.0, 1.0, 1024), 1)
         fwd = integrate(system, None, np.array([1.0]), path)
-        back = integrate_backward(system, None, fwd.states[-1], path)
-        assert abs(back.states[0, 0] - 1.0) < 1e-2
+        states, _ = reversed_walk(system, None, fwd.states[-1], path)
+        assert abs(states[-1, 0] - 1.0) < 1e-2
 
-    def test_states_in_forward_time_order(self):
+    def test_states_in_reverse_time_order(self):
         system = gbm_system()
         path = generate_path(5, TimeGrid(0.0, 1.0, 64), 1)
         fwd = integrate(system, None, np.array([1.0]), path)
-        back = integrate_backward(system, None, fwd.states[-1], path)
-        assert np.array_equal(back.states[-1], fwd.states[-1])
+        states, _ = reversed_walk(system, None, fwd.states[-1], path)
+        assert states.shape == fwd.states.shape
+        assert np.array_equal(states[0], fwd.states[-1])
 
     def test_path_noise_dims_checked(self):
         # gbm_system has one noise channel; a size-1 channel axis would
@@ -518,18 +527,18 @@ class TestIntegrateBackward:
         with pytest.raises(ConfigurationError, match="noise dims"):
             integrate(gbm_system(), None, np.array([1.0]), path)
         with pytest.raises(ConfigurationError, match="noise dims"):
-            integrate_backward(gbm_system(), None, np.array([1.0]), path)
+            reversed_walk(gbm_system(), None, np.array([1.0]), path)
 
     def test_time_input_policy_matches_reverse_step_loop(self):
         system = controlled_gbm_system()
         policy = init_params([2, 8, 1], seed=3, with_time=True)
         path = generate_path(7, TimeGrid(0.0, 1.0, 64), 1)
         fwd = integrate(system, policy, np.array([1.0]), path)
-        back = integrate_backward(system, policy, fwd.states[-1], path)
-        states, controls, step = reverse_step_loop(system, policy, fwd.states[-1], path)
+        states, controls = reversed_walk(system, policy, fwd.states[-1], path)
+        want_states, want_controls, step = reverse_step_loop(system, policy, fwd.states[-1], path)
         assert step is None
-        assert np.array_equal(back.states, states)
-        assert np.array_equal(back.controls, controls)
+        assert np.array_equal(states[::-1], want_states)
+        assert np.array_equal(controls[::-1], want_controls)
 
     def test_overflow_reports_step_of_reverse_step_loop(self):
         # dx = -x^2 dt run backwards from x = 1 blows up before t = 0.
@@ -546,21 +555,27 @@ class TestIntegrateBackward:
         *_, step = reverse_step_loop(system, None, np.array([1.0]), path)
         assert 0 < step < 49
         with pytest.raises(DivergenceError) as err:
-            integrate_backward(system, None, np.array([1.0]), path)
-        assert err.value.step_index == step
-        assert str(err.value) == f"non-finite state encountered at step {step}"
+            reversed_walk(system, None, np.array([1.0]), path)
+        # The reversed walk numbers its steps from t_end: forward step k is
+        # walk step n - 1 - k.
+        assert err.value.step_index == 50 - 1 - step
+        assert str(err.value) == f"non-finite state encountered at step {50 - 1 - step}"
 
 
 def reverse_step_loop(system, policy, xT, path):
     """The inverse flow stepped one Ito-Milstein step of the system's Ito form
-    at a time from t_end, checked after every step: (states, controls, first
-    non-finite step or None)."""
+    at a time from t_end, checked after every step: (states, controls in
+    forward time order, the first non-finite forward step or None)."""
     grid, n = path.grid, path.grid.n_steps
     system = _ito_form(system)
     states = np.zeros((n + 1, system.state_dim))
     controls = np.zeros((n + 1, system.control_dim))
+
+    def control(t, x):
+        return np.zeros(system.control_dim) if policy is None else policy.control(t, x)
+
     x = np.array(xT, dtype=float)
-    u = control_value(policy, grid.time(n), x, system.control_dim)
+    u = control(grid.time(n), x)
     states[n], controls[n] = x, u
     with np.errstate(all="ignore"):
         for k in range(n, 0, -1):
@@ -568,7 +583,7 @@ def reverse_step_loop(system, policy, xT, path):
             x = step_control(system, grid.time(k), x, u, -grid.dt, dB)
             if not np.all(np.isfinite(x)):
                 return states, controls, k - 1
-            u = control_value(policy, grid.time(k - 1), x, system.control_dim)
+            u = control(grid.time(k - 1), x)
             states[k - 1], controls[k - 1] = x, u
     return states, controls, None
 
@@ -740,12 +755,7 @@ def test_batched_studies_equal_path_by_path_integration():
                 errs.append(abs(float(end) - exact[-1]))
             errors[scheme].append(np.median(errs))
         starts = [
-            integrate_backward(
-                system,
-                None,
-                integrate(system, None, x0, path).states[-1],
-                path,
-            ).states[0]
+            reversed_walk(system, None, integrate(system, None, x0, path).states[-1], path)[0][-1]
             for path in paths
         ]
         round_trips.append(np.median([float(np.linalg.norm(s - x0)) for s in starts]))

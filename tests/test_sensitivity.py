@@ -1040,7 +1040,7 @@ class TestFiniteDifference:
     def test_non_finite_step_rejected(self, h_rel):
         system, cost, x0, policy = build_grad_check_problem("gbm")
         path = generate_path(0, TimeGrid(0.0, 1.0, 4), 1)
-        with pytest.raises(ConfigurationError, match="finite"):
+        with pytest.raises(ConfigurationError, match="h_rel must be finite"):
             finite_difference_gradient(system, policy, cost, x0, path, h_rel=h_rel)
 
     @pytest.mark.parametrize("h_rel", [1e-300, 1e-17])
