@@ -7,8 +7,8 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import ConfigurationError
 from .policy import init_params
-from .portfolio import _check_sigma
-from .sdecore import Calculus, ControlledSystem
+from .portfolio import MarketParams, _check_real, _check_sigma, build_cost, build_system
+from .sdecore import Calculus, ControlledSystem, _constant
 from .sensitivity import CostFunctional
 
 __all__ = [
@@ -24,36 +24,26 @@ __all__ = [
 def _gbm(mu, sigma, n_u) -> ControlledSystem:
     """dx = (mu x + u) dt + (sigma x + c u) dB (Ito) with c = 0.1, and a
     scalar control u for n_u = 1 or none for n_u = 0.  The control enters as
-    the sum over its axis, so a zero-width one adds 0.0.  mu must be finite,
-    and sigma finite and > 0 with a finite sigma^2 / 2, as a constant
+    the sum over its axis, so a zero-width one adds 0.0.  mu must be a
+    finite real number, and sigma one > 0 with a finite sigma^2 / 2, as a
     ``MarketParams`` sigma (ConfigurationError)."""
-    for name, value in (("mu", mu), ("sigma", sigma)):
-        if not np.isfinite(value):
-            raise ConfigurationError(f"{name} must be finite, got {value}")
-    if sigma <= 0:
-        raise ConfigurationError("sigma must be > 0")
-    _check_sigma("sigma", sigma, f"got {sigma}")
+    _check_real("mu", mu)
+    _check_sigma(sigma)
     c = 0.1
-
-    def const(value, shape):
-        """A partial that is ``value`` everywhere: shape (..., *shape) over
-        the batch axes of x."""
-        return lambda t, x, u: np.broadcast_to(np.full(shape, value), x.shape[:-1] + shape)
-
     return ControlledSystem(
         state_dim=1,
         control_dim=n_u,
         noise_dim=1,
         drift=lambda t, x, u: mu * x + u.sum(axis=-1, keepdims=True),
         diffusion=lambda t, x, u: (sigma * x + c * u.sum(axis=-1, keepdims=True))[..., None],
-        drift_dx=const(mu, (1, 1)),
-        drift_du=const(1.0, (1, n_u)),
-        diffusion_dx=const(sigma, (1, 1, 1)),
-        diffusion_du=const(c, (1, 1, n_u)),
+        drift_dx=_constant(np.full((1, 1), mu)),
+        drift_du=_constant(np.full((1, n_u), 1.0)),
+        diffusion_dx=_constant(np.full((1, 1, 1), sigma)),
+        diffusion_du=_constant(np.full((1, 1, n_u), c)),
         calculus=Calculus.ITO,
         # m = sigma (sigma x + c u) / 2
-        milstein_dx=const(0.5 * sigma**2, (1, 1, 1)),
-        milstein_du=const(0.5 * sigma * c, (1, 1, n_u)),
+        milstein_dx=_constant(np.full((1, 1, 1), 0.5 * sigma**2)),
+        milstein_du=_constant(np.full((1, 1, n_u), 0.5 * sigma * c)),
     )
 
 
@@ -124,8 +114,6 @@ def build_grad_check_problem(
         policy = init_params([1, *hidden_dims, 1], seed=policy_seed)
         return system, cost, x0, policy
     if name == "portfolio":
-        from .portfolio import MarketParams, build_cost, build_system
-
         # Neither value is a config default: the benchmark's grad-check and
         # fd-check workloads build their market here, so it stays fixed.
         params = MarketParams(nu=0.25, barrier_weight=0.01) if market is None else market

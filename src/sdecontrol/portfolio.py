@@ -12,9 +12,10 @@ on its negative part.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .policy import MlpPolicy, init_params, save_policy
 from .sdecore import (
     Calculus,
     ControlledSystem,
+    _constant,
     dump_trajectory_csv,
     integrate,
 )
@@ -42,90 +44,69 @@ __all__ = [
     "run_experiment",
 ]
 
-Rate = Union[float, Callable[[float], float]]
 # Lattice points a policy grid may hold: resolution 2048, 128 MB of rows.
 _MAX_GRID_POINTS = 2**22
 
 
-def _at(value: Rate, t: float) -> float:
-    return value(t) if callable(value) else value
+def _check_real(name: str, value) -> None:
+    """``value`` must be a finite real number (ConfigurationError naming
+    ``name``)."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+    if not np.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
-def _check_sigma(label: str, values, at: str) -> None:
-    """sigma's Milstein coefficient sigma^2 / 2 must be finite at ``values``
-    (ConfigurationError).  It is formed with overflow warnings off, so a
-    sigma near the float limit is reported here and not as a warning."""
+def _check_sigma(sigma) -> None:
+    """sigma must be a finite real number > 0 whose Milstein coefficient
+    sigma^2 / 2 is finite (ConfigurationError).  The coefficient is formed
+    with overflow warnings off, so a sigma near the float limit is reported
+    here and not as a warning."""
+    _check_real("sigma", sigma)
+    if sigma <= 0:
+        raise ConfigurationError("sigma must be > 0")
     with np.errstate(over="ignore"):
-        half_square = 0.5 * np.square(np.asarray(values, dtype=float))
-    if not np.isfinite(half_square).all():
-        raise ConfigurationError(f"{label} must have a finite sigma^2 / 2, {at}")
-
-
-def _check_rate(name: str, rate: Rate, horizon: float) -> None:
-    """A callable rate must take an array of times and return values that
-    broadcast to its shape: the exact estimators evaluate the system and cost
-    callbacks a block of steps at a time (see ``ControlledSystem``).  Its
-    values at the start, middle and end of the horizon must be finite, and
-    sigma's must be >= 0 (zero switches the noise off) with a finite
-    sigma^2 / 2."""
-    if not callable(rate):
-        return
-    t = np.linspace(0.0, horizon, 3).reshape(3, 1)
-    try:
-        values = np.broadcast_to(np.asarray(rate(t), dtype=float), t.shape)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(
-            f"rate {name} must accept an array of times and return values that "
-            f"broadcast to its shape (use np.where, not if/else, for a switch): {exc}"
-        ) from exc
-    at = f"got {values.ravel()} at t = {t.ravel()}"
-    if not np.isfinite(values).all():
-        raise ConfigurationError(f"rate {name} must be finite, {at}")
-    if name == "sigma":
-        if (values < 0).any():
-            raise ConfigurationError(f"rate sigma must be >= 0, {at}")
-        _check_sigma("rate sigma", values, at)
+        half_square = 0.5 * np.square(float(sigma))
+    if not np.isfinite(half_square):
+        raise ConfigurationError(f"sigma must have a finite sigma^2 / 2, got {sigma}")
 
 
 @dataclass
 class MarketParams:
-    """Market and objective constants; rates may be callables of time.
+    """Market and objective constants of the constant-coefficient market.
 
-    A callable rate is evaluated at arrays of times, so it must broadcast over
-    its argument, e.g. ``lambda t: np.where(t < 0.5, 0.2, 0.3)``; one that
-    only takes a scalar raises ConfigurationError here.
+    Every field but ``x0`` is a finite real number, and ``x0`` is the pair
+    (S0, V0) of finite real numbers; anything else raises ConfigurationError
+    naming the field.
     """
 
     alpha: float = DEFAULTS["alpha"]
-    r: Rate = DEFAULTS["r"]
-    mu: Rate = DEFAULTS["mu"]
-    sigma: Rate = DEFAULTS["sigma"]
+    r: float = DEFAULTS["r"]
+    mu: float = DEFAULTS["mu"]
+    sigma: float = DEFAULTS["sigma"]
     nu: float = 0.0
     barrier_weight: float = DEFAULTS["barrier_weight"]
     horizon: float = DEFAULTS["horizon"]
     x0: Tuple[float, float] = (DEFAULTS["s0"], DEFAULTS["v0"])
 
     def __post_init__(self):
-        for name in ("alpha", "nu", "horizon", "barrier_weight", "r", "mu", "sigma"):
-            value = getattr(self, name)
-            if not callable(value) and not np.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
-        if not np.isfinite(np.asarray(self.x0, dtype=float)).all():
-            raise ConfigurationError(f"x0 must be finite, got {self.x0}")
+        for name in ("alpha", "r", "mu", "nu", "barrier_weight", "horizon"):
+            _check_real(name, getattr(self, name))
+        _check_sigma(self.sigma)
+        try:
+            s0, v0 = self.x0
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"x0 must be two numbers (S0, V0), got {self.x0!r}") from None
+        for value in (s0, v0):
+            _check_real("x0", value)
         if self.alpha < 0:
             raise ConfigurationError("alpha must be >= 0")
-        if not callable(self.sigma):
-            if self.sigma <= 0:
-                raise ConfigurationError("sigma must be > 0")
-            _check_sigma("sigma", self.sigma, f"got {self.sigma}")
         if self.nu < 0:
             raise ConfigurationError("nu must be >= 0")
         if self.horizon <= 0:
             raise ConfigurationError("horizon must be > 0")
         if self.barrier_weight < 0:
             raise ConfigurationError("barrier_weight must be >= 0")
-        for name in ("r", "mu", "sigma"):
-            _check_rate(name, getattr(self, name), self.horizon)
 
 
 def solvency_gap(states: np.ndarray, alpha: float) -> np.ndarray:
@@ -139,55 +120,23 @@ def build_system(params: MarketParams) -> ControlledSystem:
         dS = (mu S + u_i - u_d) dt + sigma S dB
         dV = (r V - u_i + (1 - alpha) u_d) dt
     """
-    alpha = params.alpha
-    p = params
+    alpha, r, mu, sigma = params.alpha, params.r, params.mu, params.sigma
 
     # [()] makes a column of one row a scalar, not a 0-d array, on which
     # every ufunc costs about 0.5 us more; on more rows it is the column.
     def drift(t, x, u):
         s, v = x[..., 0][()], x[..., 1][()]
         ui, ud = u[..., 0][()], u[..., 1][()]
-        ds = _at(p.mu, t) * s + ui - ud
+        ds = mu * s + ui - ud
         out = np.empty(np.shape(ds) + (2,))
         out[..., 0] = ds
-        out[..., 1] = _at(p.r, t) * v - ui + (1.0 - alpha) * ud
+        out[..., 1] = r * v - ui + (1.0 - alpha) * ud
         return out
 
     def diffusion(t, x, u):
         g = np.zeros(x.shape[:-1] + (2, 1))
-        g[..., 0, 0] = _at(p.sigma, t) * x[..., 0][()]
+        g[..., 0, 0] = sigma * x[..., 0][()]
         return g
-
-    def drift_dx(t, x, u):
-        j = np.zeros(x.shape[:-1] + (2, 2))
-        j[..., 0, 0] = _at(p.mu, t)
-        j[..., 1, 1] = _at(p.r, t)
-        return j
-
-    def drift_du(t, x, u):
-        j = np.zeros(x.shape[:-1] + (2, 2))
-        j[..., 0, 0] = 1.0
-        j[..., 0, 1] = -1.0
-        j[..., 1, 0] = -1.0
-        j[..., 1, 1] = 1.0 - alpha
-        return j
-
-    def diffusion_dx(t, x, u):
-        j = np.zeros(x.shape[:-1] + (1, 2, 2))
-        j[..., 0, 0, 0] = _at(p.sigma, t)
-        return j
-
-    def diffusion_du(t, x, u):
-        return np.zeros(x.shape[:-1] + (1, 2, 2))
-
-    def milstein_dx(t, x, u):
-        # m = (sigma^2 S / 2, 0); only dm_S/dS is nonzero
-        j = np.zeros(x.shape[:-1] + (1, 2, 2))
-        j[..., 0, 0, 0] = 0.5 * _at(p.sigma, t) ** 2
-        return j
-
-    def milstein_du(t, x, u):
-        return np.zeros(x.shape[:-1] + (1, 2, 2))
 
     return ControlledSystem(
         state_dim=2,
@@ -195,13 +144,14 @@ def build_system(params: MarketParams) -> ControlledSystem:
         noise_dim=1,
         drift=drift,
         diffusion=diffusion,
-        drift_dx=drift_dx,
-        drift_du=drift_du,
-        diffusion_dx=diffusion_dx,
-        diffusion_du=diffusion_du,
+        drift_dx=_constant([[mu, 0.0], [0.0, r]]),
+        drift_du=_constant([[1.0, -1.0], [-1.0, 1.0 - alpha]]),
+        diffusion_dx=_constant([[[sigma, 0.0], [0.0, 0.0]]]),
+        diffusion_du=_constant(np.zeros((1, 2, 2))),
         calculus=Calculus.ITO,
-        milstein_dx=milstein_dx,
-        milstein_du=milstein_du,
+        # m = (sigma^2 S / 2, 0); only dm_S/dS is nonzero
+        milstein_dx=_constant([[[0.5 * sigma**2, 0.0], [0.0, 0.0]]]),
+        milstein_du=_constant(np.zeros((1, 2, 2))),
     )
 
 
@@ -216,26 +166,23 @@ def build_cost(params: MarketParams) -> CostFunctional:
     divergence.
 
     With nu > 0 it is the penalty -beta * eps * softplus(-G / eps), smooth and
-    finite on both sides of the line.  Its width eps = sigma(0) * G_0 is the
+    finite on both sides of the line.  Its width eps = sigma * G_0 is the
     one-year standard deviation of the gap if all of the solvent starting
     wealth G_0 were held in stock.  Well above the line the term vanishes
     exponentially; well below it the term approaches beta * G.  A non-positive or
-    non-finite eps (an insolvent start, or sigma(0) = 0) raises
-    ConfigurationError unless beta = 0.
+    non-finite eps (an insolvent start) raises ConfigurationError unless
+    beta = 0.
     """
-    p = params
-    barrier = p.nu == 0.0 and p.barrier_weight != 0.0
-    penalty = p.nu > 0.0 and p.barrier_weight != 0.0
-    beta = p.barrier_weight
-    alpha = p.alpha
-    nu = p.nu
+    alpha, r, mu, sigma = params.alpha, params.r, params.mu, params.sigma
+    beta, nu = params.barrier_weight, params.nu
+    barrier = nu == 0.0 and beta != 0.0
+    penalty = nu > 0.0 and beta != 0.0
     if penalty:
-        eps = float(_at(p.sigma, 0.0) * solvency_gap(np.asarray(p.x0, dtype=float), alpha))
+        eps = float(sigma * solvency_gap(np.asarray(params.x0, dtype=float), alpha))
         if not (np.isfinite(eps) and eps > 0.0):
             raise ConfigurationError(
-                f"solvency penalty width sigma(0) * (V0 + (1-alpha) S0) = {eps:g} must be "
-                "positive and finite for nu > 0; use a solvent start and sigma(0) > 0, "
-                "or barrier_weight = 0"
+                f"solvency penalty width sigma * (V0 + (1-alpha) S0) = {eps:g} must be "
+                "positive and finite for nu > 0; use a solvent start, or barrier_weight = 0"
             )
 
     def _log_gap(x):
@@ -245,7 +192,7 @@ def build_cost(params: MarketParams) -> CostFunctional:
 
     def running(t, x, u):
         s, v = x[..., 0], x[..., 1]
-        out = _at(p.r, t) * v + _at(p.mu, t) * s - nu * _at(p.sigma, t) * s**2
+        out = r * v + mu * s - nu * sigma * s**2
         if barrier:
             out = out + beta * _log_gap(x)
         if penalty:
@@ -255,8 +202,8 @@ def build_cost(params: MarketParams) -> CostFunctional:
     def running_dx(t, x, u):
         s = x[..., 0]
         grad = np.zeros(x.shape[:-1] + (2,))
-        grad[..., 0] = _at(p.mu, t) - 2.0 * nu * _at(p.sigma, t) * s
-        grad[..., 1] = _at(p.r, t)
+        grad[..., 0] = mu - 2.0 * nu * sigma * s
+        grad[..., 1] = r
         if barrier:
             gap = solvency_gap(x, alpha)
             with np.errstate(all="ignore"):
@@ -273,15 +220,13 @@ def build_cost(params: MarketParams) -> CostFunctional:
     def running_du(t, x, u):
         return np.zeros(u.shape[:-1] + (2,))
 
-    T = p.horizon
-
     def terminal(x, u):
-        return _at(p.r, T) * x[..., 1] + _at(p.mu, T) * x[..., 0]
+        return r * x[..., 1] + mu * x[..., 0]
 
     def terminal_dx(x, u):
         grad = np.zeros(x.shape[:-1] + (2,))
-        grad[..., 0] = _at(p.mu, T)
-        grad[..., 1] = _at(p.r, T)
+        grad[..., 0] = mu
+        grad[..., 1] = r
         return grad
 
     return CostFunctional(
@@ -374,8 +319,10 @@ def evaluate_policy(
     ``solvency_crossing_fraction`` counts it.  The mean is NaN only when no
     path's objective is finite.  The stock penalty
     is the left-endpoint quadrature of sigma S^2 (without the nu weight, so
-    policies trained at different nu are comparable).  A diverged path raises
-    DivergenceError naming its evaluation seed and step.
+    policies trained at different nu are comparable).  The summaries are
+    computed with floating-point warnings off, so one that overflows on
+    finite states is reported as computed (inf or NaN).  A diverged path
+    raises DivergenceError naming its evaluation seed and step.
     """
     _check_evaluation_sizes(n_paths, keep_trajectories)
     system = build_system(params)
@@ -394,19 +341,19 @@ def evaluate_policy(
     states = np.stack([traj.states for traj in trajs])  # (n_paths, n_steps + 1, 2)
     controls = np.stack([traj.controls for traj in trajs])
     blocks = _stored_blocks(states.swapaxes(0, 1), controls.swapaxes(0, 1))
-    objective = _quadrature(cost, grid, blocks)
-    sigma = _at(params.sigma, grid.times()[:-1])
-    penalty = np.sum(sigma * states[:, :-1, 0] ** 2, axis=-1) * grid.dt
-    crossed = np.any(solvency_gap(states, params.alpha) < 0, axis=-1)
-    finite = objective[np.isfinite(objective)]
-    stats = PolicyStats(
-        mean_terminal_stock=float(np.mean(states[:, -1, 0])),
-        mean_terminal_bank=float(np.mean(states[:, -1, 1])),
-        mean_objective=float(np.mean(finite)) if finite.size else float("nan"),
-        mean_stock_penalty=float(np.mean(penalty)),
-        solvency_crossing_fraction=float(np.mean(crossed)),
-        n_paths=n_paths,
-    )
+    with np.errstate(all="ignore"):
+        objective = _quadrature(cost, grid, blocks)
+        penalty = np.sum(params.sigma * states[:, :-1, 0] ** 2, axis=-1) * grid.dt
+        crossed = np.any(solvency_gap(states, params.alpha) < 0, axis=-1)
+        finite = objective[np.isfinite(objective)]
+        stats = PolicyStats(
+            mean_terminal_stock=float(np.mean(states[:, -1, 0])),
+            mean_terminal_bank=float(np.mean(states[:, -1, 1])),
+            mean_objective=float(np.mean(finite)) if finite.size else float("nan"),
+            mean_stock_penalty=float(np.mean(penalty)),
+            solvency_crossing_fraction=float(np.mean(crossed)),
+            n_paths=n_paths,
+        )
     return stats, trajs[:keep_trajectories]
 
 

@@ -103,6 +103,21 @@ class Trajectory:
     controls: np.ndarray  # (n_steps + 1, ..., n_u)
 
 
+def _constant(value) -> Callable:
+    """A partial that is ``value`` everywhere: shape x.shape[:-1] +
+    value.shape over the batch axes of x.  Each call fills a fresh array, so
+    a caller may write into it; a broadcast view would be read-only and
+    costs several times more per call."""
+    value = np.asarray(value, dtype=float)
+
+    def partial(t, x, u):
+        out = np.empty(x.shape[:-1] + value.shape)
+        out[...] = value
+        return out
+
+    return partial
+
+
 def _milstein_product(system, t, x, u, g) -> np.ndarray:
     """m_i = (1/2)(dg_i/dx) g_i from the diffusion value g already at (t, x, u)."""
     gdx = system.diffusion_dx(t, x, u)

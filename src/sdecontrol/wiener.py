@@ -67,8 +67,9 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Index of the grid point equal to t within 1e-9 * max(1, |t|);
-        raises if t is off-grid."""
-        k = int(round((t - self.t_start) / self.dt))
+        raises ConfigurationError if t is off-grid or not finite."""
+        steps = (float(t) - self.t_start) / self.dt  # a float overflows to inf quietly
+        k = int(round(steps)) if np.isfinite(steps) else -1
         if k < 0 or k > self.n_steps or abs(self.time(k) - t) > 1e-9 * max(1.0, abs(t)):
             raise ConfigurationError(f"time {t} is not a grid point of {self}")
         return k

@@ -612,6 +612,24 @@ class TestCliContract:
         assert "wrote" not in out and "at least one path, got -1" in err
         assert not (tmp_path / "sim").exists()
 
+    def test_simulate_with_overflowing_summaries_exits_0(self, smoke_cfg, tmp_path, capsys):
+        # At S0 = 1e300 every state is finite, but S^2 overflows in the
+        # objective and the stock penalty; evaluate_policy reports those
+        # summaries as computed, with no RuntimeWarning.
+        from sdecontrol.policy import init_params, save_policy
+
+        ckpt = tmp_path / "policy.txt"
+        save_policy(init_params([2, 4, 2], seed=0), ckpt)
+        with open(smoke_cfg, "a") as fh:
+            fh.write("s0 = 1e300\n")
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", smoke_cfg, "--out", str(sim), "--checkpoint", str(ckpt)]) == 0
+        files = sorted(p.name for p in sim.iterdir())
+        assert files == ["traj_seed0.csv", "traj_seed1.csv", "traj_seed2.csv"]
+        row = (sim / "traj_seed0.csv").read_text().splitlines()[1].split(",")
+        assert float(row[1]) == 1e300
+        capsys.readouterr()
+
     @pytest.mark.parametrize(
         "verb, line",
         [

@@ -1,5 +1,7 @@
 """Tests for the transaction-cost portfolio system, cost, and experiment."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from sdecontrol.portfolio import (
     run_experiment,
     solvency_gap,
 )
-from sdecontrol.sdecore import forward_states, integrate
+from sdecontrol.sdecore import Calculus, ControlledSystem, _constant, forward_states, integrate
 from sdecontrol.sensitivity import (
     adjoint_gradient,
     eval_cost,
@@ -37,6 +39,70 @@ def zero_path(n_steps, t_end=1.0):
 def euler_states(system, policy, x0, path):
     """States of an Euler-Maruyama integration along ``path``."""
     return forward_states(system, policy, x0, path.increments, path.grid, euler=True)[0]
+
+
+def frozen_market():
+    """A two-asset system whose state never moves: every callback is zero."""
+    zero = lambda *shape: _constant(np.zeros(shape))  # noqa: E731
+    return ControlledSystem(
+        state_dim=2,
+        control_dim=2,
+        noise_dim=1,
+        drift=zero(2),
+        diffusion=zero(2, 1),
+        drift_dx=zero(2, 2),
+        drift_du=zero(2, 2),
+        diffusion_dx=zero(1, 2, 2),
+        diffusion_du=zero(1, 2, 2),
+        calculus=Calculus.ITO,
+        milstein_dx=zero(1, 2, 2),
+        milstein_du=zero(1, 2, 2),
+    )
+
+
+def switching_market(alpha):
+    """The portfolio system with rates that switch in time: r = 0.04 + 0.02 t,
+    mu from 0.15 to 0.3 at t = 0.5, sigma from 0.3 to 0.18 at t = 0.25.  The
+    exact estimators pass its partials arrays of grid times, so they switch
+    with np.where, not if."""
+    r = lambda t: 0.04 + 0.02 * t  # noqa: E731
+    mu = lambda t: np.where(t < 0.5, 0.15, 0.3)  # noqa: E731
+    sigma = lambda t: np.where(t < 0.25, 0.3, 0.18)  # noqa: E731
+
+    def drift(t, x, u):
+        s, v, ui, ud = x[..., 0], x[..., 1], u[..., 0], u[..., 1]
+        return np.stack([mu(t) * s + ui - ud, r(t) * v - ui + (1.0 - alpha) * ud], axis=-1)
+
+    def diffusion(t, x, u):
+        g = np.zeros(x.shape[:-1] + (2, 1))
+        g[..., 0, 0] = sigma(t) * x[..., 0]
+        return g
+
+    def drift_dx(t, x, u):
+        j = np.zeros(x.shape[:-1] + (2, 2))
+        j[..., 0, 0] = mu(t)
+        j[..., 1, 1] = r(t)
+        return j
+
+    def stock_entry(rate):
+        """A noise-channel partial whose one nonzero entry, in S by S, is rate(t)."""
+
+        def partial(t, x, u):
+            j = np.zeros(x.shape[:-1] + (1, 2, 2))
+            j[..., 0, 0, 0] = rate(t)
+            return j
+
+        return partial
+
+    # drift_du, diffusion_du and milstein_du do not depend on the rates.
+    return replace(
+        build_system(MarketParams(alpha=alpha)),
+        drift=drift,
+        diffusion=diffusion,
+        drift_dx=drift_dx,
+        diffusion_dx=stock_entry(sigma),
+        milstein_dx=stock_entry(lambda t: 0.5 * sigma(t) ** 2),
+    )
 
 
 class ConstantControl:
@@ -95,52 +161,42 @@ class TestMarketParams:
             MarketParams(horizon=0.0)
 
     @pytest.mark.parametrize(
-        "name, rate, reason",
-        [
-            pytest.param(name, rate, reason, id=f"{name}-{case}")
-            for name in ("r", "mu", "sigma")
-            for case, rate, reason in (
-                ("scalar-only switch", lambda t: 0.2 if t < 0.5 else 0.3, "must accept an array"),
-                ("fixed-shape result", lambda t: np.array([0.1, 0.2, 0.3]), "must accept an array"),
-                ("nan values", lambda t: np.full_like(t, np.nan), "must be finite"),
-            )
-        ]
-        # r and mu may be negative; a volatility may not, nor overflow sigma^2 / 2.
-        + [
-            pytest.param("sigma", lambda t: -0.2 + 0 * t, "must be >= 0", id="sigma-negative values"),
-            pytest.param(
-                "sigma",
-                lambda t: 1e300 + 0 * t,
-                r"must have a finite sigma\^2 / 2",
-                id="sigma-overflowing coefficient",
-            ),
-        ],
+        "value",
+        [lambda t: 0.2 + 0 * t, "0.2", np.array([0.1, 0.2]), None],
+        ids=["callable", "string", "array", "None"],
     )
-    def test_rate_that_does_not_broadcast_over_times_rejected(self, name, rate, reason):
-        with pytest.raises(ConfigurationError, match=f"rate {name} {reason}"):
-            MarketParams(**{name: rate})
+    @pytest.mark.parametrize(
+        "name", ["alpha", "r", "mu", "sigma", "nu", "barrier_weight", "horizon"]
+    )
+    def test_field_that_is_not_a_number_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be a real number, got"):
+            MarketParams(**{name: value})
 
-    def test_time_varying_rates_differentiate_exactly(self):
-        # The estimators evaluate the rates at arrays of times, a block of
-        # steps at a time; both exact estimators and FD must agree on them.
-        market = MarketParams(
-            nu=0.25,
-            barrier_weight=1.0,
-            r=lambda t: 0.04 + 0.02 * t,
-            mu=lambda t: np.where(t < 0.5, 0.15, 0.3),
-            sigma=lambda t: np.where(t < 0.25, 0.3, 0.18),
-        )
-        system, cost, x0, policy = build_grad_check_problem(
-            "portfolio", hidden_dims=(4,), market=market
-        )
-        path = generate_path(5, TimeGrid(0.0, 1.0, 64), 1)
-        fw = forward_sensitivity(system, policy, cost, x0, path)
-        ad = adjoint_gradient(system, policy, cost, x0, path)
-        fd = finite_difference_gradient(system, policy, cost, x0, path, h_rel=1e-5)
-        assert fw.cost_value == ad.cost_value
-        assert gradient_agreement(fw.grad, ad.grad)[1] <= 1e-10
-        cosine, max_rel = gradient_agreement(ad.grad, fd.grad)
-        assert max_rel <= 1e-4 and cosine >= 1 - 1e-8
+    @pytest.mark.parametrize(
+        "x0",
+        [(1.0, 0.0, 3.0), (1.0,), None, (1.0, "0"), (np.nan, 0.0)],
+        ids=["three", "one", "None", "string entry", "nan entry"],
+    )
+    def test_x0_that_is_not_two_finite_numbers_rejected(self, x0):
+        with pytest.raises(ConfigurationError, match="^x0 must be"):
+            MarketParams(x0=x0)
+
+
+def test_time_varying_system_differentiates_exactly():
+    # The estimators pass the system partials arrays of grid times, a block
+    # of steps at a time; both exact estimators and FD must agree on a
+    # system whose drift and partials switch in time.
+    market = MarketParams(nu=0.25, barrier_weight=1.0)
+    _, cost, x0, policy = build_grad_check_problem("portfolio", hidden_dims=(4,), market=market)
+    system = switching_market(market.alpha)
+    path = generate_path(5, TimeGrid(0.0, 1.0, 64), 1)
+    fw = forward_sensitivity(system, policy, cost, x0, path)
+    ad = adjoint_gradient(system, policy, cost, x0, path)
+    fd = finite_difference_gradient(system, policy, cost, x0, path, h_rel=1e-5)
+    assert fw.cost_value == ad.cost_value
+    assert gradient_agreement(fw.grad, ad.grad)[1] <= 1e-10
+    cosine, max_rel = gradient_agreement(ad.grad, fd.grad)
+    assert max_rel <= 1e-4 and cosine >= 1 - 1e-8
 
 
 class TestBuildSystem:
@@ -148,10 +204,13 @@ class TestBuildSystem:
         system = build_system(MarketParams())
         assert_partials_match_fd(system_partial_pairs(system, *sample(market_sampler, 50)))
 
+    def test_switching_partials_self_check(self):
+        system = switching_market(0.05)
+        assert_partials_match_fd(system_partial_pairs(system, *sample(market_sampler, 50)))
+
     def test_uncontrolled_deterministic_growth(self):
-        # sigma -> 0 via a time callback: S, V grow as independent exponentials
-        p = MarketParams(sigma=lambda t: 0.0)
-        system = build_system(p)
+        # no control and a zero path: S, V grow as independent exponentials
+        system = build_system(MarketParams())
         states = euler_states(system, None, np.array([1.0, 2.0]), zero_path(4096))
         assert states[-1, 0] == pytest.approx(np.exp(0.23), rel=1e-3)
         assert states[-1, 1] == pytest.approx(2.0 * np.exp(0.04), rel=1e-3)
@@ -165,9 +224,9 @@ class TestBuildSystem:
         assert np.allclose(system0.drift(0.0, x, churn), system0.drift(0.0, x, calm), atol=1e-15)
 
     def test_hand_integrated_constant_sale(self):
-        # r=0, sigma->0, u_d=1: V(1) = (1-alpha) * 1 = 0.95,
+        # r=0, a zero path, u_d=1: V(1) = (1-alpha) * 1 = 0.95,
         # S solves dS = mu S - 1, S(1) = e^mu - (e^mu - 1)/mu
-        p = MarketParams(alpha=0.05, r=0.0, sigma=lambda t: 0.0)
+        p = MarketParams(alpha=0.05, r=0.0)
         system = build_system(p)
         policy = ConstantControl(0.0, 1.0)
         states = euler_states(system, policy, np.array([1.0, 0.0]), zero_path(8192))
@@ -178,48 +237,32 @@ class TestBuildSystem:
 
     @pytest.mark.parametrize("x_shape, u_shape", [((4, 2), (2,)), ((2,), (4, 2)), ((2,), (2,))])
     def test_drift_equals_stacked_columns(self, x_shape, u_shape):
-        params = MarketParams(r=lambda t: 0.04 + t, mu=0.23)
+        params = MarketParams(r=0.04, mu=0.23)
         rng = np.random.Generator(np.random.Philox(key=31))
         x = rng.standard_normal(x_shape)
         u = rng.standard_normal(u_shape)
-        t = 0.3
         s, v, ui, ud = x[..., 0], x[..., 1], u[..., 0], u[..., 1]
-        want = np.stack(
-            [0.23 * s + ui - ud, (0.04 + t) * v - ui + (1.0 - params.alpha) * ud], axis=-1
-        )
-        got = build_system(params).drift(t, x, u)
+        want = np.stack([0.23 * s + ui - ud, 0.04 * v - ui + (1.0 - params.alpha) * ud], axis=-1)
+        got = build_system(params).drift(0.3, x, u)
         assert got.shape == want.shape and np.array_equal(got, want)
 
     @pytest.mark.parametrize("x_shape, u_shape", [((2,), (3, 2)), ((3, 2), (2,)), ((2,), (2,))])
-    @pytest.mark.parametrize(
-        "rates",
-        [{}, {"mu": lambda t: np.where(t < 0.5, 0.15, 0.3), "r": lambda t: 0.04 + 0.02 * t}],
-        ids=["constant rates", "callable rates"],
-    )
-    def test_drift_has_the_bits_of_the_output_sized_by_broadcast_shapes(
-        self, x_shape, u_shape, rates
-    ):
+    def test_drift_has_the_bits_of_the_output_sized_by_broadcast_shapes(self, x_shape, u_shape):
         # The drift sizes its output from its first column; the formula it
         # replaced sized it from np.broadcast_shapes of the batch axes.
-        params = MarketParams(**rates)
+        params = MarketParams()
         rng = np.random.Generator(np.random.Philox(key=32))
         x = rng.standard_normal(x_shape)
         u = rng.standard_normal(u_shape)
-        for t in (0.25, 0.75):
-            mu = params.mu(t) if callable(params.mu) else params.mu
-            r = params.r(t) if callable(params.r) else params.r
-            want = np.empty(np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (2,))
-            want[..., 0] = mu * x[..., 0] + u[..., 0] - u[..., 1]
-            want[..., 1] = r * x[..., 1] - u[..., 0] + (1.0 - params.alpha) * u[..., 1]
-            got = build_system(params).drift(t, x, u)
-            assert got.shape == want.shape and np.array_equal(got, want)
+        want = np.empty(np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (2,))
+        want[..., 0] = params.mu * x[..., 0] + u[..., 0] - u[..., 1]
+        want[..., 1] = params.r * x[..., 1] - u[..., 0] + (1.0 - params.alpha) * u[..., 1]
+        got = build_system(params).drift(0.25, x, u)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
-    @pytest.mark.parametrize(
-        "rates", [{}, {"mu": lambda t: 0.2 + 0.1 * t}], ids=["constant", "callable"]
-    )
-    def test_one_row_callbacks_give_the_rows_of_a_batch(self, rates):
+    def test_one_row_callbacks_give_the_rows_of_a_batch(self):
         # At one row the callbacks work on scalars, not 0-d arrays.
-        system = build_system(MarketParams(**rates))
+        system = build_system(MarketParams())
         rng = np.random.Generator(np.random.Philox(key=33))
         x, u = rng.standard_normal((50, 2)), rng.standard_normal((50, 2))
         for name in ("drift", "diffusion"):
@@ -243,9 +286,7 @@ class TestBuildCost:
         # frozen (S, V) = (1, 0), nu = 0, no barrier: J = 0.23 + 0.23 = 0.46
         p = MarketParams(nu=0.0, barrier_weight=0.0)
         cost = build_cost(p)
-        system = build_system(MarketParams(sigma=lambda t: 0.0, mu=lambda t: 0.0, r=lambda t: 0.0))
-        # drift is zero only for u = 0 and mu = r = 0, so the state stays (1, 0)
-        value = eval_cost(system, None, cost, np.array([1.0, 0.0]), zero_path(100))
+        value = eval_cost(frozen_market(), None, cost, np.array([1.0, 0.0]), zero_path(100))
         assert value == pytest.approx(0.46, abs=1e-12)
 
     def test_running_gradient_example(self):
@@ -286,23 +327,21 @@ class TestBuildCost:
         assert val1 < free
 
     def test_solvency_penalty_needs_positive_width(self):
-        # width sigma(0) * (V0 + (1-alpha) S0) is zero or negative here
+        # width sigma * (V0 + (1-alpha) S0) is zero or negative here
         for p in (
             MarketParams(nu=0.5, x0=(1.0, -2.0)),
             MarketParams(nu=0.5, x0=(0.0, 0.0)),
-            MarketParams(nu=0.5, sigma=lambda t: 0.0),
         ):
             with pytest.raises(ConfigurationError):
                 build_cost(p)
         # no penalty, no width needed
         build_cost(MarketParams(nu=0.5, x0=(1.0, -2.0), barrier_weight=0.0))
-        build_cost(MarketParams(nu=0.0, sigma=lambda t: 0.0))
+        build_cost(MarketParams(nu=0.0, x0=(1.0, -2.0)))
 
     def test_barrier_crossing_raises_divergence(self):
-        system = build_system(MarketParams(sigma=lambda t: 0.0, mu=lambda t: 0.0, r=lambda t: 0.0))
         cost = build_cost(MarketParams(nu=0.0))
         with pytest.raises(DivergenceError):
-            eval_cost(system, None, cost, np.array([1.0, -2.0]), zero_path(8))
+            eval_cost(frozen_market(), None, cost, np.array([1.0, -2.0]), zero_path(8))
 
     def test_solvency_gap(self):
         states = np.array([[1.0, 0.0], [2.0, -1.9]])

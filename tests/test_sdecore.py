@@ -661,6 +661,23 @@ class TestSelfCheckPartials:
         assert_partials_match_fd(system_partial_pairs(system, *self.points(system)))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [gbm_system, controlled_gbm_system, lambda: build_system(MarketParams())],
+    ids=["gbm", "controlled_gbm", "portfolio"],
+)
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["one row", "three rows"])
+def test_writing_into_a_constant_partial_leaves_the_next_call_unchanged(build, batch):
+    system = build()
+    x = np.ones(batch + (system.state_dim,))
+    u = np.ones(batch + (system.control_dim,))
+    for name in ("drift_dx", "drift_du", "diffusion_dx", "diffusion_du", "milstein_dx", "milstein_du"):
+        partial = getattr(system, name)
+        want = partial(0.5, x, u).copy()
+        partial(0.5, x, u)[...] = 7.0
+        assert np.array_equal(partial(0.5, x, u), want), name
+
+
 def test_system_without_milstein_partials_fails_at_construction():
     system = gbm_system()
     kwargs = {f.name: getattr(system, f.name) for f in fields(ControlledSystem)}

@@ -579,6 +579,12 @@ class TestAdjointPointwise:
         with pytest.raises(ConfigurationError):
             adjoint_gradient(system, policy, bad, x0, path)
 
+    def test_nan_jump_time_rejected(self):
+        system, cost, x0, policy, grid, path = self._setup()
+        bad = dataclasses.replace(cost, pointwise_times=[np.nan])
+        with pytest.raises(ConfigurationError, match="time nan is not a grid point"):
+            eval_cost(system, policy, bad, x0, path)
+
     def test_all_estimators_agree_on_pointwise_cost(self):
         system, cost, x0, policy, grid, path = self._setup()
         jumps = dataclasses.replace(cost, pointwise_times=[grid.time(k) for k in (10, 20, 30)])

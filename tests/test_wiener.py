@@ -35,6 +35,13 @@ class TestTimeGrid:
         with pytest.raises(ConfigurationError):
             grid.index_of(0.3)
 
+    # 1e308 / dt overflows: a numpy scalar warned before it was rejected.
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan, np.float64(1e308)])
+    def test_index_of_non_finite_or_overflowing_time_raises(self, t):
+        grid = TimeGrid(0.0, 1.0, 4)
+        with pytest.raises(ConfigurationError, match="is not a grid point"):
+            grid.index_of(t)
+
     def test_invalid_grids_rejected(self):
         with pytest.raises(ConfigurationError):
             TimeGrid(0.0, 1.0, 0)
