@@ -27,7 +27,7 @@ from .portfolio import (
     run_experiment,
     write_policy_grid_csv,
 )
-from .sdecore import dump_trajectory_csv
+from .sdecore import _write_csv, dump_trajectory_csv
 from .sensitivity import (
     _check_fd_step,
     adjoint_gradient,
@@ -219,25 +219,22 @@ def cmd_convergence(cfg, args) -> int:
         write_convergence_csv(study, fh)
     bands = {"euler_maruyama": (0.5, 0.15), "milstein_ito": (1.0, 0.15)}
     ok = True
+    orders = [(scheme, study[scheme]["order"]) for scheme in sorted(study)]
     with open(os.path.join(args.out, "convergence_orders.csv"), "w") as fh:
-        fh.write("scheme,fitted_order\n")
-        for scheme in sorted(study):
-            order = study[scheme]["order"]
-            fh.write(f"{scheme},{order:.17g}\n")
-            target, tol = bands[scheme]
-            if not abs(order - target) <= tol:  # a NaN order fails
-                print(
-                    f"FAIL {scheme}: fitted order {order:.3f} outside {target} +- {tol}",
-                    file=sys.stderr,
-                )
-                ok = False
-            else:
-                print(f"ok {scheme}: fitted order {order:.3f}")
+        _write_csv(fh, ["scheme", "fitted_order"], orders)
+    for scheme, order in orders:
+        target, tol = bands[scheme]
+        if not abs(order - target) <= tol:  # a NaN order fails
+            print(
+                f"FAIL {scheme}: fitted order {order:.3f} outside {target} +- {tol}",
+                file=sys.stderr,
+            )
+            ok = False
+        else:
+            print(f"ok {scheme}: fitted order {order:.3f}")
     print(f"wall time: convergence {conv_s:.3f}s, reversibility {rev_s:.3f}s")
     with open(os.path.join(args.out, "reversibility.csv"), "w") as fh:
-        fh.write("n_steps,median_error\n")
-        for n, e in zip(n_list, errs):
-            fh.write(f"{n},{e:.17g}\n")
+        _write_csv(fh, ["n_steps", "median_error"], zip(n_list, errs))
     if all(b < a for a, b in zip(errs, errs[1:])):
         print("ok reversibility: round-trip error decreases at every halving")
     else:

@@ -18,6 +18,7 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import BatchFailureError, ConfigurationError
 from .policy import save_policy
+from .sdecore import _write_csv
 # forward_sensitivity is not called here; it stays a name of this module
 # because perf/spans.py wraps it wherever callers may look it up.
 from .sensitivity import adjoint_core, forward_sensitivity  # noqa: F401
@@ -172,9 +173,7 @@ class TrainLog:
         """One row per iteration.  Wall time is left out so that reruns with
         identical seeds produce bit-identical files."""
         cols = ["iteration", "mean_cost", "grad_norm", "n_diverged"]
-        fileobj.write(",".join(cols) + "\n")
-        for r in self.records:
-            fileobj.write(",".join(f"{r[c]:.17g}" for c in cols) + "\n")
+        _write_csv(fileobj, cols, ([r[c] for c in cols] for r in self.records))
 
 
 def batch_gradient(system, policy, cost, x0, base_seed, iteration, n_paths, grid):

@@ -27,6 +27,7 @@ from .sdecore import (
     Calculus,
     ControlledSystem,
     _constant,
+    _write_csv,
     dump_trajectory_csv,
     integrate,
 )
@@ -49,9 +50,9 @@ _MAX_GRID_POINTS = 2**22
 
 
 def _check_real(name: str, value) -> None:
-    """``value`` must be a finite real number (ConfigurationError naming
-    ``name``)."""
-    if not isinstance(value, numbers.Real):
+    """``value`` must be a finite real number and not a bool
+    (ConfigurationError naming ``name``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigurationError(f"{name} must be a real number, got {value!r}")
     if not np.isfinite(value):
         raise ConfigurationError(f"{name} must be finite, got {value}")
@@ -178,7 +179,8 @@ def build_cost(params: MarketParams) -> CostFunctional:
     barrier = nu == 0.0 and beta != 0.0
     penalty = nu > 0.0 and beta != 0.0
     if penalty:
-        eps = float(sigma * solvency_gap(np.asarray(params.x0, dtype=float), alpha))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            eps = float(sigma * solvency_gap(np.asarray(params.x0, dtype=float), alpha))
         if not (np.isfinite(eps) and eps > 0.0):
             raise ConfigurationError(
                 f"solvency penalty width sigma * (V0 + (1-alpha) S0) = {eps:g} must be "
@@ -263,9 +265,7 @@ def policy_grid(policy: MlpPolicy, s_range, v_range, resolution: int) -> np.ndar
 
 
 def write_policy_grid_csv(rows: np.ndarray, fileobj) -> None:
-    fileobj.write("S,V,u_i,u_d\n")
-    for row in rows:
-        fileobj.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    _write_csv(fileobj, ["S", "V", "u_i", "u_d"], rows)
 
 
 @dataclass

@@ -350,12 +350,20 @@ def _ito_form(system):
     return system if system.calculus is Calculus.ITO else convert_calculus(system)
 
 
+def _write_csv(fileobj, header, rows):
+    """The one CSV row format: the ``header`` names, then one line per row,
+    comma-separated, a string as it is and any other value at 17
+    significant digits."""
+    fileobj.write(",".join(header) + "\n")
+    for row in rows:
+        fileobj.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
+
+
 def dump_trajectory_csv(traj: Trajectory, fileobj, state_names=None, control_names=None):
     """Write `t, x_1.., u_1..` rows at 17 significant digits."""
     n_x = traj.states.shape[-1]
     n_u = traj.controls.shape[-1]
     state_names = state_names or [f"x_{i + 1}" for i in range(n_x)]
     control_names = control_names or [f"u_{i + 1}" for i in range(n_u)]
-    fileobj.write("t," + ",".join(state_names + control_names) + "\n")
-    for t, x, u in zip(traj.grid.times(), traj.states, traj.controls):
-        fileobj.write(",".join(f"{v:.17g}" for v in (t, *x, *u)) + "\n")
+    rows = ((t, *x, *u) for t, x, u in zip(traj.grid.times(), traj.states, traj.controls))
+    _write_csv(fileobj, ["t", *state_names, *control_names], rows)

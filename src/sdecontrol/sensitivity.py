@@ -75,7 +75,8 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import CapacityError, ConfigurationError, DivergenceError
-from .sdecore import _ito_form, _walk, forward_states, step_partials
+from .policy import _layer_slots
+from .sdecore import _ito_form, _walk, _write_csv, forward_states, step_partials
 from .wiener import WienerPath
 
 __all__ = [
@@ -386,12 +387,6 @@ def forward_sensitivity(system, policy, cost, x0, path) -> GradientReport:
 # -- adjoint ----------------------------------------------------------------
 
 
-def _add_layers(acc, layers):
-    for slot, (gw, gb) in zip(acc, layers):
-        slot[0] += gw
-        slot[1] += gb
-
-
 def _linearized_block(policy, times, xs, k0, k1):
     """(x, forward, ux) of the policy at the stored states of steps k0..k1-1:
     their network inputs as rows (steps x lanes, n_in), one
@@ -426,11 +421,11 @@ def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, 
     Ju^T a_{k+1} + w cdu, in one product.  After the steps, the buffer's
     last n_u columns go to one ``vjp_params_layers`` on the kept forward,
     which sums each layer's parameter products over the block's rows in one
-    gemm, added into one (out, in) accumulator per layer; with
-    ``keep_lambda`` the costates are copied from its first n_x columns.  The
-    block's forward and sums round differently from a one-step VJP, so
-    gradients and costates depend on the block size in the last bits; costs
-    and valid masks do not.
+    gemm; its flat (n_theta,) cotangent is added into one gradient vector.
+    With ``keep_lambda`` the costates are copied from the buffer's first n_x
+    columns.  The block's forward and sums round differently from a
+    one-step VJP, so gradients and costates depend on the block size in the
+    last bits; costs and valid masks do not.
 
     Returns (gradient summed over the valid lanes (n_theta,), costs (N,),
     valid-lane mask (N,), costates of the valid lanes or None); without a
@@ -450,14 +445,14 @@ def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, 
         # With every lane kept the stored arrays are swept as they are.
         sel = (slice(None),) if keep.all() else (slice(None), keep)
         xs, us, dbs = states[sel], controls[sel], increments[sel]
-        acc = [[np.zeros_like(w), np.zeros_like(b)] for w, b in zip(policy.weights, policy.biases)]
+        grad = np.zeros(policy.n_params)
         lambdas = np.zeros_like(xs) if keep_lambda else None
         with np.errstate(all="ignore"):
             cx, cu = _terminal_partials(cost, grid, weights, xs, us)
             a = a_T = np.broadcast_to(cx, xs[K].shape)
             if cu is not None:  # the control at T: one VJP through every layer
-                pulled, layers = policy.vjp_params_layers(policy.net_input(grid.time(K), xs[K]), cu)
-                _add_layers(acc, layers)
+                pulled, g = policy.vjp_params_layers(policy.net_input(grid.time(K), xs[K]), cu)
+                grad += g
                 a = a + pulled[..., :n_x]
             a = a[..., None, :]  # a row, so that a @ A_k is [M_k^T a | Ju_k^T a]
             blocks = _step_blocks(sys_i, cost, grid, weights, xs, us, dbs, size, backward=True)
@@ -475,19 +470,19 @@ def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, 
                 if keep_lambda:
                     lambdas[k0:k1] = steps[..., 0, :n_x]
                 cot = steps[..., 0, n_x:].reshape(-1, policy.n_out)
-                _add_layers(acc, policy.vjp_params_layers(x, cot, forward=forward)[1])
+                grad += policy.vjp_params_layers(x, cot, forward=forward)[1]
                 del x, forward, ux  # freed before the next block is allocated
         a = a[..., 0, :]
         if keep_lambda:  # lambdas[K] is the partial in x_T at fixed u_T
             lambdas[K] = a_T
-        return acc, a, lambdas
+        return grad, a, lambdas
 
-    acc, a, lambdas = sweep(valid)
+    grad, a, lambdas = sweep(valid)
     late = ~np.all(np.isfinite(a), axis=-1)
     if late.any():
         valid[valid] = ~late
-        acc, _, lambdas = sweep(valid)
-    return policy.flatten_layer_grads(acc), costs, valid, lambdas
+        grad, _, lambdas = sweep(valid)
+    return grad, costs, valid, lambdas
 
 
 def adjoint_gradient(system, policy, cost, x0, path, return_adjoint=False):
@@ -519,31 +514,30 @@ def _perturbation_plan(policy, idx, h_signed):
 
     Row r of the batch evaluates the network at theta + h_signed[r] * e_idx[r].
     Because only one coordinate differs per row, each layer is a shared affine
-    map plus a rank-zero correction on the perturbed rows.
+    map plus a rank-one correction on the perturbed rows.  Each layer's
+    coordinate range is read from its ``_layer_slots`` slots of the indices
+    of theta.
     """
     idx = np.asarray(idx)
     h_signed = np.asarray(h_signed, dtype=float)
     plan = []
-    off = 0
-    for w, b in zip(policy.weights, policy.biases):
-        fan_in = w.shape[1]
-        w_lo, w_hi, b_hi = off, off + w.size, off + w.size + b.size
-        sel_w = (idx >= w_lo) & (idx < w_hi)
-        sel_b = (idx >= w_hi) & (idx < b_hi)
+    for w_idx, b_idx in _layer_slots(policy.layer_dims, np.arange(policy.n_params)):
+        w_lo, b_lo, b_hi = w_idx[0, 0], b_idx[0], b_idx[-1] + 1
+        sel_w = (idx >= w_lo) & (idx < b_lo)
+        sel_b = (idx >= b_lo) & (idx < b_hi)
         rows_w = np.nonzero(sel_w)[0]
-        flat = idx[rows_w] - w_lo
+        out_w, in_w = np.divmod(idx[rows_w] - w_lo, w_idx.shape[1])
         plan.append(
             (
                 rows_w,
-                flat // fan_in,
-                flat % fan_in,
+                out_w,
+                in_w,
                 h_signed[rows_w],
                 np.nonzero(sel_b)[0],
-                idx[sel_b] - w_hi,
+                idx[sel_b] - b_lo,
                 h_signed[sel_b],
             )
         )
-        off = b_hi
     return plan
 
 
@@ -674,6 +668,5 @@ def write_gradient_check_csv(fd_report, forward_report, adjoint_report, fileobj)
     fd, fw, ad = fd_report.grad, forward_report.grad, adjoint_report.grad
     rel_fa, _ = _coordinate_errors(fw, ad)
     rel_fd, _ = _coordinate_errors(ad, fd)
-    fileobj.write("coord_index,fd,forward,adjoint,rel_err_fa,rel_err_fd\n")
-    for row in zip(range(fd.size), fd, fw, ad, rel_fa, rel_fd):
-        fileobj.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    header = ["coord_index", "fd", "forward", "adjoint", "rel_err_fa", "rel_err_fd"]
+    _write_csv(fileobj, header, zip(range(fd.size), fd, fw, ad, rel_fa, rel_fd))

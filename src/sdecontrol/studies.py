@@ -23,7 +23,7 @@ import numpy as np
 from .benchmarks import gbm_exact_path, gbm_system
 from .config import DEFAULTS
 from .errors import ConfigurationError
-from .sdecore import _reverse_walk, forward_states
+from .sdecore import _reverse_walk, _write_csv, forward_states
 from .wiener import _MAX_FINE_INCREMENTS, TimeGrid, generate_path
 
 __all__ = [
@@ -156,8 +156,9 @@ def reversibility_study(
 
 def write_convergence_csv(study, fileobj):
     """Rows (n_steps, scheme, median_error) from a strong-convergence study."""
-    fileobj.write("n_steps,scheme,median_error\n")
-    for scheme in sorted(study):
-        res = study[scheme]
-        for n, err in zip(res["n_steps"], res["median_error"]):
-            fileobj.write(f"{n},{scheme},{err:.17g}\n")
+    rows = (
+        (n, scheme, err)
+        for scheme in sorted(study)
+        for n, err in zip(study[scheme]["n_steps"], study[scheme]["median_error"])
+    )
+    _write_csv(fileobj, ["n_steps", "scheme", "median_error"], rows)

@@ -8,6 +8,7 @@ numpy release.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ class TimeGrid:
 
     Grid points are always derived by index multiplication
     (``t_start + k * dt``), never by accumulation, so forward and backward
-    sweeps see bit-identical times.  ``n_steps`` lies in [1,
-    ``_MAX_FINE_INCREMENTS``], so one path's increments fit in 128 MB.
+    sweeps see bit-identical times.  ``n_steps`` is an integer, not a bool,
+    in [1, ``_MAX_FINE_INCREMENTS``], so one path's increments fit in 128 MB.
     """
 
     t_start: float
@@ -41,6 +42,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
+            raise ConfigurationError(f"n_steps must be an integer, got {self.n_steps!r}")
         if not 1 <= self.n_steps <= _MAX_FINE_INCREMENTS:
             raise ConfigurationError(
                 f"n_steps must lie in [1, {_MAX_FINE_INCREMENTS}], got {self.n_steps}"

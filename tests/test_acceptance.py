@@ -298,7 +298,7 @@ def test_7_policy_vjp_exactness():
             up[j] += h
             dn[j] -= h
             fd_x[j] = float(c @ policy.eval(up) - c @ policy.eval(dn)) / (2.0 * h)
-        vt = policy.flatten_layer_grads(policy.vjp_params_layers(x, c)[1])
+        vt = policy.vjp_params_layers(x, c)[1]
         vx = policy.vjp_input(x, c)
         worst = max(
             worst,

@@ -154,8 +154,7 @@ class TestVjpInput:
 class TestVjpParams:
     def test_zero_cotangent(self):
         policy = init_params([2, 8, 2], seed=0)
-        _, layers = policy.vjp_params_layers(np.array([0.5, 0.5]), np.zeros(2))
-        out = policy.flatten_layer_grads(layers)
+        _, out = policy.vjp_params_layers(np.array([0.5, 0.5]), np.zeros(2))
         assert out.shape == (policy.n_params,)
         assert np.all(out == 0.0)
 
@@ -167,7 +166,7 @@ class TestVjpParams:
         )
         x = np.array([0.5, -1.0])
         cot = np.array([2.0, 3.0])
-        grad = policy.flatten_layer_grads(policy.vjp_params_layers(x, cot)[1])
+        grad = policy.vjp_params_layers(x, cot)[1]
         # layout: A row-major then b; dJ/dA = outer(cot, x), dJ/db = cot
         expected = np.concatenate([np.outer(cot, x).ravel(), cot])
         assert np.allclose(grad, expected, atol=1e-14)
@@ -177,7 +176,7 @@ class TestVjpParams:
         rng = np.random.Generator(np.random.Philox(key=7))
         x = rng.standard_normal(2)
         cot = rng.standard_normal(2)
-        analytic = policy.flatten_layer_grads(policy.vjp_params_layers(x, cot)[1])
+        analytic = policy.vjp_params_layers(x, cot)[1]
         theta = policy.get_params()
         h = 1e-6
         for j in range(theta.size):
@@ -212,7 +211,7 @@ class TestVjpParams:
         _, jp = policy.jacobian_params(x)
         for cot in np.eye(2):
             assert np.allclose(cot @ ji, policy.vjp_input(x, cot), atol=1e-13)
-            vt = policy.flatten_layer_grads(policy.vjp_params_layers(x, cot)[1])
+            vt = policy.vjp_params_layers(x, cot)[1]
             assert np.allclose(cot @ jp, vt, atol=1e-13)
         # The fused passes return the single-purpose results bit for bit.
         policy = init_params([3, 6, 5, 2], seed=11)
@@ -220,7 +219,7 @@ class TestVjpParams:
         for batch in ((), (4,), (2, 3)):
             x = rng.standard_normal(batch + (3,))
             cot = rng.standard_normal(batch + (2,))
-            cx, layers = policy.vjp_params_layers(x, cot)
+            cx, _ = policy.vjp_params_layers(x, cot)
             assert np.array_equal(cx, policy.vjp_input(x, cot))
             jx, jp = policy.jacobian_params(x)
             assert jx.shape == batch + (2, 3) and jp.shape == batch + (2, policy.n_params)
@@ -279,13 +278,13 @@ class TestVjpParams:
         for batch in ((), (4,), (2, 3)):
             x = rng.standard_normal(batch + (3,))
             cot = rng.standard_normal(batch + (2,))
-            _, layers = policy.vjp_params_layers(x, cot)
-            assert [(gw.shape, gb.shape) for gw, gb in layers] == [
+            _, summed = policy.vjp_params_layers(x, cot)
+            assert summed.shape == (policy.n_params,)
+            assert [(gw.shape, gb.shape) for gw, gb in _layer_slots(policy.layer_dims, summed)] == [
                 (w.shape, b.shape) for w, b in zip(policy.weights, policy.biases)
             ]
             _, jp = policy.jacobian_params(x)
             rows = np.einsum("...o,...op->...p", cot, jp).reshape(-1, policy.n_params)
-            summed = policy.flatten_layer_grads(layers)
             assert np.allclose(summed, rows.sum(axis=0), rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("output", ["softplus", "tanh"])
@@ -301,11 +300,9 @@ class TestVjpParams:
         for batch in ((), (4,), (2, 3)):
             x = 3.0 * rng.standard_normal(batch + (3,))
             cot = rng.standard_normal(batch + (2,))
-            cx, layers = policy.vjp_params_layers(x, cot)
-            ref_cx, ref_layers = reference.vjp_params_layers(x, cot)
-            assert np.array_equal(cx, ref_cx)
-            for (gw, gb), (rw, rb) in zip(layers, ref_layers):
-                assert np.array_equal(gw, rw) and np.array_equal(gb, rb)
+            cx, grad = policy.vjp_params_layers(x, cot)
+            ref_cx, ref_grad = reference.vjp_params_layers(x, cot)
+            assert np.array_equal(cx, ref_cx) and np.array_equal(grad, ref_grad)
             for got, want in zip(policy.jacobian_params(x), reference.jacobian_params(x)):
                 assert np.array_equal(got, want)
 
@@ -361,11 +358,9 @@ class TestLinearize:
         for batch in ((), (9,), (2, 3)):
             x = 2.0 * rng.standard_normal(batch + (policy.n_in,))
             cot = rng.standard_normal(batch + (2,))
-            cx, layers = policy.vjp_params_layers(x, cot, forward=policy.linearize(x))
-            want_cx, want_layers = policy.vjp_params_layers(x, cot)
-            assert np.array_equal(cx, want_cx)
-            for (gw, gb), (ww, wb) in zip(layers, want_layers):
-                assert np.array_equal(gw, ww) and np.array_equal(gb, wb)
+            cx, grad = policy.vjp_params_layers(x, cot, forward=policy.linearize(x))
+            want_cx, want_grad = policy.vjp_params_layers(x, cot)
+            assert np.array_equal(cx, want_cx) and np.array_equal(grad, want_grad)
 
     def test_row_slopes_give_the_row_input_jacobian(self, hidden, output, with_time):
         # pull_basis over one row of each slope is that row's input Jacobian:
@@ -464,6 +459,21 @@ class TestInitParams:
         theta = policy.get_params()
         policy.set_params(theta)
         assert np.array_equal(policy.get_params(), theta)
+
+    def test_layers_are_views_of_the_parameter_vector(self):
+        # A layer read before set_params shows the values set after it;
+        # get_params is a copy that later sets leave alone.
+        policy = init_params([2, 8, 3], seed=4)
+        w0, b1 = policy.weights[0], policy.biases[1]
+        theta = policy.get_params()
+        new = np.arange(policy.n_params, dtype=float)
+        policy.set_params(new)
+        assert np.array_equal(w0, new[:16].reshape(8, 2))
+        assert np.array_equal(b1, new[-3:])
+        assert np.array_equal(theta, init_params([2, 8, 3], seed=4).get_params())
+        got = policy.get_params()
+        policy.set_params(-new)
+        assert np.array_equal(got, new)
 
     def test_set_params_wrong_length(self):
         policy = init_params([2, 4, 1], seed=0)

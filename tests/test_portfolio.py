@@ -162,8 +162,8 @@ class TestMarketParams:
 
     @pytest.mark.parametrize(
         "value",
-        [lambda t: 0.2 + 0 * t, "0.2", np.array([0.1, 0.2]), None],
-        ids=["callable", "string", "array", "None"],
+        [lambda t: 0.2 + 0 * t, "0.2", np.array([0.1, 0.2]), None, True, False],
+        ids=["callable", "string", "array", "None", "True", "False"],
     )
     @pytest.mark.parametrize(
         "name", ["alpha", "r", "mu", "sigma", "nu", "barrier_weight", "horizon"]
@@ -174,8 +174,8 @@ class TestMarketParams:
 
     @pytest.mark.parametrize(
         "x0",
-        [(1.0, 0.0, 3.0), (1.0,), None, (1.0, "0"), (np.nan, 0.0)],
-        ids=["three", "one", "None", "string entry", "nan entry"],
+        [(1.0, 0.0, 3.0), (1.0,), None, (1.0, "0"), (np.nan, 0.0), (True, 0.0)],
+        ids=["three", "one", "None", "string entry", "nan entry", "bool entry"],
     )
     def test_x0_that_is_not_two_finite_numbers_rejected(self, x0):
         with pytest.raises(ConfigurationError, match="^x0 must be"):
@@ -337,6 +337,12 @@ class TestBuildCost:
         # no penalty, no width needed
         build_cost(MarketParams(nu=0.5, x0=(1.0, -2.0), barrier_weight=0.0))
         build_cost(MarketParams(nu=0.0, x0=(1.0, -2.0)))
+
+    def test_overflowing_start_gives_the_width_error(self):
+        # V0 + (1-alpha) S0 overflows to inf: the width check reports it, and
+        # no overflow RuntimeWarning (an error under this suite) comes first.
+        with pytest.raises(ConfigurationError, match="= inf must be positive and finite"):
+            build_cost(MarketParams(nu=0.25, x0=(1e308, 1e308)))
 
     def test_barrier_crossing_raises_divergence(self):
         cost = build_cost(MarketParams(nu=0.0))

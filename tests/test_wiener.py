@@ -50,6 +50,16 @@ class TestTimeGrid:
         with pytest.raises(ConfigurationError):
             TimeGrid(2.0, 1.0, 4)
 
+    @pytest.mark.parametrize("n", [True, 2.5, np.float64(4.0), "4"], ids=repr)
+    def test_step_count_that_is_not_an_integer_rejected(self, n):
+        # 2.5 steps gave times past t_end; a bool is not a step count.
+        with pytest.raises(ConfigurationError, match="n_steps must be an integer, got"):
+            TimeGrid(0.0, 1.0, n)
+
+    def test_numpy_integer_step_count_accepted(self):
+        grid = TimeGrid(0.0, 1.0, np.int64(4))
+        assert np.array_equal(grid.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
+
     def test_step_budget_edge(self):
         # One path's increments fit in 2^24 doubles (128 MB); a larger grid is
         # rejected before anything is allocated.
