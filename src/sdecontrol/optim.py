@@ -9,6 +9,7 @@ diverge is a hard failure.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -22,7 +23,7 @@ from .sdecore import _write_csv
 # forward_sensitivity is not called here; it stays a name of this module
 # because perf/spans.py wraps it wherever callers may look it up.
 from .sensitivity import adjoint_core, forward_sensitivity  # noqa: F401
-from .wiener import TimeGrid, generate_path
+from .wiener import TimeGrid, _check_integer, generate_path
 
 __all__ = [
     "OptimizerState",
@@ -136,6 +137,8 @@ class TrainConfig:
     checkpoint_dir: Optional[str] = None
 
     def __post_init__(self):
+        for name in ("batch_size", "iterations", "checkpoint_every", "base_seed"):
+            _check_integer(name, getattr(self, name))
         if self.batch_size < 1 or self.iterations < 1:
             raise ConfigurationError("batch_size and iterations must be >= 1")
         if self.batch_size > _SEED_STRIDE:
@@ -190,6 +193,8 @@ def batch_gradient(system, policy, cost, x0, base_seed, iteration, n_paths, grid
 
     Returns (mean_grad, mean_cost, n_diverged).
     """
+    _check_integer("base_seed", base_seed)
+    _check_integer("n_paths", n_paths)
     if n_paths < 1:
         raise ConfigurationError("n_paths must be >= 1")
     seeds = [path_seed(base_seed, iteration, i) for i in range(n_paths)]
@@ -219,11 +224,20 @@ def train(system, policy, cost, x0, config: TrainConfig):
     Deterministic in (config.base_seed, initial parameters): the log and the
     final parameters are reproducible bit-for-bit.  With
     ``config.checkpoint_every`` > 0 the policy is saved every that many
-    iterations to ``config.checkpoint_dir``/checkpoint_<iteration>.txt; a
-    missing directory name raises ConfigurationError before iteration 0.
+    iterations to ``config.checkpoint_dir``/checkpoint_<iteration>.txt.  The
+    directory, with any missing parents, is made before iteration 0; a
+    missing directory name, or a path that cannot be made a directory,
+    raises ConfigurationError before then.
     """
-    if config.checkpoint_every and not config.checkpoint_dir:
-        raise ConfigurationError("checkpoint_every > 0 needs a checkpoint_dir")
+    if config.checkpoint_every:
+        if not config.checkpoint_dir:
+            raise ConfigurationError("checkpoint_every > 0 needs a checkpoint_dir")
+        try:
+            os.makedirs(config.checkpoint_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot make checkpoint directory {config.checkpoint_dir}: {exc.strerror}"
+            ) from exc
     state = OptimizerState(
         kind=config.optimizer,
         learning_rate=config.learning_rate,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .wiener import philox_rng
+from .wiener import _check_integer, philox_rng
 
 __all__ = ["Activation", "MlpPolicy", "init_params", "save_policy", "load_policy"]
 
@@ -31,6 +31,16 @@ def _identity(x, out=None):
         return np.asarray(x, dtype=float)
     np.copyto(out, x)
     return out
+
+
+def _param_count(layer_dims):
+    """Length of theta for ``layer_dims``, the widths of the input, each
+    hidden layer and the output: at least two, each an integer >= 1."""
+    for d in layer_dims:
+        _check_integer("a layer width", d)
+    if len(layer_dims) < 2 or min(layer_dims) < 1:
+        raise ConfigurationError(f"invalid layer_dims {layer_dims}")
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_dims, layer_dims[1:]))
 
 
 def _layer_slots(layer_dims, flat):
@@ -81,35 +91,28 @@ class Activation:
 
 
 class MlpPolicy:
-    """MLP control map u(x) whose storage is one parameter vector theta.
+    """MLP control map u(x) with layer widths ``layer_dims`` whose storage is
+    one parameter vector theta, built from a copy of ``theta``.
 
     theta concatenates, layer by layer, the weight matrix in row-major order
     followed by the bias; ``_layer_slots`` is the one statement of that
-    layout.  ``weights`` and ``biases`` are tuples of its views, so
-    ``set_params`` writes every layer in place.
+    layout and ``_param_count`` of its length.  ``weights`` and ``biases``
+    are tuples of its views, so ``set_params`` writes every layer in place.
     """
 
     def __init__(
         self,
-        weights,
-        biases,
+        layer_dims,
+        theta,
         hidden_activation="tanh",
         output_activation="softplus",
         with_time=False,
         seed=None,
     ):
-        if len(weights) != len(biases) or not weights:
-            raise ConfigurationError("weights and biases must be non-empty and aligned")
-        for k, (w, b) in enumerate(zip(weights, biases)):
-            if w.shape[0] != b.shape[0]:
-                raise ConfigurationError(f"layer {k}: weight rows != bias length")
-            if k and w.shape[1] != weights[k - 1].shape[0]:
-                raise ConfigurationError(f"layer {k}: input width mismatch")
-        self.layer_dims = [weights[0].shape[1]] + [w.shape[0] for w in weights]
-        self._theta = np.concatenate(
-            [np.asarray(a, dtype=float).ravel() for layer in zip(weights, biases) for a in layer]
-        )
+        self._theta = np.empty(_param_count(layer_dims))
+        self.layer_dims = [int(d) for d in layer_dims]
         self.weights, self.biases = zip(*_layer_slots(self.layer_dims, self._theta))
+        self.set_params(theta)
         self.hidden = Activation(hidden_activation)
         self.output = Activation(output_activation)
         self.with_time = bool(with_time)
@@ -284,11 +287,6 @@ class MlpPolicy:
         return _basis_last(ux), jac
 
 
-def _check_layer_dims(layer_dims):
-    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
-        raise ConfigurationError(f"invalid layer_dims {layer_dims}")
-
-
 def init_params(
     layer_dims,
     seed,
@@ -296,20 +294,19 @@ def init_params(
     output_activation="softplus",
     with_time=False,
 ) -> MlpPolicy:
-    """Fresh policy: weights uniform in +-1/sqrt(fan_in), biases zero.
+    """Fresh policy: weights uniform in +-1/sqrt(fan_in), drawn layer by
+    layer straight into their slots of theta, and biases zero.
 
-    Deterministic in `seed` (Philox counter-based generator).
+    Deterministic in `seed` (Philox counter-based generator), an integer.
     """
-    _check_layer_dims(layer_dims)
+    theta = np.zeros(_param_count(layer_dims))
     rng = philox_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        scale = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-scale, scale, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
+    for w, _ in _layer_slots(layer_dims, theta):
+        scale = 1.0 / np.sqrt(w.shape[1])
+        w[...] = rng.uniform(-scale, scale, size=w.shape)
     return MlpPolicy(
-        weights,
-        biases,
+        layer_dims,
+        theta,
         hidden_activation=hidden_activation,
         output_activation=output_activation,
         with_time=with_time,
@@ -338,8 +335,9 @@ def save_policy(policy: MlpPolicy, path) -> None:
 
 def load_policy(path) -> MlpPolicy:
     """The policy of a ``save_policy`` checkpoint.  A missing file, the
-    header and the count of parameter lines are checked before any array is
-    built, and the policy's parameter vector holds the stored values."""
+    header and the count of parameter lines (``_param_count`` of its
+    ``layer_dims``) are checked before any array is built, and the parsed
+    vector is passed to ``MlpPolicy`` as it is."""
     try:
         with open(path) as fh:
             lines = [ln.rstrip("\n") for ln in fh]
@@ -362,9 +360,8 @@ def load_policy(path) -> MlpPolicy:
         with_time = {"0": False, "1": True}[header["with_time"]]
     except (KeyError, ValueError) as exc:
         raise ConfigurationError(f"malformed checkpoint header in {path}") from exc
-    _check_layer_dims(layer_dims)
+    expected = _param_count(layer_dims)
     philox_rng(max(seed, 0))  # rejects a seed outside the Philox key range
-    expected = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_dims, layer_dims[1:]))
     if not n_params == expected == len(lines) - idx:
         raise ConfigurationError(
             f"checkpoint {path} holds {len(lines) - idx} parameter lines and declares "
@@ -376,10 +373,9 @@ def load_policy(path) -> MlpPolicy:
         raise ConfigurationError(f"malformed parameter in checkpoint {path}") from exc
     if not np.all(np.isfinite(theta)):
         raise ConfigurationError(f"checkpoint {path} holds non-finite parameters")
-    weights, biases = zip(*_layer_slots(layer_dims, theta))
     return MlpPolicy(
-        weights,
-        biases,
+        layer_dims,
+        theta,
         hidden_activation=activations[0],
         output_activation=activations[1],
         with_time=with_time,

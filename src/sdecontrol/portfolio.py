@@ -32,7 +32,7 @@ from .sdecore import (
     integrate,
 )
 from .sensitivity import CostFunctional, _quadrature, _stored_blocks
-from .wiener import TimeGrid, generate_path, philox_rng
+from .wiener import TimeGrid, _check_integer, generate_path, philox_rng
 
 __all__ = [
     "MarketParams",
@@ -281,6 +281,8 @@ class PolicyStats:
 
 
 def _check_evaluation_sizes(n_paths, keep_trajectories):
+    _check_integer("the number of evaluation paths", n_paths)
+    _check_integer("the number of kept trajectories", keep_trajectories)
     if n_paths < 1:
         raise ConfigurationError(f"evaluation needs at least one path, got {n_paths}")
     if keep_trajectories < 0:
@@ -294,6 +296,7 @@ def _check_evaluation_sizes(n_paths, keep_trajectories):
 
 
 def _check_policy_grid(s_range, v_range, resolution):
+    _check_integer("resolution", resolution)
     if resolution < 2:
         raise ConfigurationError("resolution must be >= 2")
     if resolution * resolution > _MAX_GRID_POINTS:
@@ -325,6 +328,7 @@ def evaluate_policy(
     raises DivergenceError naming its evaluation seed and step.
     """
     _check_evaluation_sizes(n_paths, keep_trajectories)
+    _check_integer("seed_base", seed_base)
     system = build_system(params)
     cost = build_cost(params)
     x0 = np.asarray(params.x0, dtype=float)
@@ -388,13 +392,24 @@ def run_experiment(
     policy_nu<nu>.txt, traj_nu<nu>_seed<k>.csv and policygrid_nu<nu>.csv,
     and, when ``train_config.checkpoint_every`` > 0, the training checkpoints
     in checkpoints_nu<nu>/ (in place of any ``checkpoint_dir`` the config
-    names).  Returns {nu: ExperimentResult}.  The nu list, evaluation sizes,
-    the policy grid and the largest derived path seeds are checked before
-    anything is trained or written.
+    names), which ``train`` makes.  <nu> is the tag ``f"{nu:g}"``.  Returns
+    {nu: ExperimentResult}.  The nu list, evaluation sizes, the policy grid
+    and the largest derived path seeds are checked before anything is
+    trained or written, and so is that no two nu share a tag, as the second
+    would overwrite the first's files.
     """
     if len(nu_values) == 0:
         raise ConfigurationError("nu needs at least one risk weight")
     markets = [replace(params, nu=float(nu)) for nu in nu_values]  # MarketParams checks each nu
+    tagged = {}
+    for nu in nu_values:
+        tag = f"{nu:g}"
+        if tag in tagged:
+            raise ConfigurationError(
+                f"nu values {tagged[tag]} and {nu} share the file tag {tag}; "
+                "their artifacts would overwrite each other"
+            )
+        tagged[tag] = nu
     _check_evaluation_sizes(eval_paths, trajectory_dumps)
     _check_policy_grid(grid_s_range, grid_v_range, grid_resolution)
     # philox_rng raises ConfigurationError for a seed outside the Philox key range.
@@ -403,16 +418,14 @@ def run_experiment(
     philox_rng(evaluation_seed(base, eval_paths - 1))
     os.makedirs(out_dir, exist_ok=True)
     results = {}
-    for nu, p in zip(nu_values, markets):
+    for tag, nu, p in zip(tagged, nu_values, markets):
         system = build_system(p)
         cost = build_cost(p)
         policy = init_params([2, *hidden_dims, 2], seed=policy_seed)
-        tag = f"{nu:g}"
         config = train_config
         if config.checkpoint_every:
             # One directory per nu, so one nu's checkpoints do not overwrite another's.
             config = replace(config, checkpoint_dir=os.path.join(out_dir, f"checkpoints_nu{tag}"))
-            os.makedirs(config.checkpoint_dir, exist_ok=True)
         policy, log = train(system, policy, cost, np.asarray(p.x0, dtype=float), config)
         files = []
 

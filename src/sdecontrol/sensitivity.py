@@ -246,12 +246,15 @@ def _quadrature(cost, grid, blocks):
 
 def _forward_pass(system, policy, cost, x0, increments, grid, check="raise"):
     """(Ito system, quadrature weights, states, controls, cost) of the stored
-    trajectory; batch axes are kept, NaN lanes too with check="none"."""
+    trajectory; batch axes are kept, NaN lanes too with check="none".  With
+    check="raise" a non-finite state or cost raises DivergenceError."""
     sys_i = _ito_form(system)
     weights = _quadrature_weights(cost, grid)
     states, controls = forward_states(sys_i, policy, x0, increments, grid, check)
     with np.errstate(all="ignore"):
         value = _quadrature(cost, grid, _stored_blocks(states, controls))
+    if check == "raise" and not np.all(np.isfinite(value)):
+        raise DivergenceError("cost evaluation produced a non-finite value")
     return sys_i, weights, states, controls, value
 
 
@@ -320,10 +323,7 @@ def eval_cost(system, policy, cost, x0, path: WienerPath) -> float:
     """Discretized cost along the trajectory driven by `path`."""
     x0 = _one_path_x0(system, x0)
     *_, value = _forward_pass(system, policy, cost, x0, path.increments, path.grid)
-    value = float(value)
-    if not np.isfinite(value):
-        raise DivergenceError("cost evaluation produced a non-finite value")
-    return value
+    return float(value)
 
 
 # -- forward sensitivity ----------------------------------------------------
@@ -343,6 +343,8 @@ def forward_sensitivity(system, policy, cost, x0, path) -> GradientReport:
     step is then grad += C_k z_j (on steps of nonzero weight), which holds
     the control cost's direct term, and S_{k+1} = A_k z_j, written into the
     slab's next first n_x rows: M_k S_k + Ju du/dtheta_k in one product.
+    A non-finite state, cost or gradient raises DivergenceError, as in the
+    other evaluators.
     """
     x0 = _one_path_x0(system, x0)
     _require_policy(policy)
@@ -381,6 +383,8 @@ def forward_sensitivity(system, policy, cost, x0, path) -> GradientReport:
     if cu is not None:
         ux, ut = policy.jacobian_params(policy.net_input(times[K], states[K]))
         grad += cu @ (ux[:, :n_x] @ S + ut)
+    if not np.all(np.isfinite(grad)):
+        raise DivergenceError("forward sensitivity produced a non-finite gradient")
     return GradientReport(grad=grad, cost_value=float(value))
 
 
@@ -404,9 +408,11 @@ def adjoint_core(system, policy, cost, x0, increments, grid, keep_lambda=False, 
     valid lanes: ``x0`` is (N, n_x) and ``increments`` (n_steps, N, n_xi), or
     (n_x,) and (n_steps, n_xi) for one path without a lane axis.
 
-    Lanes with a non-finite state or cost are dropped before the backward
-    sweep.  A NaN that enters a costate only in the sweep reaches k = 0; the
-    sweep is then rerun without those lanes, which would poison the sums.
+    With check="none", lanes with a non-finite state or cost are dropped
+    before the backward sweep; with check="raise" they raise DivergenceError
+    (``_forward_pass``).  A NaN that enters a costate only in the sweep
+    reaches k = 0; the sweep is then rerun without those lanes, which would
+    poison the sums.
 
     The sweep walks ``_step_blocks`` backward, blocks of at most
     ``_POLICY_BLOCK_DOUBLES`` doubles of stored layer inputs and slopes (at

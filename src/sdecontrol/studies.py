@@ -24,7 +24,7 @@ from .benchmarks import gbm_exact_path, gbm_system
 from .config import DEFAULTS
 from .errors import ConfigurationError
 from .sdecore import _reverse_walk, _write_csv, forward_states
-from .wiener import _MAX_FINE_INCREMENTS, TimeGrid, generate_path
+from .wiener import _MAX_FINE_INCREMENTS, TimeGrid, _check_integer, generate_path
 
 __all__ = [
     "fit_order",
@@ -54,8 +54,12 @@ def _fine_paths(seed, n_paths, t_end, min_exp, max_exp):
     two levels, as neither a trend nor an order has fewer points, levels of
     at least one step, and at most ``_MAX_FINE_INCREMENTS`` fine increments;
     all are checked, and the fine grid is built (``TimeGrid`` rejects a
-    non-finite t_end), before anything is allocated.
+    non-finite t_end), before anything is allocated; the seed, the count and
+    the exponents must be integers.
     """
+    integers = {"seed": seed, "n_paths": n_paths, "min_exp": min_exp, "max_exp": max_exp}
+    for name, value in integers.items():
+        _check_integer(name, value)
     if n_paths < 1:
         raise ConfigurationError(f"a study needs at least one path, got {n_paths}")
     if max_exp <= min_exp:
@@ -142,6 +146,7 @@ def reversibility_study(
     and compare with the initial state.  Returns (n_steps_list,
     median_errors)."""
     system = gbm_system(mu=mu, sigma=sigma)
+    _check_integer("n_halvings", n_halvings)
     max_exp = min_exp + n_halvings
     levels, fine, fine_paths = _fine_paths(seed, n_paths, t_end, min_exp, max_exp)
     errs = np.zeros((len(levels), n_paths))

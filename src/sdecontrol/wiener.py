@@ -27,6 +27,14 @@ __all__ = [
 _MAX_FINE_INCREMENTS = 2**24
 
 
+def _check_integer(name, value):
+    """Reject ``value`` unless it is an integer and not a bool, so that a
+    float or a bool is never read as another count or seed (an ``np.int64``
+    passes)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform partition of [t_start, t_end] into n_steps intervals.
@@ -42,8 +50,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
-            raise ConfigurationError(f"n_steps must be an integer, got {self.n_steps!r}")
+        _check_integer("n_steps", self.n_steps)
         if not 1 <= self.n_steps <= _MAX_FINE_INCREMENTS:
             raise ConfigurationError(
                 f"n_steps must lie in [1, {_MAX_FINE_INCREMENTS}], got {self.n_steps}"
@@ -86,40 +93,41 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WienerPath:
-    """Increments of an n_xi-dimensional Wiener path sampled on a grid.
+    """Increments of a d-dimensional Wiener path sampled on a grid.
 
-    ``increments[k, i]`` is B_i(t_{k+1}) - B_i(t_k); the path itself starts
-    at B(t_start) = 0 by convention.
+    ``increments[k, i]`` is B_i(t_{k+1}) - B_i(t_k), shape (n_steps, d) with
+    d >= 1, so the width of the increments is the path's dimension; the path
+    itself starts at B(t_start) = 0 by convention.
     """
 
     grid: TimeGrid
-    dims: int
-    increments: np.ndarray  # (n_steps, dims)
+    increments: np.ndarray  # (n_steps, d)
     seed: int
 
     def __post_init__(self):
-        if self.dims < 1:
-            raise ConfigurationError(f"dims must be >= 1, got {self.dims}")
         inc = np.asarray(self.increments, dtype=float)
-        if inc.shape != (self.grid.n_steps, self.dims):
+        if inc.ndim != 2 or inc.shape[0] != self.grid.n_steps or inc.shape[1] < 1:
             raise ConfigurationError(
-                f"increments shape {inc.shape} does not match "
-                f"({self.grid.n_steps}, {self.dims})"
+                f"increments shape {inc.shape} is not ({self.grid.n_steps}, d) with d >= 1"
             )
         object.__setattr__(self, "increments", _freeze(inc))
 
 
 def philox_rng(seed: int) -> np.random.Generator:
-    """Philox stream keyed by ``seed``, which must lie in [0, 2**128)."""
+    """Philox stream keyed by ``seed``, an integer (not a bool) in
+    [0, 2**128), so that no other value shares a seed's stream."""
+    _check_integer("seed", seed)
     if not 0 <= seed < 2**128:
         raise ConfigurationError(f"seed must be in [0, 2**128), got {seed}")
     return np.random.Generator(np.random.Philox(key=seed))
 
 
 def generate_path(seed: int, grid: TimeGrid, dims: int) -> WienerPath:
-    """Sample a Wiener path; a pure function of (seed, grid, dims)."""
+    """Sample a Wiener path; a pure function of (seed, grid, dims).  ``dims``
+    is checked here, before anything is drawn."""
+    _check_integer("dims", dims)
     if dims < 1:
         raise ConfigurationError(f"dims must be >= 1, got {dims}")
     rng = philox_rng(seed)
     increments = rng.standard_normal((grid.n_steps, dims)) * np.sqrt(grid.dt)
-    return WienerPath(grid=grid, dims=dims, increments=increments, seed=seed)
+    return WienerPath(grid=grid, increments=increments, seed=seed)

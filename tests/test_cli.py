@@ -224,6 +224,20 @@ class TestCliContract:
             assert last.read_bytes() == (out / f"policy_nu{tag}.txt").read_bytes()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("nu", ["0.25, 0.2500001", "0.5, 0.5"])
+    def test_nu_values_sharing_a_file_tag_rejected(self, smoke_cfg, tmp_path, capsys, nu):
+        # Both trained and printed nu=0.25 (or 0.5); the second's files
+        # overwrote the first's, and the run exited 0.
+        with open(smoke_cfg, "a") as fh:
+            fh.write(f"nu = {nu}\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", smoke_cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        first, second = nu.split(", ")
+        assert f"nu values {first} and {second} share the file tag {first:.4}" in captured.err
+        assert "nu=" not in captured.out
+        assert not out.exists()
+
     def test_grad_check_passes_on_gbm(self, smoke_cfg, tmp_path, capsys):
         out = tmp_path / "gc"
         code = main(["grad-check", "--config", smoke_cfg, "--out", str(out)])

@@ -85,7 +85,7 @@ def closed_form_gradient(fine, increments):
 
 def test_adjoint_gradient_converges_to_the_pathwise_derivative_at_order_one():
     system, cost = feedback_gbm(), terminal_state_cost()
-    policy = MlpPolicy([np.array([[0.0]])], [np.array([B])], output_activation="identity")
+    policy = MlpPolicy([1, 1], [0.0, B], output_activation="identity")
     fine = TimeGrid(0.0, T, 2**FINE_EXP)
     fine_paths = np.stack([generate_path(seed, fine, 1).increments for seed in range(N_PATHS)])
     exact = [closed_form_gradient(fine, inc[:, 0]) for inc in fine_paths]
@@ -94,7 +94,7 @@ def test_adjoint_gradient_converges_to_the_pathwise_derivative_at_order_one():
         grid, increments = _level_increments(fine, fine_paths, 2 ** (FINE_EXP - exp))
         errors = []
         for p in range(N_PATHS):
-            path = WienerPath(grid=grid, dims=1, increments=increments[:, p], seed=p)
+            path = WienerPath(grid=grid, increments=increments[:, p], seed=p)
             grad = adjoint_gradient(system, policy, cost, np.array([X0]), path).grad
             errors.append(np.max(np.abs(grad - exact[p]) / np.abs(exact[p])))
         medians.append(np.median(errors))
@@ -109,7 +109,7 @@ def test_mlp_adjoint_gradient_converges_to_its_fine_path_value_at_order_one(name
     fine_paths = np.stack([generate_path(seed, fine, 1).increments for seed in range(N_PATHS)])
 
     def gradient(grid, increments, p):
-        path = WienerPath(grid=grid, dims=1, increments=increments, seed=p)
+        path = WienerPath(grid=grid, increments=increments, seed=p)
         return adjoint_gradient(system, policy, cost, x0, path).grad
 
     refs = [gradient(fine, inc, p) for p, inc in enumerate(fine_paths)]

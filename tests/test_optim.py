@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from sdecontrol import optim
 from sdecontrol.benchmarks import build_grad_check_problem
 from sdecontrol.errors import BatchFailureError, ConfigurationError
 from sdecontrol.optim import (
@@ -329,6 +330,38 @@ class TestTrain:
         with pytest.raises(ConfigurationError, match="checkpoint_dir"):
             train(system, policy, cost, x0, cfg)
         assert np.array_equal(policy.get_params(), theta)
+
+    def test_missing_nested_checkpoint_directory_made(self, tmp_path):
+        # It ran two iterations and then raised a raw FileNotFoundError.
+        system, cost, x0, _ = build_grad_check_problem("gbm", hidden_dims=(4,))
+        target = tmp_path / "a" / "b"
+        cfg = TrainConfig(
+            grid=TimeGrid(0.0, 1.0, 16),
+            batch_size=2,
+            iterations=2,
+            checkpoint_every=2,
+            checkpoint_dir=str(target),
+        )
+        train(system, init_params([1, 4, 1], seed=0), cost, x0, cfg)
+        assert [p.name for p in target.iterdir()] == ["checkpoint_00002.txt"]
+
+    def test_checkpoint_directory_under_a_file_rejected_before_training(self, tmp_path, monkeypatch):
+        system, cost, x0, _ = build_grad_check_problem("gbm", hidden_dims=(4,))
+        (tmp_path / "file").write_text("")
+        cfg = TrainConfig(
+            grid=TimeGrid(0.0, 1.0, 16),
+            batch_size=2,
+            iterations=2,
+            checkpoint_every=1,
+            checkpoint_dir=str(tmp_path / "file" / "ckpt"),
+        )
+
+        def no_iteration(*args):
+            raise AssertionError("an iteration ran before the directory was checked")
+
+        monkeypatch.setattr(optim, "batch_gradient", no_iteration)
+        with pytest.raises(ConfigurationError, match="cannot make checkpoint directory"):
+            train(system, init_params([1, 4, 1], seed=0), cost, x0, cfg)
 
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):

@@ -11,6 +11,7 @@ from sdecontrol.policy import (
     Activation,
     MlpPolicy,
     _layer_slots,
+    _param_count,
     init_params,
     load_policy,
     save_policy,
@@ -18,9 +19,7 @@ from sdecontrol.policy import (
 
 
 def zero_policy(layer_dims, **kw):
-    weights = [np.zeros((o, i)) for i, o in zip(layer_dims[:-1], layer_dims[1:])]
-    biases = [np.zeros(o) for o in layer_dims[1:]]
-    return MlpPolicy(weights, biases, **kw)
+    return MlpPolicy(layer_dims, np.zeros(_param_count(layer_dims)), **kw)
 
 
 def reference_eval(policy, x):
@@ -78,7 +77,7 @@ class TestEval:
 
     def test_identity_single_layer(self):
         policy = MlpPolicy(
-            [np.eye(3)], [np.zeros(3)], output_activation="identity"
+            [3, 3], np.concatenate([np.eye(3).ravel(), np.zeros(3)]), output_activation="identity"
         )
         x = np.array([1.0, -2.0, 0.5])
         assert np.allclose(policy.eval(x), x)
@@ -127,7 +126,9 @@ class TestEval:
 
 class TestVjpInput:
     def test_identity_network(self):
-        policy = MlpPolicy([np.eye(2)], [np.zeros(2)], output_activation="identity")
+        policy = MlpPolicy(
+            [2, 2], np.concatenate([np.eye(2).ravel(), np.zeros(2)]), output_activation="identity"
+        )
         cot = np.array([0.3, -0.7])
         assert np.allclose(policy.vjp_input(np.array([1.0, 2.0]), cot), cot)
 
@@ -159,11 +160,8 @@ class TestVjpParams:
         assert np.all(out == 0.0)
 
     def test_affine_layer_closed_form(self):
-        policy = MlpPolicy(
-            [np.array([[1.0, 2.0], [3.0, 4.0]])],
-            [np.zeros(2)],
-            output_activation="identity",
-        )
+        # layer_dims [2, 2]: W = [[1, 2], [3, 4]] row-major, then b = 0
+        policy = MlpPolicy([2, 2], [1.0, 2.0, 3.0, 4.0, 0.0, 0.0], output_activation="identity")
         x = np.array([0.5, -1.0])
         cot = np.array([2.0, 3.0])
         grad = policy.vjp_params_layers(x, cot)[1]
@@ -479,6 +477,46 @@ class TestInitParams:
         policy = init_params([2, 4, 1], seed=0)
         with pytest.raises(ConfigurationError):
             policy.set_params(np.zeros(policy.n_params + 1))
+
+    def test_layers_drawn_in_order_from_one_stream(self):
+        # Layer by layer, each weight matrix in row-major order; biases zero.
+        rng = np.random.Generator(np.random.Philox(key=7))
+        want = []
+        for fan_in, fan_out in [(3, 6), (6, 5), (5, 2)]:
+            scale = 1.0 / np.sqrt(fan_in)
+            want += [rng.uniform(-scale, scale, size=(fan_out, fan_in)).ravel(), np.zeros(fan_out)]
+        assert np.array_equal(init_params([3, 6, 5, 2], seed=7).get_params(), np.concatenate(want))
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("width", [2.5, True, np.float64(2.0)], ids=repr)
+    def test_width_that_is_not_an_integer_rejected(self, width):
+        # init_params([2, 2.5, 2]) ended in a raw TypeError.
+        with pytest.raises(ConfigurationError, match="a layer width must be an integer"):
+            init_params([2, width, 2], seed=0)
+        with pytest.raises(ConfigurationError, match="a layer width must be an integer"):
+            MlpPolicy([2, width, 2], np.zeros(12))
+
+    @pytest.mark.parametrize("layer_dims", [[2], [], [2, 0, 1], [2, -1]])
+    def test_too_few_or_empty_layers_rejected(self, layer_dims):
+        with pytest.raises(ConfigurationError, match="invalid layer_dims"):
+            MlpPolicy(layer_dims, np.zeros(0))
+
+    @pytest.mark.parametrize("n", [12, 14])
+    def test_theta_of_the_wrong_length_rejected(self, n):
+        # [2, 3, 1] needs (2 + 1) * 3 + (3 + 1) * 1 = 13 parameters.
+        with pytest.raises(ConfigurationError, match=r"has length \(%d,\), expected \(13,\)" % n):
+            MlpPolicy([2, 3, 1], np.zeros(n))
+
+    def test_theta_is_copied_into_the_layers(self):
+        theta = np.arange(13.0)
+        policy = MlpPolicy(np.array([2, 3, 1]), theta)
+        theta[:] = 0.0
+        assert policy.layer_dims == [2, 3, 1] and all(type(d) is int for d in policy.layer_dims)
+        assert np.array_equal(policy.weights[0], np.arange(6.0).reshape(3, 2))
+        assert np.array_equal(policy.biases[0], [6.0, 7.0, 8.0])
+        assert np.array_equal(policy.weights[1], [[9.0, 10.0, 11.0]])
+        assert np.array_equal(policy.biases[1], [12.0])
 
 
 class TestCheckpoint:

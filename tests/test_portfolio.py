@@ -33,7 +33,7 @@ from test_sensitivity import cost_partial_pairs
 
 def zero_path(n_steps, t_end=1.0):
     grid = TimeGrid(0.0, t_end, n_steps)
-    return WienerPath(grid=grid, dims=1, increments=np.zeros((n_steps, 1)), seed=0)
+    return WienerPath(grid=grid, increments=np.zeros((n_steps, 1)), seed=0)
 
 
 def euler_states(system, policy, x0, path):
@@ -357,9 +357,7 @@ class TestBuildCost:
 
 class TestPolicyGrid:
     def test_zero_policy_constant_ln2(self):
-        weights = [np.zeros((2, 2))]
-        biases = [np.zeros(2)]
-        policy = MlpPolicy(weights, biases, output_activation="softplus")
+        policy = MlpPolicy([2, 2], np.zeros(6), output_activation="softplus")
         rows = policy_grid(policy, (0.0, 2.0), (-1.0, 1.0), 3)
         assert np.allclose(rows[:, 2:], np.log(2.0))
 

@@ -68,7 +68,7 @@ def zero_system(calculus=Calculus.ITO):
 
 def zero_path(n_steps, t_end=1.0, dims=1):
     grid = TimeGrid(0.0, t_end, n_steps)
-    return WienerPath(grid=grid, dims=dims, increments=np.zeros((n_steps, dims)), seed=0)
+    return WienerPath(grid=grid, increments=np.zeros((n_steps, dims)), seed=0)
 
 
 def euler_step(system, x, dt, dB):
@@ -754,7 +754,7 @@ def test_batched_studies_equal_path_by_path_integration():
     def coarsen(path, factor):
         grid = TimeGrid(0.0, 1.0, path.grid.n_steps // factor)
         increments = path.increments.reshape(grid.n_steps, factor, 1).sum(axis=1)
-        return WienerPath(grid=grid, dims=1, increments=increments, seed=path.seed)
+        return WienerPath(grid=grid, increments=increments, seed=path.seed)
 
     x0 = np.array([1.0])
     errors = {"euler_maruyama": [], "milstein_ito": []}

@@ -49,11 +49,7 @@ from test_sdecore import assert_partials_match_fd
 
 def scalar_policy(weight=0.0, bias=0.0):
     """1 -> 1 affine policy with identity output: u = w x + b."""
-    return MlpPolicy(
-        [np.array([[float(weight)]])],
-        [np.array([float(bias)])],
-        output_activation="identity",
-    )
+    return MlpPolicy([1, 1], [float(weight), float(bias)], output_activation="identity")
 
 
 def bilinear_system():
@@ -294,7 +290,7 @@ class TestBlockQuadrature:
         got.append(quadrature((x[None], u[None]) for x, u in zip(states, controls)))
         got.append(adjoint_core(system, policy, cost, x0, increments, grid, check="none")[1])
         if lanes == 1:
-            got.append(eval_cost(system, policy, cost, x0, WienerPath(grid, 1, increments, 0)))
+            got.append(eval_cost(system, policy, cost, x0, WienerPath(grid, increments, 0)))
         with monkeypatch.context() as m:
             m.setattr(sensitivity, "_BLOCK_ROWS", 7)
             got.append(quadrature(sensitivity._stored_blocks(states, controls)))
@@ -340,6 +336,29 @@ def test_divergence_reported_alike_by_every_entry_point():
             run()
         steps.append(info.value.step_index)
     assert steps == [7, 7, 7]
+
+
+def test_non_finite_cost_on_a_finite_trajectory_reported_by_every_evaluator():
+    # The bank starts so far below the stock that the gap crosses the
+    # solvency line: the nu = 0 log barrier is NaN on finite states.
+    # Forward sensitivity returned a NaN cost and gradient.
+    market = MarketParams(nu=0.0, barrier_weight=1.0, x0=(1.0, -0.94))
+    system, cost, x0, policy = build_grad_check_problem("portfolio", hidden_dims=(8,), market=market)
+    path = generate_path(0, TimeGrid(0.0, 1.0, 64), 1)
+    for evaluator in (eval_cost, forward_sensitivity, adjoint_gradient, finite_difference_gradient):
+        with pytest.raises(DivergenceError):
+            evaluator(system, policy, cost, x0, path)
+
+
+def test_non_finite_gradient_of_a_finite_cost_rejected_by_both_exact_estimators():
+    # An infinite terminal partial: forward sensitivity returned an infinite
+    # gradient with a finite cost.
+    system, cost, x0, policy = build_grad_check_problem("gbm", hidden_dims=(4,))
+    cost = dataclasses.replace(cost, terminal_dx=lambda x, u: np.full_like(x, np.inf))
+    path = generate_path(0, TimeGrid(0.0, 1.0, 8), 1)
+    for estimator in (forward_sensitivity, adjoint_gradient):
+        with pytest.raises(DivergenceError, match="non-finite"):
+            estimator(system, policy, cost, x0, path)
 
 
 class TestForwardSensitivity:

@@ -3,9 +3,63 @@
 import numpy as np
 import pytest
 
+from sdecontrol.benchmarks import build_grad_check_problem
 from sdecontrol.errors import ConfigurationError
-from sdecontrol.studies import _level_increments
-from sdecontrol.wiener import TimeGrid, generate_path
+from sdecontrol.optim import TrainConfig, batch_gradient
+from sdecontrol.policy import init_params
+from sdecontrol.portfolio import MarketParams, evaluate_policy, policy_grid
+from sdecontrol.studies import _level_increments, reversibility_study, strong_convergence_study
+from sdecontrol.wiener import TimeGrid, WienerPath, generate_path
+
+GRID = TimeGrid(0.0, 1.0, 4)
+
+
+def _batch_gradient(base_seed=0, n_paths=2):
+    system, cost, x0, policy = build_grad_check_problem("gbm", hidden_dims=(2,))
+    return batch_gradient(system, policy, cost, x0, base_seed, 0, n_paths, GRID)
+
+
+def _evaluate(**kw):
+    return evaluate_policy(MarketParams(), init_params([2, 2, 2], seed=0), GRID, **kw)
+
+
+# Each seed or count, given as a float or a bool: a float seed drew the
+# stream of its integer part, a bool that of 0 or 1, and a float count ended
+# in a raw TypeError or ran as its integer part.
+INTEGER_ARGUMENTS = {
+    "generate_path seed": lambda v: generate_path(v, GRID, 1),
+    "generate_path dims": lambda v: generate_path(0, GRID, v),
+    "init_params seed": lambda v: init_params([2, 2, 2], seed=v),
+    "TrainConfig batch_size": lambda v: TrainConfig(grid=GRID, batch_size=v),
+    "TrainConfig iterations": lambda v: TrainConfig(grid=GRID, iterations=v),
+    "TrainConfig checkpoint_every": lambda v: TrainConfig(grid=GRID, checkpoint_every=v),
+    "TrainConfig base_seed": lambda v: TrainConfig(grid=GRID, base_seed=v),
+    "batch_gradient base_seed": lambda v: _batch_gradient(base_seed=v),
+    "batch_gradient n_paths": lambda v: _batch_gradient(n_paths=v),
+    "evaluate_policy n_paths": lambda v: _evaluate(n_paths=v),
+    "evaluate_policy keep_trajectories": lambda v: _evaluate(n_paths=2, keep_trajectories=v),
+    "evaluate_policy seed_base": lambda v: _evaluate(n_paths=2, seed_base=v),
+    "policy_grid resolution": lambda v: policy_grid(init_params([2, 2], seed=0), (0, 1), (0, 1), v),
+    "strong_convergence_study n_paths": lambda v: strong_convergence_study(
+        min_exp=1, max_exp=2, n_paths=v
+    ),
+    "strong_convergence_study max_exp": lambda v: strong_convergence_study(
+        min_exp=0, max_exp=v, n_paths=1
+    ),
+    "reversibility_study seed": lambda v: reversibility_study(
+        min_exp=1, n_halvings=1, n_paths=1, seed=v
+    ),
+    "reversibility_study n_halvings": lambda v: reversibility_study(
+        min_exp=1, n_halvings=v, n_paths=1
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True], ids=repr)
+@pytest.mark.parametrize("call", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+def test_seeds_and_counts_must_be_integers(call, value):
+    with pytest.raises(ConfigurationError, match="must be an integer, got"):
+        call(value)
 
 
 class TestTimeGrid:
@@ -97,6 +151,19 @@ class TestGeneratePath:
     def test_invalid_dims(self):
         with pytest.raises(ConfigurationError):
             generate_path(0, TimeGrid(0.0, 1.0, 4), 0)
+
+    def test_numpy_integer_seed_and_dims_accepted(self):
+        path = generate_path(np.int64(42), GRID, np.int64(2))
+        assert np.array_equal(path.increments, generate_path(42, GRID, 2).increments)
+
+    @pytest.mark.parametrize("shape", [(4, 0), (4,), (3, 1), (4, 1, 1)])
+    def test_path_rejects_increments_not_of_shape_steps_by_width(self, shape):
+        with pytest.raises(ConfigurationError, match=r"is not \(4, d\) with d >= 1"):
+            WienerPath(GRID, np.zeros(shape), 0)
+
+    def test_path_width_is_the_increments_width(self):
+        path = WienerPath(GRID, np.zeros((4, 3)), 0)
+        assert path.increments.shape == (4, 3) and not hasattr(path, "dims")
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_outside_philox_key_range(self, seed):
